@@ -9,7 +9,6 @@ renders the results as plan diagrams and impact heatmaps.
 
 from .engine import (
     Collection,
-    Document,
     Index,
     IndexCatalog,
     Projection,
@@ -36,6 +35,7 @@ from .optimizer import (
     optimize,
     pick_best,
     race,
+    race_closed_form,
     score_plan,
 )
 from .plans import (

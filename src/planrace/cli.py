@@ -65,8 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-primed", default=None,
                      metavar="PLAN", help="prime the plan cache with this plan "
                      "(COLLSCAN, IXSCAN_A, IXSCAN_B, IXSCAN_AB) and skip racing")
-    run.add_argument("--jobs", type=int, default=1,
-                     help="parallel measurement workers (default 1)")
     run.add_argument("--svg", action="store_true", help="also write SVG diagrams")
 
     explain = sub.add_parser("explain", help="race one query and print per-plan statistics")
@@ -102,7 +100,7 @@ def cmd_run(parser, args) -> int:
             parser.error(str(exc))
     grid, metrics = harness.run_experiment(
         scenario, collection, variant, d=args.dim, seed=args.seed, knobs=knobs,
-        cost=cost, reps=args.reps, primed=primed, jobs=args.jobs)
+        cost=cost, reps=args.reps, primed=primed)
     grid.provenance["dataset"] = args.data
     written = viz.write_report(grid, metrics, args.out, svg=args.svg)
     for path in written:

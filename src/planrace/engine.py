@@ -1,9 +1,11 @@
-"""Document storage: collections, secondary indexes, dataset generation and I/O.
+"""Columnar storage: collections, secondary indexes, dataset generation and I/O.
 
-A collection is an immutable, in-memory sequence of documents with dense
-record ids (0..N-1); iteration order models on-disk sequential scan order.
-Indexes are sorted (key, record_id) entry lists, one entry per document,
-so a range scan is a contiguous slice found by binary search.
+A collection is an immutable, in-memory set of documents with dense record
+ids (0..N-1), stored as one integer column per field in record_id order;
+that order models on-disk sequential scan order. An index is the same
+columns permuted into (key tuple, record_id) order, plus the record ids in
+that order, so a range scan is a contiguous slice found by binary search on
+the leading key's column.
 """
 
 from __future__ import annotations
@@ -19,33 +21,27 @@ DISTRIBUTIONS = ("uniform-distinct", "uniform-with-repeats", "zipfian")
 
 
 @dataclass
-class Document:
-    record_id: int
-    fields: dict[str, int]
-
-
-@dataclass
 class Collection:
-    """Documents in record_id order plus the declared field list."""
+    """One integer column per field, each in record_id order; dict order is field order."""
 
     name: str
-    documents: list[Document]
-    field_list: list[str]
+    columns: dict[str, list[int]]
     _sorted_values: dict[str, list[int]] = field(default_factory=dict, repr=False)
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return len(next(iter(self.columns.values())))
 
-    def doc(self, record_id: int) -> Document:
-        return self.documents[record_id]
+    @property
+    def field_list(self) -> list[str]:
+        return list(self.columns)
 
     def sorted_values(self, field_name: str) -> list[int]:
         """Sorted copy of one field's column, built once (collections are immutable)."""
-        if field_name not in self.field_list:
+        if field_name not in self.columns:
             raise UnknownFieldError(f"collection has no field {field_name!r}")
         cached = self._sorted_values.get(field_name)
         if cached is None:
-            cached = sorted(d.fields[field_name] for d in self.documents)
+            cached = sorted(self.columns[field_name])
             self._sorted_values[field_name] = cached
         return cached
 
@@ -57,17 +53,23 @@ class Collection:
 
 @dataclass
 class Index:
-    """Sorted secondary index: entries are (key tuple, record_id)."""
+    """Sorted secondary index stored as columns in index order.
+
+    rids[k] is the record id of the k-th entry and columns[f][k] its value of
+    field f, for every field of the collection (not only the key fields), so
+    a scan reads any field of an entry without a fetch by record id. Entries
+    are ordered by the key fields, then by record id.
+    """
 
     name: str
     key_fields: tuple[str, ...]
-    entries: list[tuple[tuple[int, ...], int]]
-    # leading-field values, parallel to entries, for binary search
-    _leading: list[int] = field(default_factory=list, repr=False)
+    rids: list[int]
+    columns: dict[str, list[int]]
+    # the leading key's column, which is sorted: the binary-search array
+    _leading: list[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._leading:
-            self._leading = [key[0] for key, _ in self.entries]
+        self._leading = self.columns[self.key_fields[0]]
 
     def range_positions(self, low: int, high: int) -> tuple[int, int]:
         """Entry positions [lo, hi) whose leading key lies in [low, high)."""
@@ -178,9 +180,8 @@ def generate_dataset(n: int, distribution: str = "uniform-distinct", seed: int =
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"unknown distribution {distribution!r}; choose from {DISTRIBUTIONS}")
     rng = random.Random(seed)
-    field_list = ["A", "B"]
-    columns = []
-    for _ in field_list:
+    columns = {}
+    for field_name in ("A", "B"):
         if distribution == "uniform-distinct":
             values = list(range(n))
             rng.shuffle(values)
@@ -189,12 +190,8 @@ def generate_dataset(n: int, distribution: str = "uniform-distinct", seed: int =
         else:  # zipfian, exponent 1.2 over ranks 1..n mapped onto values 0..n-1
             weights = [1.0 / (rank**1.2) for rank in range(1, n + 1)]
             values = rng.choices(range(n), weights=weights, k=n)
-        columns.append(values)
-    docs = [
-        Document(rid, {"A": columns[0][rid], "B": columns[1][rid]})
-        for rid in range(n)
-    ]
-    return Collection(name=f"gen_{distribution}_{n}_{seed}", documents=docs, field_list=field_list)
+        columns[field_name] = values
+    return Collection(name=f"gen_{distribution}_{n}_{seed}", columns=columns)
 
 
 def index_name_for(key_fields: tuple[str, ...]) -> str:
@@ -202,16 +199,21 @@ def index_name_for(key_fields: tuple[str, ...]) -> str:
 
 
 def build_index(collection: Collection, key_fields) -> Index:
-    """Sort (key tuple, record_id) over every document; name like "A_1_B_1"."""
+    """Order record ids by (key tuple, record_id); name like "A_1_B_1".
+
+    Stable sorts by the last key first give exactly the order of sorting
+    (key tuple, record_id) pairs, without building a tuple per document.
+    """
     key_fields = tuple(key_fields)
     for f in key_fields:
-        if f not in collection.field_list:
+        if f not in collection.columns:
             raise UnknownFieldError(f"cannot index unknown field {f!r}")
-    entries = sorted(
-        (tuple(doc.fields[f] for f in key_fields), doc.record_id)
-        for doc in collection.documents
-    )
-    return Index(name=index_name_for(key_fields), key_fields=key_fields, entries=entries)
+    rids = list(range(len(collection)))
+    for f in reversed(key_fields):
+        rids.sort(key=collection.columns[f].__getitem__)
+    columns = {f: [column[rid] for rid in rids] for f, column in collection.columns.items()}
+    return Index(name=index_name_for(key_fields), key_fields=key_fields,
+                 rids=rids, columns=columns)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate,
@@ -227,7 +229,7 @@ def selectivity(collection: Collection, predicate: RangePredicate,
 
 def match_count(collection: Collection, predicate: RangePredicate,
                 catalog: IndexCatalog | None = None) -> int:
-    if predicate.field not in collection.field_list:
+    if predicate.field not in collection.columns:
         raise UnknownFieldError(f"collection has no field {predicate.field!r}")
     if catalog is not None:
         ix = catalog.single_field_index(predicate.field)
@@ -240,10 +242,10 @@ def match_count(collection: Collection, predicate: RangePredicate,
 def save_dataset(collection: Collection, path) -> None:
     """Write the collection as UTF-8 CSV: header record_id,<fields>, LF endings."""
     path = Path(path)
-    header = ",".join(["record_id"] + list(collection.field_list))
+    header = ",".join(["record_id"] + collection.field_list)
+    rows = zip(range(len(collection)), *collection.columns.values())
     lines = [header]
-    for doc in collection.documents:
-        lines.append(",".join([str(doc.record_id)] + [str(doc.fields[f]) for f in collection.field_list]))
+    lines.extend(",".join(map(str, row)) for row in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -259,22 +261,27 @@ def load_dataset(path) -> Collection:
     header = lines[0].split(",")
     if header[:1] != ["record_id"] or len(header) < 2:
         raise DatasetFormatError(path, 1, f"bad header {lines[0]!r} (expected record_id,<fields>)")
+    if len(set(header)) != len(header):
+        raise DatasetFormatError(path, 1, f"duplicate field name in header {lines[0]!r}")
     field_list = header[1:]
-    docs = []
+    width = len(header)
+    # row-major values of every row, record_id included; sliced into columns below
+    flat: list[int] = []
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
-        if len(parts) != len(header):
+        if len(parts) != width:
             raise DatasetFormatError(
-                path, line_no, f"expected {len(header)} columns, found {len(parts)}")
+                path, line_no, f"expected {width} columns, found {len(parts)}")
         try:
-            values = [int(p) for p in parts]
+            values = list(map(int, parts))
         except ValueError:
             raise DatasetFormatError(path, line_no, f"non-integer value in {line!r}") from None
         rid = values[0]
         if rid != line_no - 2:
             raise DatasetFormatError(
                 path, line_no, f"record_id {rid} out of order (expected {line_no - 2})")
-        docs.append(Document(rid, dict(zip(field_list, values[1:]))))
-    if not docs:
+        flat += values
+    if not flat:
         raise DatasetFormatError(path, 1, "no documents")
-    return Collection(name=path.stem, documents=docs, field_list=field_list)
+    columns = {f: flat[k::width] for k, f in enumerate(field_list, start=1)}
+    return Collection(name=path.stem, columns=columns)

@@ -18,13 +18,7 @@ import enum
 from dataclasses import dataclass
 
 from .engine import Collection, IndexCatalog
-from .plans import (
-    CandidatePlan,
-    CollScanStage,
-    FilterStage,
-    IxScanStage,
-    PlanKind,
-)
+from .plans import CandidatePlan, FilterStage, PlanKind
 
 
 class WorkState(enum.Enum):
@@ -55,6 +49,63 @@ class CostModel:
         return CostModel(self.c_seq * factor, self.c_idx * factor, self.c_fetch * factor)
 
 
+@dataclass(frozen=True)
+class PlanScan:
+    """One plan's scan, described in closed form.
+
+    The plan visits positions start..end-1 of an access order: index order
+    for index plans, record_id order for COLLSCAN (rids is None there, as a
+    position is its own record id). A position matches when each filter
+    (column in that access order, low, high) holds low <= value < high.
+    Stepping and the closed-form race both read a plan's scan from here.
+    """
+
+    start: int
+    end: int
+    rids: list[int] | None
+    filters: tuple[tuple[list[int], int, int], ...]
+
+    @property
+    def length(self) -> int:
+        return self.end - self.start
+
+    def mask(self, lo: int, hi: int) -> list[bool]:
+        """Which of the scan's positions lo..hi-1 (counted from 0) match."""
+        a, b = self.start + lo, self.start + hi
+        if not self.filters:
+            return [True] * (b - a)
+        if len(self.filters) == 1:
+            ((column, low, high),) = self.filters
+            return [low <= v < high for v in column[a:b]]
+        (col1, low1, high1), (col2, low2, high2) = self.filters
+        return [low1 <= v < high1 and low2 <= w < high2
+                for v, w in zip(col1[a:b], col2[a:b])]
+
+
+def plan_scan(plan: CandidatePlan, collection: Collection, catalog: IndexCatalog) -> PlanScan:
+    """The positions a plan scans and the filters it applies to each."""
+    scan = plan.stages[0]
+    if plan.id.kind is PlanKind.COLLSCAN:
+        filters = tuple((collection.columns[p.field], p.low, p.high) for p in scan.predicates)
+        return PlanScan(0, len(collection), None, filters)
+    index = catalog.by_name(scan.index_name)
+    start, end = index.range_positions(scan.low, scan.high)
+    # IXSCAN's residual reads the fetched document, a covered plan's reads the
+    # index key; both values sit in the index-order column of that field
+    filters = tuple((index.columns[s.predicate.field], s.predicate.low, s.predicate.high)
+                    for s in plan.stages if isinstance(s, FilterStage))
+    return PlanScan(start, end, index.rids, filters)
+
+
+def step_time(kind: PlanKind, cost: CostModel) -> float:
+    """Simulated time of one non-terminal work() step of a plan of this kind."""
+    if kind is PlanKind.COLLSCAN:
+        return cost.c_seq
+    if kind is PlanKind.IXSCAN:
+        return cost.c_idx + cost.c_fetch
+    return cost.c_idx
+
+
 class PlanExecution:
     """Single-owner mutable cursor state for one plan over one collection."""
 
@@ -69,88 +120,27 @@ class PlanExecution:
         self.eof = False
         self.emitted: list[int] = []
 
-        kind = plan.id.kind
-        if kind is PlanKind.COLLSCAN:
-            scan = plan.stages[0]
-            assert isinstance(scan, CollScanStage)
-            self._docs = collection.documents
-            self._preds = [(p.field, p.low, p.high) for p in scan.predicates]
-            self._pos = 0
-            self._end = len(collection)
-        else:
-            scan = plan.stages[0]
-            assert isinstance(scan, IxScanStage)
-            index = catalog.by_name(scan.index_name)
-            self._entries = index.entries
-            self._pos, self._end = index.range_positions(scan.low, scan.high)
-            if kind is PlanKind.IXSCAN:
-                residual = next(s for s in plan.stages if isinstance(s, FilterStage))
-                p = residual.predicate
-                self._residual = (p.field, p.low, p.high)
-            else:
-                # covered: residual fields are filtered on the key tuple itself
-                self._key_filters = [
-                    (index.key_fields.index(s.predicate.field), s.predicate.low, s.predicate.high)
-                    for s in plan.stages
-                    if isinstance(s, FilterStage) and s.on_index_key
-                ]
+        scan = plan_scan(plan, collection, catalog)
+        self._pos, self._end = scan.start, scan.end
+        self._rids = scan.rids
+        self._filters = scan.filters
+        self._step_time = step_time(plan.id.kind, cost)
 
     def work(self) -> WorkState:
         if self.eof:
             return WorkState.EOF
-        kind = self.plan.id.kind
-        if kind is PlanKind.COLLSCAN:
-            return self._work_collscan()
-        if kind is PlanKind.IXSCAN:
-            return self._work_ixscan()
-        return self._work_cover()
-
-    def _work_collscan(self) -> WorkState:
         self.works += 1
-        if self._pos >= self._end:
+        pos = self._pos
+        if pos >= self._end:
             self.eof = True
             return WorkState.EOF
-        doc = self._docs[self._pos]
-        self._pos += 1
-        self.sim_time += self.cost.c_seq
-        values = doc.fields
-        for f, low, high in self._preds:
-            v = values[f]
-            if not (low <= v < high):
+        self._pos = pos + 1
+        self.sim_time += self._step_time
+        for column, low, high in self._filters:
+            if not (low <= column[pos] < high):
                 return WorkState.NEED_TIME
         self.results += 1
-        self.emitted.append(doc.record_id)
-        return WorkState.ADVANCED
-
-    def _work_ixscan(self) -> WorkState:
-        self.works += 1
-        if self._pos >= self._end:
-            self.eof = True
-            return WorkState.EOF
-        _, rid = self._entries[self._pos]
-        self._pos += 1
-        self.sim_time += self.cost.c_idx + self.cost.c_fetch
-        f, low, high = self._residual
-        v = self.collection.documents[rid].fields[f]
-        if not (low <= v < high):
-            return WorkState.NEED_TIME
-        self.results += 1
-        self.emitted.append(rid)
-        return WorkState.ADVANCED
-
-    def _work_cover(self) -> WorkState:
-        self.works += 1
-        if self._pos >= self._end:
-            self.eof = True
-            return WorkState.EOF
-        key, rid = self._entries[self._pos]
-        self._pos += 1
-        self.sim_time += self.cost.c_idx
-        for key_pos, low, high in self._key_filters:
-            if not (low <= key[key_pos] < high):
-                return WorkState.NEED_TIME
-        self.results += 1
-        self.emitted.append(rid)
+        self.emitted.append(pos if self._rids is None else self._rids[pos])
         return WorkState.ADVANCED
 
 
@@ -180,13 +170,5 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
     stepped protocol is enforced by tests; the harness uses this path so that
     measuring a plan is O(log N) instead of O(N).
     """
-    kind = plan.id.kind
-    if kind is PlanKind.COLLSCAN:
-        n = len(collection)
-        return n * cost.c_seq, n + 1
-    scan = plan.stages[0]
-    index = catalog.by_name(scan.index_name)
-    k = index.count_in_range(scan.low, scan.high)
-    if kind is PlanKind.IXSCAN:
-        return k * (cost.c_idx + cost.c_fetch), k + 1
-    return k * cost.c_idx, k + 1
+    k = plan_scan(plan, collection, catalog).length
+    return k * step_time(plan.id.kind, cost), k + 1

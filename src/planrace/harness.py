@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -124,18 +123,25 @@ def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalo
     """Mean post-filter run time of every forced plan, via hint forcing.
 
     noise, when given, is a callable (rng, time) -> time simulating wall-clock
-    jitter; without it the simulated executor makes all reps identical.
+    jitter; without it the simulated executor makes all reps identical, so
+    one run stands for all of them.
     """
+    if reps < 1:
+        raise ValueError("need at least one sample")
     means: dict[str, float] = {}
     for plan_id in forced_plans:
         hinted = Query(query.predicates, query.projection, hint=plan_id)
         plan = enumerate_candidates(hinted, catalog)[0]
+        if noise is None:
+            t, _ = plan_cost_totals(plan, collection, catalog, cost)
+            # reps identical samples all pass the filter; summing them keeps
+            # the float rounding of their mean, which can differ from t
+            means[str(plan_id)] = sum([t] * reps) / reps
+            continue
         samples = []
         for _ in range(reps):
             t, _ = plan_cost_totals(plan, collection, catalog, cost)
-            if noise is not None:
-                t = noise(rng, t)
-            samples.append(t)
+            samples.append(noise(rng, t))
         kept = filter_outliers(samples)
         if not kept:
             raise PlanraceError("outlier filter removed every sample")  # unreachable
@@ -220,23 +226,13 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
 
 def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCatalog,
                  scenario: Scenario, cost: CostModel, reps: int = 10,
-                 noise=None, seed: int = 0, jobs: int = 1) -> None:
-    """Fill per_plan_times for every cell (independent cells, optional fan-out)."""
+                 noise=None, seed: int = 0) -> None:
+    """Fill per_plan_times for every cell."""
     forced = scenario.forced_plan_ids()
-    cells = grid.sorted_cells()
-
-    def measure(cell: GridCell) -> dict[str, float]:
+    for cell in grid.sorted_cells():
         cell_rng = random.Random((seed, cell.i, cell.j)) if noise is not None else None
-        return measure_all_plans(cell.query, collection, catalog, forced, cost,
-                                 reps=reps, noise=noise, rng=cell_rng)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(measure, cells))
-    else:
-        results = [measure(c) for c in cells]
-    for cell, times in zip(cells, results):
-        cell.per_plan_times = times
+        cell.per_plan_times = measure_all_plans(cell.query, collection, catalog, forced,
+                                                cost, reps=reps, noise=noise, rng=cell_rng)
 
 
 def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
@@ -244,7 +240,9 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
 
     Exact time ties go to the chosen plan when it participates (so boundary
     cells are not counted against the optimizer), otherwise to the first
-    plan in canonical id order. Idempotent on an already-finalized grid.
+    plan in canonical id order. A chosen plan as fast as the optimal one has
+    ratio 1, also when both take no time. Idempotent on an already-finalized
+    grid.
     """
     correct = 0
     slowdowns = []
@@ -257,7 +255,15 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
             cell.optimal = cell.chosen
         else:
             cell.optimal = min(tied, key=plan_order_key)
-        cell.ratio = cell.per_plan_times[cell.chosen] / best_time
+        chosen_time = cell.per_plan_times[cell.chosen]
+        if chosen_time == best_time:
+            cell.ratio = 1.0
+        elif best_time == 0:
+            raise PlanraceError(
+                f"cell ({cell.i},{cell.j}): chosen plan {cell.chosen} takes {chosen_time} "
+                f"but {cell.optimal} takes no time, so the slowdown is unbounded")
+        else:
+            cell.ratio = chosen_time / best_time
         if cell.chosen == cell.optimal:
             correct += 1
         slowdowns.append((cell.ratio - 1.0) * 100.0)
@@ -285,8 +291,8 @@ def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
 def run_experiment(scenario: Scenario, collection: Collection, variant: OptimizerVariant,
                    d: int, seed: int, knobs: RaceKnobs = RaceKnobs(),
                    cost: CostModel = CostModel(), reps: int = 10,
-                   primed: PlanId | None = None, noise=None,
-                   jobs: int = 1) -> tuple[ExperimentGrid, SummaryMetrics]:
+                   primed: PlanId | None = None,
+                   noise=None) -> tuple[ExperimentGrid, SummaryMetrics]:
     """Sweep, measure and finalize one full experiment.
 
     With `primed` set this is the plan-cache experiment: the optimizer never
@@ -301,7 +307,7 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
     grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cost,
                  cache=cache, cache_mode=cache_mode)
     measure_grid(grid, collection, catalog, scenario, cost, reps=reps,
-                 noise=noise, seed=seed, jobs=jobs)
+                 noise=noise, seed=seed)
     grid, metrics = finalize(grid)
     grid.provenance = {
         "scenario": scenario.name,
@@ -323,8 +329,8 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
 
 def cache_experiment(scenario: Scenario, collection: Collection, primed: PlanId,
                      d: int, seed: int, knobs: RaceKnobs = RaceKnobs(),
-                     cost: CostModel = CostModel(), reps: int = 10,
-                     jobs: int = 1) -> tuple[ExperimentGrid, SummaryMetrics]:
+                     cost: CostModel = CostModel(),
+                     reps: int = 10) -> tuple[ExperimentGrid, SummaryMetrics]:
     """Grid experiment with the plan cache pre-seeded; chosen = primed everywhere."""
     return run_experiment(scenario, collection, OptimizerVariant.VANILLA, d, seed,
-                          knobs=knobs, cost=cost, reps=reps, primed=primed, jobs=jobs)
+                          knobs=knobs, cost=cost, reps=reps, primed=primed)

@@ -4,7 +4,16 @@ Candidates run round-robin, one work unit each per round, until a plan
 returns EOF, a plan accumulates max_results trial results, or the round
 budget max(evaluation_works, coll_fraction * N) runs out. When the stop
 condition fires mid-round the round still completes, so every plan ends the
-race with the same number of work units (give or take the terminal step).
+race with the same number of work units.
+
+race() steps that protocol through PlanExecution.work() and is the
+reference. optimize() computes the same outcome in closed form
+(race_closed_form): the race runs
+    R = min(ceil(max_rounds), min_p(s_p + 1), min_p(q_p))
+rounds, where s_p is plan p's scan length and q_p the scan position of its
+max_results-th match; every plan then has R works, reached EOF iff
+R == s_p + 1, and has as many results as it has matches in its first
+min(R, s_p) positions. Tests hold the two paths equal.
 
 Each plan is then scored
     total = 1 + productivity + tie_breakers + eof_bonus
@@ -18,17 +27,13 @@ for the fetch cost hidden inside its single work unit.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from itertools import compress, islice
 
 from .engine import Collection, IndexCatalog, Query, query_shape
 from .errors import NoCandidatesError, UndefinedProductivityError
-from .executor import (
-    CostModel,
-    PlanExecution,
-    WorkState,
-    open_execution,
-    run_to_completion,
-)
+from .executor import CostModel, PlanExecution, WorkState, plan_cost_totals, plan_scan
 from .plans import CandidatePlan, OptimizerVariant, PlanId, enumerate_candidates
 
 TIE_BREAK_CAP = 1e-4
@@ -110,6 +115,54 @@ def race(executions: list[PlanExecution], n_records: int, knobs: RaceKnobs) -> l
             has_fetch=ex.plan.has_fetch,
         )
         for ex in executions
+    ]
+
+
+def race_closed_form(plans: list[CandidatePlan], collection: Collection,
+                     catalog: IndexCatalog, knobs: RaceKnobs) -> list[TrialStats]:
+    """The stats race() would return for fresh executions of these plans.
+
+    Scans every plan in lockstep chunks (max_results positions first, each
+    later chunk twice as long), lowering the bound on R as scan ends and
+    max_results-th matches show up, until R lies inside what was scanned.
+    Within a chunk the plans with the most matches so far go first, so that
+    once one of them fixes R the others scan no further than R.
+    """
+    if not plans:
+        raise NoCandidatesError("race needs at least one candidate execution")
+    scans = [plan_scan(p, collection, catalog) for p in plans]
+    m = knobs.max_results
+    rounds = min(math.ceil(knobs.max_rounds(len(collection))),
+                 min(s.length + 1 for s in scans))
+    results = [0] * len(scans)  # matches in each plan's first `done` positions
+    done = 0
+    chunk = m
+    while done < rounds:
+        hi = min(done + chunk, rounds)
+        masks = {}
+        for k in sorted(range(len(scans)), key=results.__getitem__, reverse=True):
+            mask = masks[k] = scans[k].mask(done, min(hi, rounds, scans[k].length))
+            count = mask.count(True)
+            need = m - results[k]
+            if count >= need:
+                # 1-based scan position of this plan's max_results-th match
+                nth = next(islice(compress(range(len(mask)), mask), need - 1, None))
+                rounds = done + nth + 1
+            results[k] += count
+        if rounds < hi:  # the race ended inside this chunk: drop matches past it
+            for k, mask in masks.items():
+                results[k] -= mask[rounds - done:].count(True)
+        done = hi
+        chunk *= 2
+    return [
+        TrialStats(
+            plan_id=p.id,
+            works=rounds,
+            results=r,
+            reached_eof=rounds == s.length + 1,
+            has_fetch=p.has_fetch,
+        )
+        for p, s, r in zip(plans, scans, results)
     ]
 
 
@@ -204,15 +257,13 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
             hinted = enumerate_candidates(
                 Query(query.predicates, query.projection, hint=entry.plan_id),
                 catalog, variant)
-            execution = open_execution(hinted[0], collection, catalog, cost)
-            _, _, observed_works = run_to_completion(execution)
+            _, observed_works = plan_cost_totals(hinted[0], collection, catalog, cost)
             if not maybe_replan(entry, observed_works):
                 return OptimizeResult(entry.plan_id, [], [], [], from_cache=True)
             cache.evict(shape)
 
     candidates = enumerate_candidates(query, catalog, variant)
-    executions = [open_execution(plan, collection, catalog, cost) for plan in candidates]
-    stats = race(executions, len(collection), knobs)
+    stats = race_closed_form(candidates, collection, catalog, knobs)
     scores = [score_plan(s, variant) for s in stats]
     chosen = pick_best(scores, candidates)
     if use_cache:

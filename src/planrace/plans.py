@@ -92,7 +92,6 @@ class FetchStage:
 @dataclass(frozen=True)
 class FilterStage:
     predicate: RangePredicate
-    on_index_key: bool = False  # True: evaluated on the index key, no document needed
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def _cover_plan(query: Query, key_fields: tuple[str, ...]) -> CandidatePlan:
     leading = key_fields[0]
     pred = query.predicate_on(leading)
     residuals = tuple(
-        FilterStage(query.predicate_on(f), on_index_key=True)
+        FilterStage(query.predicate_on(f))
         for f in key_fields[1:]
         if query.predicate_on(f) is not None
     )

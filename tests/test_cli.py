@@ -95,7 +95,7 @@ def test_run_accepts_knob_and_cost_overrides(tmp_path, data_file, capsys):
     rc = main(["run", "--scenario", "both-indexed", "--variant", "with-collscan",
                "--data", str(data_file), "--dim", "4", "--seed", "1",
                "--works", "500", "--max-results", "11", "--coll-fraction", "0.1",
-               "--cost", "1,2,3", "--reps", "5", "--jobs", "2",
+               "--cost", "1,2,3", "--reps", "5",
                "--out", str(out), "--svg"])
     assert rc == 0
     assert (out / "chosen.svg").exists()

@@ -8,7 +8,6 @@ import pytest
 
 from planrace.engine import (
     Collection,
-    Document,
     Projection,
     Query,
     RangePredicate,
@@ -23,8 +22,18 @@ from planrace.errors import DatasetFormatError, EmptyCollectionError, UnknownFie
 
 
 def make_collection(a_values, b_values):
-    docs = [Document(i, {"A": a, "B": b}) for i, (a, b) in enumerate(zip(a_values, b_values))]
-    return Collection("test", docs, ["A", "B"])
+    return Collection("test", {"A": list(a_values), "B": list(b_values)})
+
+
+def index_entries(ix):
+    """The index as (key tuple, record_id) pairs in index order."""
+    keys = zip(*(ix.columns[f] for f in ix.key_fields))
+    return list(zip(keys, ix.rids))
+
+
+def assert_index_columns_follow_rids(c, ix):
+    for f in c.field_list:
+        assert ix.columns[f] == [c.columns[f][rid] for rid in ix.rids]
 
 
 # --- generate_dataset ---------------------------------------------------
@@ -32,29 +41,30 @@ def make_collection(a_values, b_values):
 def test_uniform_distinct_is_permutation_per_field():
     c = generate_dataset(20, "uniform-distinct", seed=1)
     for f in ("A", "B"):
-        assert sorted(d.fields[f] for d in c.documents) == list(range(20))
+        assert sorted(c.columns[f]) == list(range(20))
 
 
 def test_single_document_dataset():
     c = generate_dataset(1, "uniform-distinct", seed=99)
     assert len(c) == 1
-    assert c.documents[0].fields == {"A": 0, "B": 0}
+    assert {f: column[0] for f, column in c.columns.items()} == {"A": 0, "B": 0}
 
 
 def test_large_uniform_distinct_spans_domain():
     c = generate_dataset(100_000, "uniform-distinct", seed=7)
     assert len(c) == 100_000
     ix = build_index(c, ["A"])
-    assert ix.entries[0][0] == (0,)
-    assert ix.entries[-1][0] == (99_999,)
+    entries = index_entries(ix)
+    assert entries[0][0] == (0,)
+    assert entries[-1][0] == (99_999,)
 
 
 def test_generation_deterministic_for_seed():
     c1 = generate_dataset(500, "uniform-distinct", seed=42)
     c2 = generate_dataset(500, "uniform-distinct", seed=42)
-    assert [d.fields for d in c1.documents] == [d.fields for d in c2.documents]
+    assert c1.columns == c2.columns
     c3 = generate_dataset(500, "uniform-distinct", seed=43)
-    assert [d.fields for d in c1.documents] != [d.fields for d in c3.documents]
+    assert c1.columns != c3.columns
 
 
 def test_empty_dataset_rejected():
@@ -65,9 +75,10 @@ def test_empty_dataset_rejected():
 def test_other_distributions_produce_in_domain_values():
     for dist in ("uniform-with-repeats", "zipfian"):
         c = generate_dataset(200, dist, seed=5)
-        for d in c.documents:
-            assert 0 <= d.fields["A"] < 200
-            assert 0 <= d.fields["B"] < 200
+        assert len(c.columns["A"]) == len(c.columns["B"]) == 200
+        for a, b in zip(c.columns["A"], c.columns["B"]):
+            assert 0 <= a < 200
+            assert 0 <= b < 200
 
 
 # --- build_index ---------------------------------------------------------
@@ -76,14 +87,16 @@ def test_index_sorts_single_field():
     c = make_collection([5, 1, 3], [0, 0, 0])
     ix = build_index(c, ["A"])
     assert ix.name == "A_1"
-    assert ix.entries == [((1,), 1), ((3,), 2), ((5,), 0)]
+    assert index_entries(ix) == [((1,), 1), ((3,), 2), ((5,), 0)]
+    assert_index_columns_follow_rids(c, ix)
 
 
 def test_compound_index_sorts_lexicographically():
     c = make_collection([1, 1], [9, 2])
     ix = build_index(c, ["A", "B"])
     assert ix.name == "A_1_B_1"
-    assert [e[0] for e in ix.entries] == [(1, 2), (1, 9)]
+    assert [e[0] for e in index_entries(ix)] == [(1, 2), (1, 9)]
+    assert_index_columns_follow_rids(c, ix)
 
 
 def test_index_entry_count_matches_documents():
@@ -91,7 +104,21 @@ def test_index_entry_count_matches_documents():
     c = make_collection([rng.randrange(50) for _ in range(120)],
                         [rng.randrange(50) for _ in range(120)])
     for keys in (["A"], ["B"], ["A", "B"]):
-        assert len(build_index(c, keys).entries) == len(c)
+        ix = build_index(c, keys)
+        assert len(index_entries(ix)) == len(c)
+        assert all(len(column) == len(c) for column in ix.columns.values())
+
+
+@pytest.mark.parametrize("dist", ["uniform-with-repeats", "zipfian"])
+def test_index_order_matches_sorted_key_rid_pairs(dist):
+    # repeated keys: ties within a key fall back to the next key, then rid
+    c = generate_dataset(3000, dist, seed=17)
+    for keys in (["A"], ["B"], ["A", "B"], ["B", "A"]):
+        ix = build_index(c, keys)
+        expected = sorted(
+            (tuple(c.columns[f][rid] for f in keys), rid) for rid in range(len(c)))
+        assert index_entries(ix) == expected
+        assert_index_columns_follow_rids(c, ix)
 
 
 def test_index_unknown_field_error_names_field():
@@ -104,7 +131,7 @@ def test_range_positions():
     c = make_collection([5, 1, 3, 8], [0, 0, 0, 0])
     ix = build_index(c, ["A"])
     lo, hi = ix.range_positions(3, 8)
-    assert [e[0][0] for e in ix.entries[lo:hi]] == [3, 5]
+    assert [e[0][0] for e in index_entries(ix)[lo:hi]] == [3, 5]
     assert ix.count_in_range(0, 100) == 4
     assert ix.count_in_range(4, 4) == 0
 
@@ -153,8 +180,8 @@ def test_round_trip_identity(tmp_path):
     save_dataset(c, path)
     loaded = load_dataset(path)
     assert loaded.field_list == c.field_list
-    assert [(d.record_id, d.fields) for d in loaded.documents] == \
-           [(d.record_id, d.fields) for d in c.documents]
+    assert len(loaded) == len(c)
+    assert loaded.columns == c.columns
 
 
 def test_file_format_is_stable(tmp_path):
@@ -183,6 +210,15 @@ def test_load_rejects_missing_column(tmp_path):
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,A,B\n0,1,2\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_dataset(path)
+    assert err.value.line_no == 1
+
+
+def test_load_rejects_duplicate_field(tmp_path):
+    # one column per field name: a repeated name would silently drop a column
+    path = tmp_path / "bad.csv"
+    path.write_text("record_id,A,A\n0,1,2\n")
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
     assert err.value.line_no == 1

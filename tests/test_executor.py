@@ -86,7 +86,7 @@ def test_ixscan_seeks_to_range_start(dataset, covering):
     ex = open_execution(plan, dataset, catalog, COST)
     rids, _, works = run_to_completion(ex)
     assert works == 4 + 1  # values 3,4,5,6 exist exactly once each
-    assert {dataset.documents[r].fields["A"] for r in rids} == {3, 4, 5, 6}
+    assert {dataset.columns["A"][r] for r in rids} == {3, 4, 5, 6}
 
 
 def test_covered_scan_never_touches_documents(dataset, covering):

@@ -7,12 +7,14 @@ import statistics
 
 import pytest
 
-from planrace.engine import RangePredicate, generate_dataset
-from planrace.errors import UnknownPlanError
-from planrace.executor import CostModel
+from planrace import harness
+from planrace.engine import Query, RangePredicate, generate_dataset
+from planrace.errors import PlanraceError, UnknownPlanError
+from planrace.executor import CostModel, plan_cost_totals
 from planrace.harness import (
     ExperimentGrid,
     GridCell,
+    SummaryMetrics,
     cache_experiment,
     filter_outliers,
     finalize,
@@ -27,7 +29,7 @@ from planrace.harness import (
     sweep,
 )
 from planrace.optimizer import RaceKnobs
-from planrace.plans import OptimizerVariant, parse_plan_hint
+from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
 from planrace.scenarios import get_scenario
 
 COST = CostModel()
@@ -128,6 +130,29 @@ def test_measure_all_plans_sim_mode_is_exact(small_world):
     assert times["IXSCAN_A"] == 100 * (COST.c_idx + COST.c_fetch)
     assert times["IXSCAN_B"] == 500 * (COST.c_idx + COST.c_fetch)
     assert times["IXSCAN_AB"] == 100 * COST.c_idx
+
+
+def test_measure_all_plans_one_run_keeps_ten_sample_mean(small_world, monkeypatch):
+    collection, scenario, catalog = small_world
+    cost = CostModel(0.1, 0.3, 0.7)
+    q = scenario.make_query(RangePredicate("A", 0, 37), RangePredicate("B", 0, 500))
+    forced = scenario.forced_plan_ids()
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0].id)
+        return plan_cost_totals(*args)
+
+    monkeypatch.setattr(harness, "plan_cost_totals", counted)
+    times = measure_all_plans(q, collection, catalog, forced, cost, reps=10)
+    assert calls == forced  # one closed-form run per plan, not ten
+    for plan_id in forced:
+        plan = enumerate_candidates(Query(q.predicates, q.projection, hint=plan_id), catalog)[0]
+        t, _ = plan_cost_totals(plan, collection, catalog, cost)
+        kept = filter_outliers([t] * 10)  # what ten identical runs used to give
+        assert times[str(plan_id)] == sum(kept) / len(kept)
+    # ten summed copies of 37 * 0.3 do not divide back to it
+    assert times["IXSCAN_AB"] != 37 * 0.3
 
 
 def test_measure_all_plans_includes_collscan_even_when_never_chosen(small_world):
@@ -246,6 +271,28 @@ def test_finalize_tie_goes_to_chosen_plan():
     assert metrics.accuracy == 0.75
 
 
+def test_finalize_zero_time_chosen_plan_has_ratio_one():
+    # the query matches nothing on A: the chosen IXSCAN_A takes no time at all
+    grid = synthetic_grid([
+        (0, 0, "IXSCAN_A", {"IXSCAN_A": 0.0, "IXSCAN_B": 0.0, "COLLSCAN": 2000.0}),
+        (0, 1, "IXSCAN_A", {"IXSCAN_A": 0.0, "IXSCAN_B": 45.0, "COLLSCAN": 2000.0}),
+    ])
+    _, metrics = finalize(grid)
+    assert [c.ratio for c in grid.sorted_cells()] == [1.0, 1.0]
+    assert [c.optimal for c in grid.sorted_cells()] == ["IXSCAN_A", "IXSCAN_A"]
+    assert metrics == SummaryMetrics(accuracy=1.0, impact_pct=0.0)
+
+
+def test_finalize_rejects_positive_time_against_zero_best():
+    grid = synthetic_grid([
+        (0, 0, "IXSCAN_A", {"IXSCAN_A": 5.0, "COLLSCAN": 9.0}),
+        (1, 0, "COLLSCAN", {"IXSCAN_A": 0.0, "COLLSCAN": 2000.0}),
+    ])
+    with pytest.raises(PlanraceError, match=r"cell \(1,0\): chosen plan COLLSCAN") as err:
+        finalize(grid)
+    assert "\n" not in str(err.value)
+
+
 def test_finalize_is_idempotent():
     t = {"IXSCAN_A": 5.0, "COLLSCAN": 9.0}
     grid = synthetic_grid([(0, 0, "COLLSCAN", dict(t)),
@@ -334,16 +381,6 @@ def test_run_experiment_full_pipeline(small_world):
     # high-selectivity corner: a full scan is cheapest; low corner: an index is
     assert grid.cells[(4, 4)].optimal == "COLLSCAN"
     assert grid.cells[(0, 0)].optimal in ("IXSCAN_A", "IXSCAN_B")
-
-
-def test_run_experiment_jobs_parallel_matches_serial(small_world):
-    collection, _, _ = small_world
-    scenario = get_scenario("both-indexed")
-    g1, m1 = run_experiment(scenario, collection, OptimizerVariant.VANILLA, d=4, seed=5, jobs=1)
-    g2, m2 = run_experiment(scenario, collection, OptimizerVariant.VANILLA, d=4, seed=5, jobs=4)
-    assert m1 == m2
-    assert {k: (c.chosen, c.optimal, c.ratio) for k, c in g1.cells.items()} == \
-           {k: (c.chosen, c.optimal, c.ratio) for k, c in g2.cells.items()}
 
 
 def test_run_experiment_pure_function_of_inputs(small_world):

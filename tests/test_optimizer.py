@@ -8,7 +8,7 @@ import pytest
 
 from planrace.engine import RangePredicate, generate_dataset, query_shape
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
-from planrace.executor import CostModel, open_execution
+from planrace.executor import CostModel, PlanExecution, open_execution
 from planrace.optimizer import (
     CacheMode,
     PlanCache,
@@ -20,6 +20,7 @@ from planrace.optimizer import (
     optimize,
     pick_best,
     race,
+    race_closed_form,
     score_plan,
 )
 from planrace.plans import (
@@ -30,7 +31,7 @@ from planrace.plans import (
     enumerate_candidates,
     parse_plan_hint,
 )
-from planrace.scenarios import get_scenario
+from planrace.scenarios import SCENARIOS, get_scenario
 
 COST = CostModel()
 KNOBS = RaceKnobs()
@@ -125,6 +126,51 @@ def test_race_rejects_empty_and_stale():
     race(exs, len(c), KNOBS)
     with pytest.raises(ValueError):
         race(exs, len(c), KNOBS)
+
+
+# --- closed-form race -----------------------------------------------------
+
+DIFFERENTIAL_KNOBS = (
+    RaceKnobs(),                                      # results cap or EOF ends races
+    RaceKnobs(evaluation_works=5, coll_fraction=0.001, max_results=101),  # budget binds
+    RaceKnobs(evaluation_works=10_000, coll_fraction=0.3, max_results=1),
+    RaceKnobs(evaluation_works=40, coll_fraction=0.05, max_results=7),
+)
+
+
+@pytest.mark.parametrize("n,dist", [(37, "uniform-with-repeats"),
+                                    (400, "uniform-distinct"),
+                                    (1500, "zipfian")])
+def test_closed_form_race_equals_stepped_race(n, dist):
+    rng = random.Random(n)
+    collection = generate_dataset(n, dist, seed=n)
+    a_values, b_values = collection.columns["A"], collection.columns["B"]
+    races = mismatches = 0
+    for name, scenario in SCENARIOS.items():
+        catalog = scenario.build_catalog(collection)
+        for knobs in DIFFERENTIAL_KNOBS:
+            for variant in OptimizerVariant:
+                for _ in range(28):
+                    # bounds start at stored values, so skewed data gets busy ranges
+                    a0 = rng.choice(a_values); a1 = rng.randrange(a0, n + 1)
+                    b0 = rng.choice(b_values); b1 = rng.randrange(b0, n + 1)
+                    q = scenario.make_query(RangePredicate("A", a0, a1),
+                                            RangePredicate("B", b0, b1))
+                    plans = enumerate_candidates(q, catalog, variant)
+                    stepped = race([PlanExecution(p, collection, catalog, COST) for p in plans],
+                                   n, knobs)
+                    closed = race_closed_form(plans, collection, catalog, knobs)
+                    via_optimize = optimize(q, collection, catalog, variant, knobs, COST).stats
+                    races += 1
+                    mismatches += closed != stepped or via_optimize != stepped
+    assert races == 3 * 4 * 3 * 28  # 3024 over the three parametrized datasets
+    assert mismatches == 0
+
+
+def test_closed_form_race_rejects_empty():
+    c = generate_dataset(50, "uniform-distinct", seed=3)
+    with pytest.raises(NoCandidatesError):
+        race_closed_form([], c, get_scenario("both-indexed").build_catalog(c), KNOBS)
 
 
 # --- score_plan -----------------------------------------------------------

@@ -154,8 +154,9 @@ def test_all_plans_return_oracle_result_set(dataset):
             a0 = rng.randrange(n); a1 = rng.randrange(a0, n + 1)
             b0 = rng.randrange(n); b1 = rng.randrange(b0, n + 1)
             q = scenario.make_query(RangePredicate("A", a0, a1), RangePredicate("B", b0, b1))
-            oracle = {d.record_id for d in dataset.documents
-                      if a0 <= d.fields["A"] < a1 and b0 <= d.fields["B"] < b1}
+            oracle = {rid for rid, (a, b) in enumerate(zip(dataset.columns["A"],
+                                                           dataset.columns["B"]))
+                      if a0 <= a < a1 and b0 <= b < b1}
             for plan in enumerate_candidates(q, catalog, OptimizerVariant.MOD):
                 got, _, _ = run_to_completion(open_execution(plan, dataset, catalog, COST))
                 assert got == oracle, f"{plan.id} diverged from filter oracle"

@@ -22,7 +22,7 @@ from .engine import (
     selectivity,
 )
 from .errors import PlanraceError
-from .executor import CostModel, PlanExecution, WorkState, open_execution, run_to_completion
+from .executor import CostModel, PlanExecution, WorkState, run_to_completion
 from .optimizer import (
     CacheMode,
     OptimizeResult,

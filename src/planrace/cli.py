@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import engine, harness, viz
@@ -15,6 +16,21 @@ from .scenarios import SCENARIOS, get_scenario
 VARIANTS = {v.value: v for v in OptimizerVariant}
 
 
+def _positive(convert):
+    """argparse type: `convert` the text; reject values not finite and > 0."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        return value
+
+    return parse
+
+
 def _add_run_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", required=True, choices=sorted(SCENARIOS),
                    help="physical design preset")
@@ -23,11 +39,11 @@ def _add_run_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV produced by `gen`")
     p.add_argument("--cost", default=None, metavar="c_seq,c_idx,c_fetch",
                    help="cost model override (default 1,1,4)")
-    p.add_argument("--works", type=int, default=10_000,
+    p.add_argument("--works", type=_positive(int), default=10_000,
                    help="race work budget (default 10000)")
-    p.add_argument("--max-results", type=int, default=101,
+    p.add_argument("--max-results", type=_positive(int), default=101,
                    help="race result cap (default 101)")
-    p.add_argument("--coll-fraction", type=float, default=0.3,
+    p.add_argument("--coll-fraction", type=_positive(float), default=0.3,
                    help="fraction of N bounding race rounds (default 0.3)")
 
 
@@ -57,9 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a grid experiment and write report files")
     _add_run_common(run)
-    run.add_argument("--dim", type=int, default=50, help="grid dimension (default 50)")
+    run.add_argument("--dim", type=_positive(int), default=50,
+                     help="grid dimension (default 50)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--reps", type=int, default=10,
+    run.add_argument("--reps", type=_positive(int), default=10,
                      help="forced measurement repetitions per plan (default 10)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--cache-primed", default=None,
@@ -78,6 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path: str) -> engine.Collection:
+    try:
+        return engine.load_dataset(path)
+    except OSError as exc:
+        raise PlanraceError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
+
+
 def cmd_gen(args) -> int:
     collection = engine.generate_dataset(args.n, args.dist, args.seed)
     engine.save_dataset(collection, args.out)
@@ -90,7 +114,7 @@ def cmd_run(parser, args) -> int:
     knobs = RaceKnobs(args.works, args.coll_fraction, args.max_results)
     scenario = get_scenario(args.scenario)
     variant = VARIANTS[args.variant]
-    collection = engine.load_dataset(args.data)
+    collection = _load(args.data)
     primed = None
     if args.cache_primed is not None:
         try:
@@ -111,10 +135,14 @@ def cmd_run(parser, args) -> int:
 
 def cmd_explain(parser, args) -> int:
     cost = _parse_cost(parser, args.cost)
+    for field_name in ("A", "B"):
+        low, high = getattr(args, f"low{field_name}"), getattr(args, f"high{field_name}")
+        if low > high:
+            parser.error(f"--low{field_name} {low} is above --high{field_name} {high}")
     knobs = RaceKnobs(args.works, args.coll_fraction, args.max_results)
     scenario = get_scenario(args.scenario)
     variant = VARIANTS[args.variant]
-    collection = engine.load_dataset(args.data)
+    collection = _load(args.data)
     catalog = scenario.build_catalog(collection)
     hint = None
     if args.hint is not None:

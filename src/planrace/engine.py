@@ -13,6 +13,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import eq, ne
 from pathlib import Path
 
 from .errors import DatasetFormatError, EmptyCollectionError, UnknownFieldError
@@ -47,8 +49,10 @@ class Collection:
 
     def value_bounds(self, field_name: str) -> tuple[int, int]:
         """Smallest and largest value stored for a field."""
-        values = self.sorted_values(field_name)
-        return values[0], values[-1]
+        if field_name not in self.columns:
+            raise UnknownFieldError(f"collection has no field {field_name!r}")
+        column = self.columns[field_name]
+        return min(column), max(column)
 
 
 @dataclass
@@ -58,7 +62,8 @@ class Index:
     rids[k] is the record id of the k-th entry and columns[f][k] its value of
     field f, for every field of the collection (not only the key fields), so
     a scan reads any field of an entry without a fetch by record id. Entries
-    are ordered by the key fields, then by record id.
+    are ordered by the key fields, then by record id. Indexes are never
+    modified, so two indexes in the same order may share these lists.
     """
 
     name: str
@@ -198,22 +203,58 @@ def index_name_for(key_fields: tuple[str, ...]) -> str:
     return "_".join(f"{f}_1" for f in key_fields)
 
 
-def build_index(collection: Collection, key_fields) -> Index:
+def build_index(collection: Collection, key_fields,
+                catalog: IndexCatalog | None = None) -> Index:
     """Order record ids by (key tuple, record_id); name like "A_1_B_1".
 
     Stable sorts by the last key first give exactly the order of sorting
     (key tuple, record_id) pairs, without building a tuple per document.
+    When `catalog` holds the single-field index on a compound key's leading
+    field, the compound index is derived from it instead (see
+    _extend_leading_index).
     """
     key_fields = tuple(key_fields)
     for f in key_fields:
         if f not in collection.columns:
             raise UnknownFieldError(f"cannot index unknown field {f!r}")
+    name = index_name_for(key_fields)
+    if catalog is not None and len(key_fields) > 1:
+        leading = catalog.single_field_index(key_fields[0])
+        if leading is not None:
+            return _extend_leading_index(collection, name, key_fields, leading)
     rids = list(range(len(collection)))
     for f in reversed(key_fields):
         rids.sort(key=collection.columns[f].__getitem__)
     columns = {f: [column[rid] for rid in rids] for f, column in collection.columns.items()}
-    return Index(name=index_name_for(key_fields), key_fields=key_fields,
-                 rids=rids, columns=columns)
+    return Index(name=name, key_fields=key_fields, rids=rids, columns=columns)
+
+
+def _extend_leading_index(collection: Collection, name: str, key_fields: tuple[str, ...],
+                          leading: Index) -> Index:
+    """The compound index on key_fields, from the index on key_fields[0] alone.
+
+    That index is in (leading key, record_id) order, so only each run of
+    equal leading keys needs re-sorting by the other keys, stably, which
+    keeps record_id as the last tie-break. Without such a run the order is
+    already final, and the new index shares the leading index's lists.
+    """
+    lead = leading.columns[key_fields[0]]
+    if not any(map(eq, lead, islice(lead, 1, None))):
+        return Index(name=name, key_fields=key_fields, rids=leading.rids,
+                     columns=dict(leading.columns))
+    # positions k >= 1 that start a new leading key
+    starts = list(compress(range(1, len(lead)), map(ne, lead, islice(lead, 1, None))))
+    rids = list(leading.rids)
+    rest = [collection.columns[f].__getitem__ for f in reversed(key_fields[1:])]
+    for a, b in zip([0] + starts, starts + [len(lead)]):
+        if b - a > 1:
+            run = rids[a:b]
+            for key in rest:
+                run.sort(key=key)
+            rids[a:b] = run
+    columns = {f: lead if f == key_fields[0] else [column[rid] for rid in rids]
+               for f, column in collection.columns.items()}
+    return Index(name=name, key_fields=key_fields, rids=rids, columns=columns)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate,

@@ -1,7 +1,7 @@
 """Plan execution under a unit-of-work protocol.
 
 Every call to work() is one logical step as the optimizer counts it, while
-sim_time accumulates what the step would really cost under the configured
+sim_time is what the steps so far would really cost under the configured
 cost model. The two deliberately diverge for index plans: examining an index
 entry and fetching its document count as a single work unit but cost
 c_idx + c_fetch time units, whereas a collection scan's step costs c_seq.
@@ -116,15 +116,24 @@ class PlanExecution:
         self.cost = cost
         self.works = 0
         self.results = 0
-        self.sim_time = 0.0
         self.eof = False
         self.emitted: list[int] = []
 
         scan = plan_scan(plan, collection, catalog)
-        self._pos, self._end = scan.start, scan.end
+        self._start = self._pos = scan.start
+        self._end = scan.end
         self._rids = scan.rids
         self._filters = scan.filters
         self._step_time = step_time(plan.id.kind, cost)
+
+    @property
+    def sim_time(self) -> float:
+        """Simulated time so far: the step time per non-terminal step taken.
+
+        Multiplied rather than summed per step, so that a full run's time
+        equals plan_cost_totals' exactly for any cost model.
+        """
+        return (self._pos - self._start) * self._step_time
 
     def work(self) -> WorkState:
         if self.eof:
@@ -135,19 +144,12 @@ class PlanExecution:
             self.eof = True
             return WorkState.EOF
         self._pos = pos + 1
-        self.sim_time += self._step_time
         for column, low, high in self._filters:
             if not (low <= column[pos] < high):
                 return WorkState.NEED_TIME
         self.results += 1
         self.emitted.append(pos if self._rids is None else self._rids[pos])
         return WorkState.ADVANCED
-
-
-def open_execution(plan: CandidatePlan, collection: Collection,
-                   catalog: IndexCatalog, cost: CostModel) -> PlanExecution:
-    """Position the plan's cursor before its first candidate row."""
-    return PlanExecution(plan, collection, catalog, cost)
 
 
 def run_to_completion(execution: PlanExecution) -> tuple[set[int], float, int]:

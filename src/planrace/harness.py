@@ -11,6 +11,7 @@ against the true argmin to yield an accuracy fraction and a mean slowdown.
 
 from __future__ import annotations
 
+import gc
 import math
 import random
 from dataclasses import dataclass, field
@@ -32,7 +33,7 @@ from .optimizer import (
     RaceKnobs,
     optimize,
 )
-from .plans import OptimizerVariant, PlanId, enumerate_candidates, plan_order_key
+from .plans import OptimizerVariant, PlanId, hinted_plan, plan_order_key, producible_plans
 from .scenarios import Scenario
 
 # Give up on rejection sampling after this many consecutive misses and fill
@@ -129,9 +130,10 @@ def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalo
     if reps < 1:
         raise ValueError("need at least one sample")
     means: dict[str, float] = {}
+    # the plans hint forcing selects from, enumerated once for all forced plans
+    producible = producible_plans(query, catalog)
     for plan_id in forced_plans:
-        hinted = Query(query.predicates, query.projection, hint=plan_id)
-        plan = enumerate_candidates(hinted, catalog)[0]
+        plan = hinted_plan(producible, plan_id)
         if noise is None:
             t, _ = plan_cost_totals(plan, collection, catalog, cost)
             # reps identical samples all pass the filter; summing them keeps
@@ -297,6 +299,10 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
 
     With `primed` set this is the plan-cache experiment: the optimizer never
     races, it reuses the primed plan for every query of the sweep's shape.
+
+    The collection and catalog never change, so once the catalog exists
+    everything alive is frozen out of the cyclic garbage collector's scans
+    (gc.freeze) until the run returns, unless the caller froze objects first.
     """
     catalog = scenario.build_catalog(collection)
     cache = None
@@ -304,11 +310,18 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
     if primed is not None:
         cache = primed_cache_for(scenario, primed)
         cache_mode = CacheMode.ON_NO_REPLAN
-    grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cost,
-                 cache=cache, cache_mode=cache_mode)
-    measure_grid(grid, collection, catalog, scenario, cost, reps=reps,
-                 noise=noise, seed=seed)
-    grid, metrics = finalize(grid)
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cost,
+                     cache=cache, cache_mode=cache_mode)
+        measure_grid(grid, collection, catalog, scenario, cost, reps=reps,
+                     noise=noise, seed=seed)
+        grid, metrics = finalize(grid)
+    finally:
+        if freeze:
+            gc.unfreeze()
     grid.provenance = {
         "scenario": scenario.name,
         "variant": variant.value,
@@ -325,12 +338,3 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
         "cache_primed": None if primed is None else str(primed),
     }
     return grid, metrics
-
-
-def cache_experiment(scenario: Scenario, collection: Collection, primed: PlanId,
-                     d: int, seed: int, knobs: RaceKnobs = RaceKnobs(),
-                     cost: CostModel = CostModel(),
-                     reps: int = 10) -> tuple[ExperimentGrid, SummaryMetrics]:
-    """Grid experiment with the plan cache pre-seeded; chosen = primed everywhere."""
-    return run_experiment(scenario, collection, OptimizerVariant.VANILLA, d, seed,
-                          knobs=knobs, cost=cost, reps=reps, primed=primed)

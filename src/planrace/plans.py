@@ -95,12 +95,6 @@ class FilterStage:
 
 
 @dataclass(frozen=True)
-class ProjectCoveredStage:
-    fields: tuple[str, ...]
-    suppress_record_id: bool = True
-
-
-@dataclass(frozen=True)
 class CandidatePlan:
     id: PlanId
     stages: tuple
@@ -134,7 +128,6 @@ def _cover_plan(query: Query, key_fields: tuple[str, ...]) -> CandidatePlan:
     stages = (
         IxScanStage(index_name_for(key_fields), leading, pred.low, pred.high),
         *residuals,
-        ProjectCoveredStage(query.projection.fields, query.projection.suppress_record_id),
     )
     return CandidatePlan(PlanId(PlanKind.IXSCAN_COVER, key_fields), stages)
 
@@ -149,16 +142,8 @@ def _covers(query: Query, key_fields: tuple[str, ...]) -> bool:
     return set(query.projection.fields) <= set(key_fields)
 
 
-def enumerate_candidates(query: Query, catalog: IndexCatalog,
-                         variant: OptimizerVariant = OptimizerVariant.VANILLA,
-                         collscan_allowed: bool = True) -> list[CandidatePlan]:
-    """All plans the optimizer will race for this query, in catalog order.
-
-    One plan per usable index (single-field indexes on a queried field;
-    compound indexes whose leading field is queried and whose keys cover the
-    projection), then COLLSCAN last when the gating rule lets it in. A hinted
-    query yields exactly the hinted plan or an UnknownPlanError.
-    """
+def _index_plans(query: Query, catalog: IndexCatalog) -> list[CandidatePlan]:
+    """One plan per usable index, in catalog order."""
     query_fields = query.fields()
     index_plans: list[CandidatePlan] = []
     for ix in catalog.indexes:
@@ -170,20 +155,45 @@ def enumerate_candidates(query: Query, catalog: IndexCatalog,
         else:
             if ix.key_fields[0] in query_fields and _covers(query, ix.key_fields):
                 index_plans.append(_cover_plan(query, ix.key_fields))
+    return index_plans
 
-    collscan_required = not index_plans
-    hint = query.hint
-    if hint is not None:
-        producible = {str(p.id): p for p in index_plans}
-        if collscan_allowed:
-            producible["COLLSCAN"] = _collscan_plan(query)
-        chosen = producible.get(str(hint))
-        if chosen is None:
-            raise UnknownPlanError(
-                f"hint {hint} names no producible plan; available: {sorted(producible)}")
-        return [chosen]
 
-    candidates = list(index_plans)
+def producible_plans(query: Query, catalog: IndexCatalog,
+                     collscan_allowed: bool = True) -> dict[str, CandidatePlan]:
+    """Every plan a hint can force on this query, by its stable string form.
+
+    The plans do not depend on the query's hint, so one call serves every
+    plan forced on the same predicates and projection.
+    """
+    producible = {str(p.id): p for p in _index_plans(query, catalog)}
+    if collscan_allowed:
+        producible["COLLSCAN"] = _collscan_plan(query)
+    return producible
+
+
+def hinted_plan(producible: dict[str, CandidatePlan], hint: PlanId) -> CandidatePlan:
+    """The plan `hint` names among `producible`, or an UnknownPlanError."""
+    chosen = producible.get(str(hint))
+    if chosen is None:
+        raise UnknownPlanError(
+            f"hint {hint} names no producible plan; available: {sorted(producible)}")
+    return chosen
+
+
+def enumerate_candidates(query: Query, catalog: IndexCatalog,
+                         variant: OptimizerVariant = OptimizerVariant.VANILLA,
+                         collscan_allowed: bool = True) -> list[CandidatePlan]:
+    """All plans the optimizer will race for this query, in catalog order.
+
+    One plan per usable index (single-field indexes on a queried field;
+    compound indexes whose leading field is queried and whose keys cover the
+    projection), then COLLSCAN last when the gating rule lets it in. A hinted
+    query yields exactly the hinted plan or an UnknownPlanError.
+    """
+    if query.hint is not None:
+        return [hinted_plan(producible_plans(query, catalog, collscan_allowed), query.hint)]
+    candidates = _index_plans(query, catalog)
+    collscan_required = not candidates
     if collscan_allowed and (
         variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD) or collscan_required
     ):

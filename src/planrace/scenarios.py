@@ -25,7 +25,9 @@ class Scenario:
     def build_catalog(self, collection: Collection) -> IndexCatalog:
         catalog = IndexCatalog()
         for keys in self.index_keys:
-            catalog.add(build_index(collection, keys))
+            # a compound index is derived from its leading field's index when
+            # that is built first
+            catalog.add(build_index(collection, keys, catalog))
         return catalog
 
     def make_query(self, pred_a: RangePredicate, pred_b: RangePredicate,

@@ -16,9 +16,8 @@ import pytest
 
 from planrace.cli import main as cli_main
 from planrace.engine import RangePredicate, generate_dataset
-from planrace.executor import CostModel, WorkState, open_execution, run_to_completion
+from planrace.executor import CostModel, PlanExecution, WorkState, run_to_completion
 from planrace.harness import (
-    cache_experiment,
     filter_outliers,
     quantile_r7,
     run_experiment,
@@ -82,8 +81,8 @@ def covering_primed(dataset):
     scenario = get_scenario("covering")
     out = {}
     for primed in ("IXSCAN_AB", "IXSCAN_B", "COLLSCAN", "IXSCAN_A"):
-        out[primed] = cache_experiment(scenario, dataset, parse_plan_hint(primed),
-                                       d=D_FULL, seed=SEED)
+        out[primed] = run_experiment(scenario, dataset, OptimizerVariant.VANILLA,
+                                     d=D_FULL, seed=SEED, primed=parse_plan_hint(primed))
     return out
 
 
@@ -169,7 +168,7 @@ def test_criterion_07_race_bounds():
         q = scenario.make_query(RangePredicate("A", a0, a1), RangePredicate("B", b0, b1))
         variant = rng.choice(list(OptimizerVariant))
         plans = enumerate_candidates(q, catalogs[name], variant)
-        stats = race([open_execution(p, collection, catalogs[name], COST) for p in plans],
+        stats = race([PlanExecution(p, collection, catalogs[name], COST) for p in plans],
                      n, KNOBS)
         works = [s.works for s in stats]
         if max(works) > max_rounds or any(s.results > KNOBS.max_results for s in stats) \
@@ -220,7 +219,7 @@ def test_criterion_09_plan_equivalence():
                                                            collection.columns["B"]))
                       if a0 <= a < a1 and b0 <= b < b1}
             for plan in enumerate_candidates(q, catalog, OptimizerVariant.MOD):
-                got, _, _ = run_to_completion(open_execution(plan, collection, catalog, COST))
+                got, _, _ = run_to_completion(PlanExecution(plan, collection, catalog, COST))
                 if got != oracle:
                     mismatches += 1
     ok = mismatches == 0
@@ -249,7 +248,7 @@ def test_criterion_10_executor_cost_identities():
             q = scenario.make_query(RangePredicate("A", a0, a1), RangePredicate("B", b0, b1),
                                     hint=parse_plan_hint(hint))
             plan = enumerate_candidates(q, catalog)[0]
-            ex = open_execution(plan, collection, catalog, COST)
+            ex = PlanExecution(plan, collection, catalog, COST)
             acc_time = 0.0
             acc_works = 0
             while True:  # brute-force per-work accumulator

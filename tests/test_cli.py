@@ -170,3 +170,52 @@ def test_explain_hint_yields_single_candidate(data_file, capsys):
     out = capsys.readouterr().out
     assert out.count("candidate ") == 1
     assert "candidate COLLSCAN:" in out
+
+
+RUN_ARGS = ["run", "--scenario", "covering", "--variant", "mod"]
+EXPLAIN_ARGS = ["explain", "--scenario", "covering", "--variant", "mod",
+                "--lowA", "0", "--highA", "200", "--lowB", "0", "--highB", "1000"]
+
+
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if "error:" in line]
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--dim", "0"),  # was ZeroDivisionError
+    ("--dim", "-3"),  # was IndexError
+    ("--reps", "0"),  # was ValueError: need at least one sample
+    ("--works", "-5"),  # was ValueError: race knobs must all be positive
+    ("--max-results", "0"),
+    ("--coll-fraction", "-1"),
+    ("--coll-fraction", "inf"),  # was OverflowError in the race
+])
+def test_run_rejects_nonpositive_argument(tmp_path, data_file, capsys, flag, value):
+    with pytest.raises(SystemExit) as err:
+        main(RUN_ARGS + ["--data", str(data_file), "--out", str(tmp_path / "x"),
+                         flag, value])
+    assert err.value.code == 2
+    (line,) = error_lines(capsys)
+    assert f"argument {flag}: expected a positive number, got {value!r}" in line
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "explain"])
+def test_missing_data_file_is_one_error_line(tmp_path, capsys, command):
+    missing = tmp_path / "missing.csv"
+    args = RUN_ARGS + ["--out", str(tmp_path / "x")] if command == "run" else EXPLAIN_ARGS
+    assert main(args + ["--data", str(missing)]) == 1
+    assert error_lines(capsys) == [
+        f"error: cannot read dataset {missing}: No such file or directory"]
+
+
+def test_explain_rejects_inverted_range(data_file, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["explain", "--scenario", "covering", "--variant", "mod",
+              "--data", str(data_file),
+              "--lowA", "10", "--highA", "5", "--lowB", "0", "--highB", "1000"])
+    assert err.value.code == 2
+    (line,) = error_lines(capsys)
+    assert line.endswith("error: --lowA 10 is above --highA 5")

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from planrace.engine import (
+    DISTRIBUTIONS,
     Collection,
+    IndexCatalog,
     Projection,
     Query,
     RangePredicate,
@@ -19,6 +21,7 @@ from planrace.engine import (
     selectivity,
 )
 from planrace.errors import DatasetFormatError, EmptyCollectionError, UnknownFieldError
+from planrace.scenarios import get_scenario
 
 
 def make_collection(a_values, b_values):
@@ -119,6 +122,59 @@ def test_index_order_matches_sorted_key_rid_pairs(dist):
             (tuple(c.columns[f][rid] for f in keys), rid) for rid in range(len(c)))
         assert index_entries(ix) == expected
         assert_index_columns_follow_rids(c, ix)
+
+
+DERIVATION_CASES = {
+    "uniform-distinct": lambda: generate_dataset(3000, "uniform-distinct", seed=17),
+    "uniform-with-repeats": lambda: generate_dataset(3000, "uniform-with-repeats", seed=17),
+    "zipfian": lambda: generate_dataset(3000, "zipfian", seed=17),
+    "single-document": lambda: make_collection([4], [2]),
+    "all-equal-A": lambda: make_collection([7] * 200,
+                                           random.Random(5).choices(range(40), k=200)),
+}
+
+
+@pytest.mark.parametrize("keys", [("A", "B"), ("B", "A")], ids=["AB", "BA"])
+@pytest.mark.parametrize("case", sorted(DERIVATION_CASES))
+def test_compound_index_from_leading_index_equals_full_sort(case, keys):
+    c = DERIVATION_CASES[case]()
+    catalog = IndexCatalog()
+    catalog.add(build_index(c, keys[:1]))
+    derived = build_index(c, keys, catalog)
+    scratch = build_index(c, keys)
+    assert (derived.name, derived.key_fields) == (scratch.name, scratch.key_fields)
+    assert derived.rids == scratch.rids
+    assert derived.columns == scratch.columns
+    assert_index_columns_follow_rids(c, derived)
+
+
+def test_compound_index_shares_leading_index_lists_without_ties():
+    c = generate_dataset(500, "uniform-distinct", seed=3)
+    catalog = get_scenario("covering").build_catalog(c)
+    a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
+    assert ab.rids is a.rids
+    assert all(ab.columns[f] is a.columns[f] for f in c.field_list)
+
+
+def test_compound_index_with_ties_copies_all_but_leading_column():
+    c = generate_dataset(500, "uniform-with-repeats", seed=3)
+    catalog = get_scenario("covering").build_catalog(c)
+    a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
+    assert ab.rids is not a.rids and ab.rids != a.rids
+    assert ab.columns["A"] is a.columns["A"]
+    assert ab.columns["B"] is not a.columns["B"]
+    assert index_entries(ab) == index_entries(build_index(c, ["A", "B"]))
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_value_bounds_are_sorted_extremes(dist):
+    c = generate_dataset(1000, dist, seed=9)
+    for f in c.field_list:
+        values = sorted(c.columns[f])
+        assert c.value_bounds(f) == (values[0], values[-1])
+    assert c._sorted_values == {}  # taken without building a sorted copy
+    with pytest.raises(UnknownFieldError, match="Z"):
+        c.value_bounds("Z")
 
 
 def test_index_unknown_field_error_names_field():

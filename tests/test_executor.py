@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -9,8 +10,8 @@ import pytest
 from planrace.engine import RangePredicate, generate_dataset
 from planrace.executor import (
     CostModel,
+    PlanExecution,
     WorkState,
-    open_execution,
     plan_cost_totals,
     run_to_completion,
 )
@@ -38,27 +39,32 @@ def plan_for(scenario, catalog, hint_text, low_a, high_a, low_b, high_b):
     return q, enumerate_candidates(q, catalog)[0]
 
 
-def brute_force_accumulate(execution):
-    """Independent per-work accumulator: sums each step's deltas separately."""
-    total_time = 0.0
+def brute_force_accumulate(execution, cost=COST):
+    """Independent per-work accumulator: counts each state work() returns.
+
+    Time is the count of non-terminal steps times the per-step cost of the
+    plan's access path, so the totals are exact for any cost model.
+    """
+    per_step = {"COLLSCAN": cost.c_seq, "IXSCAN": cost.c_idx + cost.c_fetch,
+                "IXSCAN_COVER": cost.c_idx}[execution.plan.id.kind.value]
+    steps = 0
     total_works = 0
     advanced = 0
     while True:
-        before = execution.sim_time
         state = execution.work()
         total_works += 1
-        total_time += execution.sim_time - before
         if state is WorkState.ADVANCED:
             advanced += 1
         elif state is WorkState.EOF:
             break
-    return total_time, total_works, advanced
+        steps += 1
+    return steps * per_step, total_works, advanced
 
 
 def test_open_state_is_zeroed(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "COLLSCAN", 0, 10, 0, 10)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     assert (ex.works, ex.results, ex.sim_time, ex.eof) == (0, 0, 0.0, False)
 
 
@@ -66,7 +72,7 @@ def test_collscan_step_accounting(dataset, covering):
     scenario, catalog = covering
     # predicate no document satisfies: every step is NEED_TIME and costs c_seq
     _, plan = plan_for(scenario, catalog, "COLLSCAN", 0, 0, 0, 300)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     assert ex.work() is WorkState.NEED_TIME
     assert (ex.works, ex.results, ex.sim_time) == (1, 0, COST.c_seq)
 
@@ -74,7 +80,7 @@ def test_collscan_step_accounting(dataset, covering):
 def test_ixscan_advanced_costs_idx_plus_fetch(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "IXSCAN_A", 0, 300, 0, 300)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     assert ex.work() is WorkState.ADVANCED
     assert ex.works == 1
     assert ex.sim_time == COST.c_idx + COST.c_fetch
@@ -83,7 +89,7 @@ def test_ixscan_advanced_costs_idx_plus_fetch(dataset, covering):
 def test_ixscan_seeks_to_range_start(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "IXSCAN_A", 3, 7, 0, 300)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     rids, _, works = run_to_completion(ex)
     assert works == 4 + 1  # values 3,4,5,6 exist exactly once each
     assert {dataset.columns["A"][r] for r in rids} == {3, 4, 5, 6}
@@ -92,7 +98,7 @@ def test_ixscan_seeks_to_range_start(dataset, covering):
 def test_covered_scan_never_touches_documents(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "IXSCAN_AB", 0, 300, 0, 300)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     assert ex.work() is WorkState.ADVANCED
     assert ex.sim_time == COST.c_idx
 
@@ -100,7 +106,7 @@ def test_covered_scan_never_touches_documents(dataset, covering):
 def test_empty_collection_range_is_immediate_eof(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "IXSCAN_A", 250, 250, 0, 300)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     assert ex.work() is WorkState.EOF
     assert (ex.works, ex.sim_time, ex.eof) == (1, 0.0, True)
 
@@ -108,7 +114,7 @@ def test_empty_collection_range_is_immediate_eof(dataset, covering):
 def test_eof_is_sticky_with_no_state_change(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "COLLSCAN", 0, 5, 0, 300)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     run_to_completion(ex)
     snapshot = (ex.works, ex.results, ex.sim_time)
     for _ in range(3):
@@ -120,35 +126,38 @@ def test_collscan_totals(dataset, covering):
     scenario, catalog = covering
     n = len(dataset)
     _, plan = plan_for(scenario, catalog, "COLLSCAN", 10, 50, 200, 220)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     _, sim_time, works = run_to_completion(ex)
     assert sim_time == n * COST.c_seq
     assert works == n + 1
 
 
 def test_totals_match_brute_force_accumulator(dataset, covering):
+    # fractional step costs would drift if the stepped time were summed per step
     scenario, catalog = covering
     rng = random.Random(31)
     n = len(dataset)
     for _ in range(40):
         a0 = rng.randrange(n); a1 = rng.randrange(a0, n + 1)
         b0 = rng.randrange(n); b1 = rng.randrange(b0, n + 1)
-        for hint in ("COLLSCAN", "IXSCAN_A", "IXSCAN_B", "IXSCAN_AB"):
+        for hint, cost in itertools.product(
+                ("COLLSCAN", "IXSCAN_A", "IXSCAN_B", "IXSCAN_AB"),
+                (COST, CostModel(0.1, 0.3, 0.7))):
             q, plan = plan_for(scenario, catalog, hint, a0, a1, b0, b1)
             acc_t, acc_w, acc_adv = brute_force_accumulate(
-                open_execution(plan, dataset, catalog, COST))
-            ex = open_execution(plan, dataset, catalog, COST)
+                PlanExecution(plan, dataset, catalog, cost), cost)
+            ex = PlanExecution(plan, dataset, catalog, cost)
             rids, sim_time, works = run_to_completion(ex)
             assert (sim_time, works) == (acc_t, acc_w)
             assert len(rids) == acc_adv
             # and the closed-form totals used by the measurement pass agree
-            assert plan_cost_totals(plan, dataset, catalog, COST) == (sim_time, works)
+            assert plan_cost_totals(plan, dataset, catalog, cost) == (sim_time, works)
 
 
 def test_ixscan_total_is_selectivity_linear(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "IXSCAN_A", 100, 175, 0, 300)
-    _, sim_time, works = run_to_completion(open_execution(plan, dataset, catalog, COST))
+    _, sim_time, works = run_to_completion(PlanExecution(plan, dataset, catalog, COST))
     k = 75  # distinct values: bounds width
     assert sim_time == k * (COST.c_idx + COST.c_fetch)
     assert works == k + 1
@@ -159,8 +168,8 @@ def test_works_identical_for_fetch_and_covered_scans(dataset, covering):
     scenario, catalog = covering
     _, ix = plan_for(scenario, catalog, "IXSCAN_A", 40, 160, 0, 300)
     _, cover = plan_for(scenario, catalog, "IXSCAN_AB", 40, 160, 0, 300)
-    _, t_ix, w_ix = run_to_completion(open_execution(ix, dataset, catalog, COST))
-    _, t_cover, w_cover = run_to_completion(open_execution(cover, dataset, catalog, COST))
+    _, t_ix, w_ix = run_to_completion(PlanExecution(ix, dataset, catalog, COST))
+    _, t_cover, w_cover = run_to_completion(PlanExecution(cover, dataset, catalog, COST))
     assert w_ix == w_cover
     assert t_ix == 5 * t_cover
 
@@ -168,7 +177,7 @@ def test_works_identical_for_fetch_and_covered_scans(dataset, covering):
 def test_results_never_exceed_works(dataset, covering):
     scenario, catalog = covering
     _, plan = plan_for(scenario, catalog, "IXSCAN_B", 0, 300, 100, 200)
-    ex = open_execution(plan, dataset, catalog, COST)
+    ex = PlanExecution(plan, dataset, catalog, COST)
     while not ex.eof:
         ex.work()
         assert ex.results <= ex.works

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 import statistics
 
@@ -15,7 +16,6 @@ from planrace.harness import (
     ExperimentGrid,
     GridCell,
     SummaryMetrics,
-    cache_experiment,
     filter_outliers,
     finalize,
     gaussian_noise,
@@ -333,16 +333,16 @@ def test_ratios_never_below_one(small_world):
 def test_cache_experiment_chooses_primed_plan_everywhere(small_world):
     collection, _, _ = small_world
     scenario = get_scenario("single-index")
-    grid, _ = cache_experiment(scenario, collection, parse_plan_hint("COLLSCAN"),
-                               d=4, seed=13)
+    grid, _ = run_experiment(scenario, collection, OptimizerVariant.VANILLA,
+                             d=4, seed=13, primed=parse_plan_hint("COLLSCAN"))
     assert {cell.chosen for cell in grid.cells.values()} == {"COLLSCAN"}
 
 
 def test_cache_experiment_accuracy_is_primed_optimal_fraction(small_world):
     collection, _, _ = small_world
     scenario = get_scenario("both-indexed")
-    grid, metrics = cache_experiment(scenario, collection, parse_plan_hint("IXSCAN_A"),
-                                     d=4, seed=13)
+    grid, metrics = run_experiment(scenario, collection, OptimizerVariant.VANILLA,
+                                   d=4, seed=13, primed=parse_plan_hint("IXSCAN_A"))
     truly = sum(1 for cell in grid.cells.values() if cell.optimal == "IXSCAN_A")
     assert metrics.accuracy == truly / len(grid.cells)
 
@@ -352,7 +352,8 @@ def test_cache_experiment_covering_primed_cover_wins(small_world):
     scenario = get_scenario("covering")
     accs = {}
     for primed in ("IXSCAN_AB", "IXSCAN_A", "IXSCAN_B", "COLLSCAN"):
-        _, m = cache_experiment(scenario, collection, parse_plan_hint(primed), d=4, seed=29)
+        _, m = run_experiment(scenario, collection, OptimizerVariant.VANILLA,
+                              d=4, seed=29, primed=parse_plan_hint(primed))
         accs[primed] = m.accuracy
     assert accs["IXSCAN_AB"] == max(accs.values())
 
@@ -390,3 +391,28 @@ def test_run_experiment_pure_function_of_inputs(small_world):
     r1 = run_experiment(scenario, collection, OptimizerVariant.MOD, d=4, seed=9, knobs=knobs)
     r2 = run_experiment(scenario, collection, OptimizerVariant.MOD, d=4, seed=9, knobs=knobs)
     assert r1[1] == r2[1]
+
+
+def test_run_experiment_leaves_gc_unfrozen(small_world, monkeypatch):
+    collection, scenario, _ = small_world
+    run_experiment(scenario, collection, OptimizerVariant.MOD, d=3, seed=2)
+    assert gc.get_freeze_count() == 0
+
+    def fail(grid):
+        raise PlanraceError("finalize failed")
+
+    monkeypatch.setattr(harness, "finalize", fail)
+    with pytest.raises(PlanraceError):
+        run_experiment(scenario, collection, OptimizerVariant.MOD, d=3, seed=2)
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_experiment_keeps_callers_frozen_objects(small_world):
+    collection, scenario, _ = small_world
+    gc.freeze()
+    try:
+        frozen = gc.get_freeze_count()
+        run_experiment(scenario, collection, OptimizerVariant.MOD, d=3, seed=2)
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()

@@ -8,7 +8,7 @@ import pytest
 
 from planrace.engine import RangePredicate, generate_dataset, query_shape
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
-from planrace.executor import CostModel, PlanExecution, open_execution
+from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
     CacheMode,
     PlanCache,
@@ -48,7 +48,7 @@ def executions_for(collection, scenario_name, variant, low_a, high_a, low_b, hig
     q = scenario.make_query(RangePredicate("A", low_a, high_a),
                             RangePredicate("B", low_b, high_b))
     plans = enumerate_candidates(q, catalog, variant)
-    return [open_execution(p, collection, catalog, COST) for p in plans]
+    return [PlanExecution(p, collection, catalog, COST) for p in plans]
 
 
 # --- race -----------------------------------------------------------------
@@ -65,7 +65,7 @@ def test_single_collscan_race_runs_to_eof():
     from planrace.engine import IndexCatalog
     catalog = IndexCatalog()  # no indexes: COLLSCAN is required
     plans = enumerate_candidates(q, catalog, OptimizerVariant.VANILLA)
-    stats_out = race([open_execution(plans[0], c, catalog, COST)], 50, KNOBS)
+    stats_out = race([PlanExecution(plans[0], c, catalog, COST)], 50, KNOBS)
     s = stats_out[0]
     assert (s.works, s.results, s.reached_eof) == (51, 50, True)
 

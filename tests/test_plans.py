@@ -8,15 +8,17 @@ import pytest
 
 from planrace.engine import IndexCatalog, RangePredicate, generate_dataset
 from planrace.errors import NoCandidatesError, UnknownPlanError
-from planrace.executor import CostModel, open_execution, run_to_completion
+from planrace.executor import CostModel, PlanExecution, run_to_completion
 from planrace.plans import (
     FetchStage,
     OptimizerVariant,
     PlanKind,
     enumerate_candidates,
+    hinted_plan,
     parse_plan_hint,
+    producible_plans,
 )
-from planrace.scenarios import get_scenario
+from planrace.scenarios import SCENARIOS, get_scenario
 
 COST = CostModel()
 
@@ -122,6 +124,24 @@ def test_hinted_collscan_respects_collscan_allowed(dataset):
                              OptimizerVariant.VANILLA, collscan_allowed=False)
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_producible_plans_are_the_hinted_candidates(dataset, name):
+    # forced measurement looks every forced plan up in one producible_plans call
+    catalog = catalog_for(name, dataset)
+    forced = get_scenario(name).forced_plan_ids()
+    producible = producible_plans(query_for(name), catalog)
+    assert sorted(producible) == sorted(str(p) for p in forced)
+    for plan_id in forced:
+        hinted = enumerate_candidates(query_for(name, hint=plan_id), catalog)
+        assert [hinted_plan(producible, plan_id)] == hinted
+
+
+def test_hinted_plan_rejects_unproducible_plan(dataset):
+    producible = producible_plans(query_for("single-index"), catalog_for("single-index", dataset))
+    with pytest.raises(UnknownPlanError, match="IXSCAN_A"):
+        hinted_plan(producible, parse_plan_hint("IXSCAN_A"))
+
+
 def test_candidate_order_is_deterministic(dataset):
     catalog = catalog_for("covering", dataset)
     q = query_for("covering")
@@ -158,5 +178,5 @@ def test_all_plans_return_oracle_result_set(dataset):
                                                            dataset.columns["B"]))
                       if a0 <= a < a1 and b0 <= b < b1}
             for plan in enumerate_candidates(q, catalog, OptimizerVariant.MOD):
-                got, _, _ = run_to_completion(open_execution(plan, dataset, catalog, COST))
+                got, _, _ = run_to_completion(PlanExecution(plan, dataset, catalog, COST))
                 assert got == oracle, f"{plan.id} diverged from filter oracle"

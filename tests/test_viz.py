@@ -179,11 +179,11 @@ def test_report_reproducible_for_same_grid(tmp_path):
 
 
 def test_cache_grid_renders_monochrome(tmp_path):
-    from planrace.harness import cache_experiment
     from planrace.plans import parse_plan_hint
     collection = generate_dataset(600, "uniform-distinct", seed=4)
     scenario = get_scenario("single-index")
-    grid, _ = cache_experiment(scenario, collection, parse_plan_hint("IXSCAN_B"), d=3, seed=2)
+    grid, _ = run_experiment(scenario, collection, OptimizerVariant.VANILLA, d=3, seed=2,
+                             primed=parse_plan_hint("IXSCAN_B"))
     img = plan_diagram(grid, "chosen")
     colors = {px for row in img.rows for px in row}
     assert colors == {(39, 174, 96)}

@@ -56,7 +56,8 @@ def _parse_cost(parser: argparse.ArgumentParser, text: str | None) -> CostModel:
             raise ValueError
         return CostModel(*parts)
     except ValueError:
-        parser.error(f"--cost expects three positive numbers like 1,1,4 (got {text!r})")
+        parser.error(f"--cost expects three finite positive numbers like 1,1,4 "
+                     f"(got {text!r})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,9 +103,16 @@ def _load(path: str) -> engine.Collection:
         raise PlanraceError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
 
 
+def _cannot_write(path: str, exc: OSError) -> PlanraceError:
+    return PlanraceError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def cmd_gen(args) -> int:
     collection = engine.generate_dataset(args.n, args.dist, args.seed)
-    engine.save_dataset(collection, args.out)
+    try:
+        engine.save_dataset(collection, args.out)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from None
     print(f"wrote {args.out}: {len(collection)} documents, fields {','.join(collection.field_list)}")
     return 0
 
@@ -126,7 +134,10 @@ def cmd_run(parser, args) -> int:
         scenario, collection, variant, d=args.dim, seed=args.seed, knobs=knobs,
         cost=cost, reps=args.reps, primed=primed)
     grid.provenance["dataset"] = args.data
-    written = viz.write_report(grid, metrics, args.out, svg=args.svg)
+    try:
+        written = viz.write_report(grid, metrics, args.out, svg=args.svg)
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from None
     for path in written:
         print(f"wrote {path}")
     print(f"accuracy={metrics.accuracy:.4f} impact={metrics.impact_pct:.4f}")

@@ -80,10 +80,6 @@ class Index:
         """Entry positions [lo, hi) whose leading key lies in [low, high)."""
         return bisect_left(self._leading, low), bisect_left(self._leading, high)
 
-    def count_in_range(self, low: int, high: int) -> int:
-        lo, hi = self.range_positions(low, high)
-        return hi - lo
-
 
 @dataclass
 class IndexCatalog:
@@ -268,15 +264,25 @@ def selectivity(collection: Collection, predicate: RangePredicate,
     return count / len(collection)
 
 
+def count_column(collection: Collection, field_name: str,
+                 catalog: IndexCatalog | None = None) -> list[int]:
+    """The sorted values of one field that range counts bisect.
+
+    That is the leading column of the catalog's single-field index on the
+    field when there is one, otherwise the collection's sorted copy.
+    """
+    if field_name not in collection.columns:
+        raise UnknownFieldError(f"collection has no field {field_name!r}")
+    if catalog is not None:
+        ix = catalog.single_field_index(field_name)
+        if ix is not None:
+            return ix.columns[field_name]
+    return collection.sorted_values(field_name)
+
+
 def match_count(collection: Collection, predicate: RangePredicate,
                 catalog: IndexCatalog | None = None) -> int:
-    if predicate.field not in collection.columns:
-        raise UnknownFieldError(f"collection has no field {predicate.field!r}")
-    if catalog is not None:
-        ix = catalog.single_field_index(predicate.field)
-        if ix is not None:
-            return ix.count_in_range(predicate.low, predicate.high)
-    values = collection.sorted_values(predicate.field)
+    values = count_column(collection, predicate.field, catalog)
     return bisect_left(values, predicate.high) - bisect_left(values, predicate.low)
 
 

@@ -15,6 +15,7 @@ execution is inert; further work() calls return EOF without state change.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .engine import Collection, IndexCatalog
@@ -42,8 +43,8 @@ class CostModel:
 
     def __post_init__(self):
         for name in ("c_seq", "c_idx", "c_fetch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
     def scaled(self, factor: float) -> "CostModel":
         return CostModel(self.c_seq * factor, self.c_idx * factor, self.c_fetch * factor)

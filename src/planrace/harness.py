@@ -14,6 +14,7 @@ from __future__ import annotations
 import gc
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -21,6 +22,7 @@ from .engine import (
     IndexCatalog,
     Query,
     RangePredicate,
+    count_column,
     match_count,
     query_shape,
 )
@@ -59,6 +61,12 @@ class ExperimentGrid:
     d: int
     cells: dict[tuple[int, int], GridCell] = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    # how sweep filled the grid: random draws, draws that landed in a filled
+    # cell, and cells constructed after REJECTION_CAP consecutive such draws;
+    # kept out of the report files
+    draws: int = 0
+    rejections: int = 0
+    filled_directly: int = 0
 
     def cell(self, i: int, j: int) -> GridCell | None:
         return self.cells.get((i, j))
@@ -188,41 +196,72 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
           knobs: RaceKnobs = RaceKnobs(), cost: CostModel = CostModel(),
           cache: PlanCache | None = None,
           cache_mode: CacheMode = CacheMode.OFF) -> ExperimentGrid:
-    """Fill every grid cell with a random query and the optimizer's choice."""
+    """Fill every grid cell with a random query and the optimizer's choice.
+
+    Each draw is what two rand_range_predicate calls (A's, then B's) and two
+    match_count calls would give, inlined: most draws land in a filled cell,
+    so only a draw that fills a new one builds its predicates and query.
+    """
     rng = random.Random(seed)
     n = len(collection)
     grid = ExperimentGrid(d=d)
+    cells = grid.cells
     a_lo, a_hi = collection.value_bounds("A")
     b_lo, b_hi = collection.value_bounds("B")
+    a_values = count_column(collection, "A", catalog)
+    b_values = count_column(collection, "B", catalog)
 
     def record(i: int, j: int, query: Query, count_a: int, count_b: int) -> None:
         result = optimize(query, collection, catalog, variant, knobs, cost,
                           cache=cache, cache_mode=cache_mode)
-        grid.cells[(i, j)] = GridCell(
+        cells[(i, j)] = GridCell(
             i=i, j=j, e_a=count_a / n, e_b=count_b / n,
             query=query, chosen=str(result.chosen))
 
-    rejections = 0
-    while not grid.complete:
-        pred_a = rand_range_predicate("A", a_lo, a_hi, rng)
-        pred_b = rand_range_predicate("B", b_lo, b_hi, rng)
-        count_a = match_count(collection, pred_a, catalog)
-        count_b = match_count(collection, pred_b, catalog)
-        i = _cell_from_count(count_a, n, d)
-        j = _cell_from_count(count_b, n, d)
-        if (i, j) in grid.cells:
+    # randint(lo, hi) is documented as randrange(lo, hi + 1): the same stream
+    randrange = rng.randrange
+    a_widths, a_top = a_hi - a_lo + 2, a_hi + 2
+    b_widths, b_top = b_hi - b_lo + 2, b_hi + 2
+    cap = REJECTION_CAP
+    last = d - 1
+    size = d * d
+    draws = rejections = misses = 0
+    while len(cells) < size:
+        width_a = randrange(1, a_widths)
+        low_a = randrange(a_lo, a_top - width_a)
+        width_b = randrange(1, b_widths)
+        low_b = randrange(b_lo, b_top - width_b)
+        draws += 1
+        high_a = low_a + width_a
+        high_b = low_b + width_b
+        count_a = bisect_left(a_values, high_a) - bisect_left(a_values, low_a)
+        count_b = bisect_left(b_values, high_b) - bisect_left(b_values, low_b)
+        # _cell_from_count, inlined
+        i = count_a * d // n
+        if i > last:
+            i = last
+        j = count_b * d // n
+        if j > last:
+            j = last
+        if (i, j) in cells:
             rejections += 1
-            if rejections >= REJECTION_CAP:
+            misses += 1
+            if misses >= cap:
                 missing = [key for key in
                            ((x, y) for x in range(d) for y in range(d))
-                           if key not in grid.cells]
+                           if key not in cells]
                 for fi, fj, query, ca, cb in _direct_fill_queries(
                         scenario, collection, catalog, missing, d):
                     record(fi, fj, query, ca, cb)
+                grid.filled_directly = len(missing)
                 break
             continue
-        rejections = 0
-        record(i, j, scenario.make_query(pred_a, pred_b), count_a, count_b)
+        misses = 0
+        query = scenario.make_query(RangePredicate("A", low_a, high_a),
+                                    RangePredicate("B", low_b, high_b))
+        record(i, j, query, count_a, count_b)
+    grid.draws = draws
+    grid.rejections = rejections
     return grid
 
 

@@ -219,3 +219,33 @@ def test_explain_rejects_inverted_range(data_file, capsys):
     assert err.value.code == 2
     (line,) = error_lines(capsys)
     assert line.endswith("error: --lowA 10 is above --highA 5")
+
+
+@pytest.mark.parametrize("cost", ["nan,1,4", "inf,1,4", "1,1,inf", "1,-inf,4"])
+@pytest.mark.parametrize("command", ["run", "explain"])
+def test_non_finite_cost_is_one_error_line(tmp_path, data_file, capsys, command, cost):
+    args = RUN_ARGS + ["--out", str(tmp_path / "x")] if command == "run" else EXPLAIN_ARGS
+    with pytest.raises(SystemExit) as err:
+        main(args + ["--data", str(data_file), "--cost", cost])
+    assert err.value.code == 2
+    (line,) = error_lines(capsys)
+    assert line.endswith(f"--cost expects three finite positive numbers like 1,1,4 "
+                         f"(got {cost!r})")
+    assert not (tmp_path / "x").exists()
+
+
+def test_gen_unwritable_output_is_one_error_line(tmp_path, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("not a directory\n")
+    out = parent / "z.csv"
+    assert main(["gen", "--n", "5", "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: cannot write {out}: Not a directory"]
+
+
+def test_run_unwritable_output_is_one_error_line(tmp_path, data_file, capsys):
+    parent = tmp_path / "file"
+    parent.write_text("not a directory\n")
+    out = parent / "report"
+    assert main(RUN_ARGS + ["--data", str(data_file), "--dim", "3",
+                            "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: cannot write {out}: Not a directory"]

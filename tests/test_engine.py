@@ -188,8 +188,8 @@ def test_range_positions():
     ix = build_index(c, ["A"])
     lo, hi = ix.range_positions(3, 8)
     assert [e[0][0] for e in index_entries(ix)[lo:hi]] == [3, 5]
-    assert ix.count_in_range(0, 100) == 4
-    assert ix.count_in_range(4, 4) == 0
+    assert ix.range_positions(0, 100) == (0, 4)
+    assert ix.range_positions(4, 4) == (2, 2)
 
 
 # --- selectivity ---------------------------------------------------------

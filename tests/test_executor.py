@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -203,3 +204,10 @@ def test_cost_scaling_preserves_argmin(dataset, covering):
 def test_cost_model_rejects_nonpositive():
     with pytest.raises(ValueError):
         CostModel(c_seq=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_cost_model_rejects_non_finite(value):
+    for name in ("c_seq", "c_idx", "c_fetch"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CostModel(**{name: value})

@@ -5,11 +5,18 @@ from __future__ import annotations
 import gc
 import random
 import statistics
+from bisect import bisect_left
 
 import pytest
 
 from planrace import harness
-from planrace.engine import Query, RangePredicate, generate_dataset
+from planrace.engine import (
+    Query,
+    RangePredicate,
+    count_column,
+    generate_dataset,
+    match_count,
+)
 from planrace.errors import PlanraceError, UnknownPlanError
 from planrace.executor import CostModel, plan_cost_totals
 from planrace.harness import (
@@ -28,9 +35,9 @@ from planrace.harness import (
     run_experiment,
     sweep,
 )
-from planrace.optimizer import RaceKnobs
+from planrace.optimizer import CacheMode, RaceKnobs, optimize
 from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
-from planrace.scenarios import get_scenario
+from planrace.scenarios import SCENARIOS, get_scenario
 
 COST = CostModel()
 
@@ -218,6 +225,119 @@ def test_sweep_deterministic_per_seed(small_world):
     g2 = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 5, seed=11)
     assert {k: v.chosen for k, v in g1.cells.items()} == \
            {k: v.chosen for k, v in g2.cells.items()}
+
+
+def reference_sweep(scenario, collection, catalog, variant, d, seed,
+                    cache=None, cache_mode=CacheMode.OFF):
+    """The sweep loop built from the public per-draw functions, with its counters."""
+    rng = random.Random(seed)
+    n = len(collection)
+    grid = ExperimentGrid(d=d)
+    a_lo, a_hi = collection.value_bounds("A")
+    b_lo, b_hi = collection.value_bounds("B")
+
+    def record(i, j, query, count_a, count_b):
+        result = optimize(query, collection, catalog, variant, RaceKnobs(), COST,
+                          cache=cache, cache_mode=cache_mode)
+        grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
+                                      query=query, chosen=str(result.chosen))
+
+    misses = 0
+    while not grid.complete:
+        pred_a = rand_range_predicate("A", a_lo, a_hi, rng)
+        pred_b = rand_range_predicate("B", b_lo, b_hi, rng)
+        grid.draws += 1
+        count_a = match_count(collection, pred_a, catalog)
+        count_b = match_count(collection, pred_b, catalog)
+        i = harness._cell_from_count(count_a, n, d)
+        j = harness._cell_from_count(count_b, n, d)
+        if (i, j) in grid.cells:
+            grid.rejections += 1
+            misses += 1
+            if misses >= harness.REJECTION_CAP:
+                missing = [(x, y) for x in range(d) for y in range(d)
+                           if (x, y) not in grid.cells]
+                for fi, fj, query, ca, cb in harness._direct_fill_queries(
+                        scenario, collection, catalog, missing, d):
+                    record(fi, fj, query, ca, cb)
+                grid.filled_directly = len(missing)
+                break
+            continue
+        misses = 0
+        record(i, j, scenario.make_query(pred_a, pred_b), count_a, count_b)
+    return grid
+
+
+def cell_facts(grid):
+    """Every cell in fill order, with its query bounds, plus the sweep's counters."""
+    cells = []
+    for (i, j), cell in grid.cells.items():
+        bounds = [(p.field, p.low, p.high) for p in cell.query.predicates]
+        cells.append(((i, j), cell.i, cell.j, bounds, cell.query.projection,
+                      cell.e_a, cell.e_b, cell.chosen))
+    return cells, (grid.draws, grid.rejections, grid.filled_directly)
+
+
+def assert_sweep_matches_reference(scenario, collection, d, seed,
+                                   variant=OptimizerVariant.VANILLA, primed=None):
+    catalog = scenario.build_catalog(collection)
+    caches = [None, None]
+    cache_mode = CacheMode.OFF
+    if primed is not None:
+        caches = [primed_cache_for(scenario, parse_plan_hint(primed)) for _ in range(2)]
+        cache_mode = CacheMode.ON_NO_REPLAN
+    grid = sweep(scenario, collection, catalog, variant, d, seed,
+                 cache=caches[0], cache_mode=cache_mode)
+    ref = reference_sweep(scenario, collection, catalog, variant, d, seed,
+                          cache=caches[1], cache_mode=cache_mode)
+    assert cell_facts(grid) == cell_facts(ref)
+    assert grid.complete and grid.draws == grid.rejections + d * d - grid.filled_directly
+    return grid
+
+
+@pytest.mark.parametrize("d", [1, 4, 10])
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+@pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
+def test_sweep_draws_what_the_public_functions_draw(monkeypatch, dist, scenario_name, d):
+    # a cap low enough that a grid with unreachable cells still ends quickly
+    monkeypatch.setattr(harness, "REJECTION_CAP", 5000)
+    collection = generate_dataset(300, dist, seed=17)
+    assert_sweep_matches_reference(get_scenario(scenario_name), collection, d,
+                                   seed=d + 5, variant=OptimizerVariant.MOD)
+
+
+def test_sweep_direct_fill_matches_reference(monkeypatch):
+    # fewer documents than columns: row 0 and column 0 are unreachable
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    grid = assert_sweep_matches_reference(get_scenario("both-indexed"), collection, 10, 7)
+    assert grid.filled_directly == 19
+    assert grid.rejections >= 2000
+
+
+def test_sweep_cache_primed_matches_reference(small_world):
+    collection, scenario, _ = small_world
+    grid = assert_sweep_matches_reference(scenario, collection, 8, 3, primed="IXSCAN_AB")
+    assert {cell.chosen for cell in grid.cells.values()} == {"IXSCAN_AB"}
+    assert grid.filled_directly == 0
+
+
+@pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
+def test_match_count_bisects_the_count_column(dist):
+    collection = generate_dataset(400, dist, seed=23)
+    catalog = get_scenario("single-index").build_catalog(collection)  # indexes B only
+    assert count_column(collection, "B", catalog) is catalog.indexes[0].columns["B"]
+    assert count_column(collection, "A", catalog) is collection.sorted_values("A")
+    rng = random.Random(4)
+    for _ in range(200):
+        field_name = rng.choice("AB")
+        low = rng.randint(-5, 400)
+        pred = RangePredicate(field_name, low, low + rng.randint(0, 200))
+        scan = sum(pred.matches(v) for v in collection.columns[field_name])
+        for cat in (None, catalog):
+            values = count_column(collection, field_name, cat)
+            bisected = bisect_left(values, pred.high) - bisect_left(values, pred.low)
+            assert match_count(collection, pred, cat) == bisected == scan
 
 
 # --- finalize ----------------------------------------------------------------

@@ -15,17 +15,23 @@ from .scenarios import SCENARIOS, get_scenario
 
 VARIANTS = {v.value: v for v in OptimizerVariant}
 
+# A run fills D * D grid cells; this keeps them at most 10**6.
+MAX_DIM = 1000
 
-def _positive(convert):
-    """argparse type: `convert` the text; reject values not finite and > 0."""
+
+def _positive(convert, most: float = math.inf):
+    """argparse type: `convert` the text; reject values not finite and > 0,
+    and values above `most`."""
+    bound = "" if most == math.inf else f" at most {most}"
 
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             value = None
-        if value is None or not 0 < value < math.inf:
-            raise argparse.ArgumentTypeError(f"expected a positive number, got {text!r}")
+        if value is None or not 0 < value < math.inf or value > most:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive number{bound}, got {text!r}")
         return value
 
     return parse
@@ -74,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a grid experiment and write report files")
     _add_run_common(run)
-    run.add_argument("--dim", type=_positive(int), default=50,
-                     help="grid dimension (default 50)")
+    run.add_argument("--dim", type=_positive(int, MAX_DIM), default=50,
+                     help=f"grid dimension, at most {MAX_DIM} (default 50)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--reps", type=_positive(int), default=10,
                      help="forced measurement repetitions per plan (default 10)")
@@ -99,6 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(path: str) -> engine.Collection:
     try:
         return engine.load_dataset(path)
+    except UnicodeDecodeError as exc:
+        raise PlanraceError(f"cannot read dataset {path}: not UTF-8 text ({exc.reason})") from None
     except OSError as exc:
         raise PlanraceError(f"cannot read dataset {path}: {exc.strerror or exc}") from None
 

@@ -5,15 +5,22 @@ ids (0..N-1), stored as one integer column per field in record_id order;
 that order models on-disk sequential scan order. An index is the same
 columns permuted into (key tuple, record_id) order, plus the record ids in
 that order, so a range scan is a contiguous slice found by binary search on
-the leading key's column.
+the leading key's column. An index builds that sorted column up front and
+everything else on first use, so a run that only counts ranges never
+pays for the rest.
+
+Dataset files are read in blocks of whole lines; a block in save_dataset's
+own form is checked and converted by a few passes in C, any other block
+line by line.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import eq, ne
 from pathlib import Path
 
@@ -55,30 +62,109 @@ class Collection:
         return min(column), max(column)
 
 
-@dataclass
 class Index:
     """Sorted secondary index stored as columns in index order.
 
     rids[k] is the record id of the k-th entry and columns[f][k] its value of
     field f, for every field of the collection (not only the key fields), so
     a scan reads any field of an entry without a fetch by record id. Entries
-    are ordered by the key fields, then by record id. Indexes are never
-    modified, so two indexes in the same order may share these lists.
+    are ordered by the key fields, then by record id.
+
+    Only the leading key's column, which is sorted and is what range counts
+    and range_positions bisect, is built with the index. rids and the other
+    columns are built the first time they are read, and kept: a run that
+    never scans an index, such as one that reuses a primed plan, never
+    builds them. Indexes are never modified, so two indexes in the same
+    order may share these lists.
     """
 
-    name: str
-    key_fields: tuple[str, ...]
-    rids: list[int]
-    columns: dict[str, list[int]]
-    # the leading key's column, which is sorted: the binary-search array
-    _leading: list[int] = field(init=False, repr=False)
+    def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection,
+                 leading: list[int], base: Index | None = None):
+        self.name = name
+        self.key_fields = key_fields
+        self._collection = collection
+        # the single-field index on key_fields[0] this one extends, if any
+        self._base = base
+        self._leading = leading
+        self._rids: list[int] | None = None
+        self.columns = _IndexColumns(self, {key_fields[0]: leading})
 
-    def __post_init__(self):
-        self._leading = self.columns[self.key_fields[0]]
+    def __repr__(self) -> str:
+        return f"Index(name={self.name!r}, key_fields={self.key_fields!r})"
+
+    @property
+    def rids(self) -> list[int]:
+        if self._rids is None:
+            self._rids = self._order()
+        return self._rids
+
+    def _order(self) -> list[int]:
+        """Record ids in (key tuple, record_id) order.
+
+        Stable sorts by the last key first give exactly the order of sorting
+        (key tuple, record_id) pairs, without building a tuple per document.
+        An index extending `base`, which is in (leading key, record_id)
+        order, only re-sorts each run of equal leading keys by the other
+        keys, stably, which keeps record_id as the last tie-break. Without
+        such a run the order is already final, and the index shares the
+        base's record ids and columns.
+        """
+        columns = self._collection.columns
+        lead = self._leading
+        if self._base is None:
+            rids = list(range(len(lead)))
+            for f in reversed(self.key_fields):
+                rids.sort(key=columns[f].__getitem__)
+            return rids
+        if not any(map(eq, lead, islice(lead, 1, None))):
+            return self._base.rids
+        # positions k >= 1 that start a new leading key
+        starts = list(compress(range(1, len(lead)), map(ne, lead, islice(lead, 1, None))))
+        rids = list(self._base.rids)
+        rest = [columns[f].__getitem__ for f in reversed(self.key_fields[1:])]
+        for a, b in zip([0] + starts, starts + [len(lead)]):
+            if b - a > 1:
+                run = rids[a:b]
+                for key in rest:
+                    run.sort(key=key)
+                rids[a:b] = run
+        return rids
+
+    def _gather(self, field_name: str) -> list[int]:
+        """The field's column in index order."""
+        rids = self.rids
+        if self._base is not None and rids is self._base.rids:
+            return self._base.columns[field_name]
+        return list(map(self._collection.columns[field_name].__getitem__, rids))
 
     def range_positions(self, low: int, high: int) -> tuple[int, int]:
         """Entry positions [lo, hi) whose leading key lies in [low, high)."""
         return bisect_left(self._leading, low), bisect_left(self._leading, high)
+
+
+class _IndexColumns(Mapping):
+    """An index's columns by field, in the collection's field order.
+
+    A column is gathered the first time it is read, then kept.
+    """
+
+    def __init__(self, index: Index, built: dict[str, list[int]]):
+        self._index = index
+        self._built = built
+
+    def __getitem__(self, field_name: str) -> list[int]:
+        column = self._built.get(field_name)
+        if column is None:
+            if field_name not in self._index._collection.columns:
+                raise KeyError(field_name)
+            column = self._built[field_name] = self._index._gather(field_name)
+        return column
+
+    def __iter__(self):
+        return iter(self._index._collection.columns)
+
+    def __len__(self) -> int:
+        return len(self._index._collection.columns)
 
 
 @dataclass
@@ -201,56 +287,26 @@ def index_name_for(key_fields: tuple[str, ...]) -> str:
 
 def build_index(collection: Collection, key_fields,
                 catalog: IndexCatalog | None = None) -> Index:
-    """Order record ids by (key tuple, record_id); name like "A_1_B_1".
+    """The index on key_fields, named like "A_1_B_1".
 
-    Stable sorts by the last key first give exactly the order of sorting
-    (key tuple, record_id) pairs, without building a tuple per document.
-    When `catalog` holds the single-field index on a compound key's leading
-    field, the compound index is derived from it instead (see
-    _extend_leading_index).
+    Only the leading key's sorted column is built here (see Index). When
+    `catalog` holds the single-field index on a compound key's leading
+    field, the compound index shares that column and later derives its
+    order from that index's (see Index._order).
     """
     key_fields = tuple(key_fields)
     for f in key_fields:
         if f not in collection.columns:
             raise UnknownFieldError(f"cannot index unknown field {f!r}")
     name = index_name_for(key_fields)
+    base = None
     if catalog is not None and len(key_fields) > 1:
-        leading = catalog.single_field_index(key_fields[0])
-        if leading is not None:
-            return _extend_leading_index(collection, name, key_fields, leading)
-    rids = list(range(len(collection)))
-    for f in reversed(key_fields):
-        rids.sort(key=collection.columns[f].__getitem__)
-    columns = {f: [column[rid] for rid in rids] for f, column in collection.columns.items()}
-    return Index(name=name, key_fields=key_fields, rids=rids, columns=columns)
-
-
-def _extend_leading_index(collection: Collection, name: str, key_fields: tuple[str, ...],
-                          leading: Index) -> Index:
-    """The compound index on key_fields, from the index on key_fields[0] alone.
-
-    That index is in (leading key, record_id) order, so only each run of
-    equal leading keys needs re-sorting by the other keys, stably, which
-    keeps record_id as the last tie-break. Without such a run the order is
-    already final, and the new index shares the leading index's lists.
-    """
-    lead = leading.columns[key_fields[0]]
-    if not any(map(eq, lead, islice(lead, 1, None))):
-        return Index(name=name, key_fields=key_fields, rids=leading.rids,
-                     columns=dict(leading.columns))
-    # positions k >= 1 that start a new leading key
-    starts = list(compress(range(1, len(lead)), map(ne, lead, islice(lead, 1, None))))
-    rids = list(leading.rids)
-    rest = [collection.columns[f].__getitem__ for f in reversed(key_fields[1:])]
-    for a, b in zip([0] + starts, starts + [len(lead)]):
-        if b - a > 1:
-            run = rids[a:b]
-            for key in rest:
-                run.sort(key=key)
-            rids[a:b] = run
-    columns = {f: lead if f == key_fields[0] else [column[rid] for rid in rids]
-               for f, column in collection.columns.items()}
-    return Index(name=name, key_fields=key_fields, rids=rids, columns=columns)
+        base = catalog.single_field_index(key_fields[0])
+    if base is None:
+        leading = sorted(collection.columns[key_fields[0]])
+    else:
+        leading = base.columns[key_fields[0]]
+    return Index(name, key_fields, collection, leading, base)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate,
@@ -296,25 +352,78 @@ def save_dataset(collection: Collection, path) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+# Characters of whole lines that load_dataset reads, checks and converts at once.
+LOAD_BLOCK_CHARS = 1 << 16
+
+
 def load_dataset(path) -> Collection:
-    """Read a dataset file written by save_dataset; strict about the format."""
+    """Read a dataset file written by save_dataset; strict about the format.
+
+    The rows are read in blocks of about LOAD_BLOCK_CHARS characters of
+    whole lines. A block in save_dataset's own form is converted by
+    _block_columns; any other block goes to _parse_lines, the one definition
+    of a valid line, which raises the error or accepts the block.
+    """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        raise DatasetFormatError(path, 1, "empty file")
-    header = lines[0].split(",")
-    if header[:1] != ["record_id"] or len(header) < 2:
-        raise DatasetFormatError(path, 1, f"bad header {lines[0]!r} (expected record_id,<fields>)")
-    if len(set(header)) != len(header):
-        raise DatasetFormatError(path, 1, f"duplicate field name in header {lines[0]!r}")
-    field_list = header[1:]
-    width = len(header)
-    # row-major values of every row, record_id included; sliced into columns below
-    flat: list[int] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    with path.open(encoding="utf-8") as file:
+        header_line = file.readline()
+        if not header_line:
+            raise DatasetFormatError(path, 1, "empty file")
+        header_line = header_line.rstrip("\n")
+        header = header_line.split(",")
+        if header[:1] != ["record_id"] or len(header) < 2:
+            raise DatasetFormatError(
+                path, 1, f"bad header {header_line!r} (expected record_id,<fields>)")
+        if len(set(header)) != len(header):
+            raise DatasetFormatError(path, 1, f"duplicate field name in header {header_line!r}")
+        field_list = header[1:]
+        width = len(header)
+        columns: list[list[int]] = [[] for _ in field_list]
+        rows = 0
+        while block := file.readlines(LOAD_BLOCK_CHARS):
+            values = _block_columns(block, rows, width)
+            if values is None:
+                values = _parse_lines(path, [line.rstrip("\n") for line in block], rows, width)
+            for column, more in zip(columns, values):
+                column += more
+            rows += len(block)
+    if not rows:
+        raise DatasetFormatError(path, 1, "no documents")
+    return Collection(name=path.stem, columns=dict(zip(field_list, columns)))
+
+
+def _block_columns(lines: list[str], first_row: int, width: int) -> list[list[int]] | None:
+    """The field columns of lines in save_dataset's own form, else None.
+
+    `lines` are whole lines of rows first_row, first_row + 1, ..., each
+    ending in a newline but the file's last one. They are in that form when
+    every line has width - 1 commas, every record id reads exactly
+    str(row), and every field parses with int: _parse_lines would then
+    accept them and return the same values.
+    """
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    text = "".join(lines)
+    if text.endswith("\n"):
+        text = text[:-1]
+    parts = text.replace("\n", ",").split(",")
+    if parts[::width] != list(map(str, range(first_row, first_row + len(lines)))):
+        return None
+    try:
+        return [list(map(int, parts[k::width])) for k in range(1, width)]
+    except ValueError:
+        return None
+
+
+def _parse_lines(path: Path, lines: list[str], first_row: int,
+                 width: int) -> list[list[int]]:
+    """The field columns of rows first_row, first_row + 1, ..., line by line.
+
+    A valid line has `width` comma-separated integers, the first of which
+    is its row's record id.
+    """
+    columns: list[list[int]] = [[] for _ in range(width - 1)]
+    for line_no, line in enumerate(lines, start=first_row + 2):
         parts = line.split(",")
         if len(parts) != width:
             raise DatasetFormatError(
@@ -327,8 +436,6 @@ def load_dataset(path) -> Collection:
         if rid != line_no - 2:
             raise DatasetFormatError(
                 path, line_no, f"record_id {rid} out of order (expected {line_no - 2})")
-        flat += values
-    if not flat:
-        raise DatasetFormatError(path, 1, "no documents")
-    columns = {f: flat[k::width] for k, f in enumerate(field_list, start=1)}
-    return Collection(name=path.stem, columns=columns)
+        for column, value in zip(columns, values[1:]):
+            column.append(value)
+    return columns

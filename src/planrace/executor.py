@@ -18,7 +18,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .engine import Collection, IndexCatalog
+from .engine import Collection, Index, IndexCatalog
 from .plans import CandidatePlan, FilterStage, PlanKind
 
 
@@ -55,7 +55,7 @@ class PlanScan:
     """One plan's scan, described in closed form.
 
     The plan visits positions start..end-1 of an access order: index order
-    for index plans, record_id order for COLLSCAN (rids is None there, as a
+    for index plans, record_id order for COLLSCAN (index is None there, as a
     position is its own record id). A position matches when each filter
     (column in that access order, low, high) holds low <= value < high.
     Stepping and the closed-form race both read a plan's scan from here.
@@ -63,12 +63,20 @@ class PlanScan:
 
     start: int
     end: int
-    rids: list[int] | None
+    index: Index | None
     filters: tuple[tuple[list[int], int, int], ...]
 
     @property
     def length(self) -> int:
         return self.end - self.start
+
+    @property
+    def rids(self) -> list[int] | None:
+        """The record id at each position, or None for COLLSCAN.
+
+        Only stepping reads it, as only emitted results need record ids.
+        """
+        return None if self.index is None else self.index.rids
 
     def mask(self, lo: int, hi: int) -> list[bool]:
         """Which of the scan's positions lo..hi-1 (counted from 0) match."""
@@ -83,19 +91,29 @@ class PlanScan:
                 for v, w in zip(col1[a:b], col2[a:b])]
 
 
-def plan_scan(plan: CandidatePlan, collection: Collection, catalog: IndexCatalog) -> PlanScan:
-    """The positions a plan scans and the filters it applies to each."""
-    scan = plan.stages[0]
+def _scan_bounds(plan: CandidatePlan, collection: Collection,
+                 catalog: IndexCatalog) -> tuple[int, int, Index | None]:
+    """(start, end, index) of a plan's scan; index is None for COLLSCAN."""
     if plan.id.kind is PlanKind.COLLSCAN:
-        filters = tuple((collection.columns[p.field], p.low, p.high) for p in scan.predicates)
-        return PlanScan(0, len(collection), None, filters)
+        return 0, len(collection), None
+    scan = plan.stages[0]
     index = catalog.by_name(scan.index_name)
     start, end = index.range_positions(scan.low, scan.high)
-    # IXSCAN's residual reads the fetched document, a covered plan's reads the
-    # index key; both values sit in the index-order column of that field
-    filters = tuple((index.columns[s.predicate.field], s.predicate.low, s.predicate.high)
-                    for s in plan.stages if isinstance(s, FilterStage))
-    return PlanScan(start, end, index.rids, filters)
+    return start, end, index
+
+
+def plan_scan(plan: CandidatePlan, collection: Collection, catalog: IndexCatalog) -> PlanScan:
+    """The positions a plan scans and the filters it applies to each."""
+    start, end, index = _scan_bounds(plan, collection, catalog)
+    if index is None:
+        filters = tuple((collection.columns[p.field], p.low, p.high)
+                        for p in plan.stages[0].predicates)
+    else:
+        # IXSCAN's residual reads the fetched document, a covered plan's reads
+        # the index key; both values sit in the index-order column of that field
+        filters = tuple((index.columns[s.predicate.field], s.predicate.low, s.predicate.high)
+                        for s in plan.stages if isinstance(s, FilterStage))
+    return PlanScan(start, end, index, filters)
 
 
 def step_time(kind: PlanKind, cost: CostModel) -> float:
@@ -171,7 +189,9 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
     COLLSCAN touches every document once; an index plan touches exactly the
     entries inside its bounds, plus one terminal step each. Equality with the
     stepped protocol is enforced by tests; the harness uses this path so that
-    measuring a plan is O(log N) instead of O(N).
+    measuring a plan is O(log N) instead of O(N). It reads only the index's
+    leading column.
     """
-    k = plan_scan(plan, collection, catalog).length
+    start, end, _ = _scan_bounds(plan, collection, catalog)
+    k = end - start
     return k * step_time(plan.id.kind, cost), k + 1

@@ -186,6 +186,7 @@ def error_lines(capsys):
 @pytest.mark.parametrize("flag,value", [
     ("--dim", "0"),  # was ZeroDivisionError
     ("--dim", "-3"),  # was IndexError
+    ("--dim", "1001"),  # D * D cells: 5000 ran for seconds on a one-document file
     ("--reps", "0"),  # was ValueError: need at least one sample
     ("--works", "-5"),  # was ValueError: race knobs must all be positive
     ("--max-results", "0"),
@@ -198,7 +199,8 @@ def test_run_rejects_nonpositive_argument(tmp_path, data_file, capsys, flag, val
                          flag, value])
     assert err.value.code == 2
     (line,) = error_lines(capsys)
-    assert f"argument {flag}: expected a positive number, got {value!r}" in line
+    wanted = "a positive number at most 1000" if flag == "--dim" else "a positive number"
+    assert f"argument {flag}: expected {wanted}, got {value!r}" in line
     assert not (tmp_path / "x").exists()
 
 
@@ -209,6 +211,17 @@ def test_missing_data_file_is_one_error_line(tmp_path, capsys, command):
     assert main(args + ["--data", str(missing)]) == 1
     assert error_lines(capsys) == [
         f"error: cannot read dataset {missing}: No such file or directory"]
+
+
+@pytest.mark.parametrize("command", ["run", "explain"])
+def test_non_utf8_data_file_is_one_error_line(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"record_id,A,B\n0,1,\xff\n")
+    args = RUN_ARGS + ["--out", str(tmp_path / "x")] if command == "run" else EXPLAIN_ARGS
+    assert main(args + ["--data", str(bad)]) == 1
+    assert error_lines(capsys) == [
+        f"error: cannot read dataset {bad}: not UTF-8 text (invalid start byte)"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_explain_rejects_inverted_range(data_file, capsys):

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
+from planrace import engine
 from planrace.engine import (
     DISTRIBUTIONS,
     Collection,
@@ -278,6 +280,158 @@ def test_load_rejects_duplicate_field(tmp_path):
     with pytest.raises(DatasetFormatError) as err:
         load_dataset(path)
     assert err.value.line_no == 1
+
+
+def reference_load(path):
+    """Field columns of a dataset file, read whole and checked line by line."""
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise DatasetFormatError(path, 1, "empty file")
+    header = lines[0].split(",")
+    if header[:1] != ["record_id"] or len(header) < 2:
+        raise DatasetFormatError(path, 1, f"bad header {lines[0]!r} (expected record_id,<fields>)")
+    if len(set(header)) != len(header):
+        raise DatasetFormatError(path, 1, f"duplicate field name in header {lines[0]!r}")
+    width = len(header)
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != width:
+            raise DatasetFormatError(
+                path, line_no, f"expected {width} columns, found {len(parts)}")
+        try:
+            values = [int(part) for part in parts]
+        except ValueError:
+            raise DatasetFormatError(path, line_no, f"non-integer value in {line!r}") from None
+        if values[0] != line_no - 2:
+            raise DatasetFormatError(
+                path, line_no, f"record_id {values[0]} out of order (expected {line_no - 2})")
+        rows.append(values[1:])
+    if not rows:
+        raise DatasetFormatError(path, 1, "no documents")
+    return {f: [row[k] for row in rows] for k, f in enumerate(header[1:])}
+
+
+def load_outcome(loader, path):
+    try:
+        return "columns", loader(path)
+    except DatasetFormatError as exc:
+        return "error", exc.line_no, str(exc)
+
+
+@pytest.fixture(scope="module")
+def dataset_texts(tmp_path_factory):
+    """save_dataset's text per distribution, and the line numbers to edit.
+
+    The lines are one inside the first block that load_dataset reads, the
+    first line of its second block, and the last line.
+    """
+    path = tmp_path_factory.mktemp("texts") / "data.csv"
+    texts = {}
+    for dist in DISTRIBUTIONS:
+        save_dataset(generate_dataset(12_000, dist, seed=4), path)
+        texts[dist] = path.read_text(encoding="utf-8")
+    path.write_text(texts["uniform-distinct"], encoding="utf-8")  # the file edited below
+    with path.open(encoding="utf-8") as file:
+        file.readline()
+        second_block = 2 + len(file.readlines(engine.LOAD_BLOCK_CHARS))
+    assert 100 < second_block < 12_000  # at least three blocks
+    return texts, {"first-block": 5, "later-block": second_block, "last-line": 12_001}
+
+
+def edit_line(text, line_no, edit):
+    lines = text.split("\n")
+    lines[line_no - 1] = edit(lines[line_no - 1])
+    return "\n".join(lines)
+
+
+def with_rid(new_rid):
+    return lambda line: new_rid(line.split(",", 1)[0]) + line[line.index(","):]
+
+
+VALID_EDITS = {
+    "rid-plus": with_rid(lambda rid: "+" + rid),
+    "rid-zero-padded": with_rid(lambda rid: "0" + rid),
+    "rid-space": with_rid(lambda rid: " " + rid),
+}
+FAULTS = {
+    "extra-column": lambda line: line + ",1",
+    "missing-column": lambda line: line[:line.rindex(",")],
+    "non-integer": lambda line: line.replace(",", ",x", 1),
+    "rid-out-of-order": with_rid(lambda rid: str(int(rid) + 1)),
+    "blank-line": lambda line: "\n" + line,
+}
+
+
+def assert_loads_like_reference(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    outcome = load_outcome(lambda p: load_dataset(p).columns, path)
+    assert outcome == load_outcome(reference_load, path)
+    return outcome
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_load_matches_reference_on_saved_files(tmp_path, dataset_texts, dist):
+    texts, _ = dataset_texts
+    path = tmp_path / "data.csv"
+    for text in (texts[dist], texts[dist].replace("\n", "\r\n"), texts[dist][:-1]):
+        assert assert_loads_like_reference(path, text)[0] == "columns"
+
+
+WHERE = ["first-block", "later-block", "last-line"]
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("edit", sorted(VALID_EDITS))
+def test_load_matches_reference_on_other_valid_rids(tmp_path, dataset_texts, edit, where):
+    texts, line_nos = dataset_texts
+    line_no = line_nos[where]
+    text = edit_line(texts["uniform-distinct"], line_no, VALID_EDITS[edit])
+    assert assert_loads_like_reference(tmp_path / "data.csv", text)[0] == "columns"
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_load_matches_reference_on_faults(tmp_path, dataset_texts, fault, where):
+    texts, line_nos = dataset_texts
+    line_no = line_nos[where]
+    for text in (texts["uniform-distinct"], texts["uniform-distinct"][:-1]):
+        faulty = edit_line(text, line_no, FAULTS[fault])
+        outcome = assert_loads_like_reference(tmp_path / "data.csv", faulty)
+        assert outcome[:2] == ("error", line_no)
+
+
+@pytest.mark.parametrize("where", WHERE)
+def test_load_matches_reference_on_a_field_moved_to_the_next_line(tmp_path, dataset_texts,
+                                                                  where):
+    # both lines have a wrong column count, yet every value keeps its place
+    # in the file's sequence of values
+    texts, line_nos = dataset_texts
+    line_no = line_nos[where]
+    lines = texts["uniform-distinct"].split("\n")
+    head, moved = lines[line_no - 2].rsplit(",", 1)
+    lines[line_no - 2:line_no] = [head, moved + "," + lines[line_no - 1]]
+    outcome = assert_loads_like_reference(tmp_path / "data.csv", "\n".join(lines))
+    assert outcome[:2] == ("error", line_no - 1)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "record_id,A,B\n", "record_id,A,B"])
+def test_load_matches_reference_without_rows(tmp_path, text):
+    assert assert_loads_like_reference(tmp_path / "data.csv", text)[0] == "error"
+
+
+def test_load_checks_saved_files_block_by_block(tmp_path, monkeypatch):
+    # blocks in save_dataset's own form never need the line-by-line check
+    path = tmp_path / "data.csv"
+    save_dataset(generate_dataset(12_000, "zipfian", seed=4), path)
+
+    def refuse(*args):
+        raise AssertionError("a block went to the line-by-line check")
+
+    monkeypatch.setattr(engine, "_parse_lines", refuse)
+    assert load_dataset(path).columns == reference_load(path)
 
 
 # --- query shape ---------------------------------------------------------

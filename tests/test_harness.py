@@ -11,8 +11,11 @@ import pytest
 
 from planrace import harness
 from planrace.engine import (
+    DISTRIBUTIONS,
+    Projection,
     Query,
     RangePredicate,
+    build_index,
     count_column,
     generate_dataset,
     match_count,
@@ -37,7 +40,7 @@ from planrace.harness import (
 )
 from planrace.optimizer import CacheMode, RaceKnobs, optimize
 from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
-from planrace.scenarios import SCENARIOS, get_scenario
+from planrace.scenarios import SCENARIOS, Scenario, get_scenario
 
 COST = CostModel()
 
@@ -536,3 +539,53 @@ def test_run_experiment_keeps_callers_frozen_objects(small_world):
         assert gc.get_freeze_count() == frozen
     finally:
         gc.unfreeze()
+
+
+# --- what a run builds of its indexes ----------------------------------------
+
+@pytest.fixture
+def built_catalogs(monkeypatch):
+    """Every catalog that Scenario.build_catalog returns during the test."""
+    catalogs = []
+    build = Scenario.build_catalog
+
+    def record(self, collection):
+        catalogs.append(build(self, collection))
+        return catalogs[-1]
+
+    monkeypatch.setattr(Scenario, "build_catalog", record)
+    return catalogs
+
+
+def built_parts(index):
+    """Whether an index has built its rids, and the columns it has built."""
+    return index._rids is not None, sorted(index.columns._built)
+
+
+@pytest.mark.parametrize("primed", ["IXSCAN_AB", "IXSCAN_A", "IXSCAN_B", "COLLSCAN"])
+def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
+    collection = generate_dataset(2000, "uniform-with-repeats", seed=5)
+    run_experiment(get_scenario("covering"), collection, OptimizerVariant.VANILLA,
+                   d=5, seed=3, primed=parse_plan_hint(primed))
+    (catalog,) = built_catalogs
+    for ix in catalog.indexes:
+        assert built_parts(ix) == (False, [ix.key_fields[0]])
+
+
+COVERING_BA = Scenario("covering-BA", (("B",), ("A",), ("B", "A")),
+                       projection=Projection(("A", "B"), suppress_record_id=True))
+
+
+@pytest.mark.parametrize("scenario", [get_scenario("covering"), COVERING_BA],
+                         ids=["AB", "BA"])
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, scenario):
+    collection = generate_dataset(2000, dist, seed=5)
+    run_experiment(scenario, collection, OptimizerVariant.MOD, d=5, seed=3)
+    (catalog,) = built_catalogs
+    for ix in catalog.indexes:
+        # every plan races, and each index plan filters on its non-leading field
+        assert built_parts(ix) == (True, ["A", "B"])
+        scratch = build_index(collection, ix.key_fields)
+        assert ix.rids == scratch.rids
+        assert ix.columns == scratch.columns

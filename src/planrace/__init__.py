@@ -31,7 +31,6 @@ from .optimizer import (
     RaceKnobs,
     Score,
     TrialStats,
-    maybe_replan,
     optimize,
     pick_best,
     race,

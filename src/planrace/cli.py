@@ -17,6 +17,9 @@ VARIANTS = {v.value: v for v in OptimizerVariant}
 
 # A run fills D * D grid cells; this keeps them at most 10**6.
 MAX_DIM = 1000
+# Forced measurement sums `reps` copies of each plan's time (one list of
+# `reps` references per plan and cell); this keeps that list small.
+MAX_REPS = 1000
 
 
 def _positive(convert, most: float = math.inf):
@@ -83,8 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dim", type=_positive(int, MAX_DIM), default=50,
                      help=f"grid dimension, at most {MAX_DIM} (default 50)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--reps", type=_positive(int), default=10,
-                     help="forced measurement repetitions per plan (default 10)")
+    run.add_argument("--reps", type=_positive(int, MAX_REPS), default=10,
+                     help=f"forced measurement repetitions per plan, at most {MAX_REPS} "
+                     "(default 10)")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--cache-primed", default=None,
                      metavar="PLAN", help="prime the plan cache with this plan "
@@ -153,7 +157,7 @@ def cmd_run(parser, args) -> int:
 
 
 def cmd_explain(parser, args) -> int:
-    cost = _parse_cost(parser, args.cost)
+    _parse_cost(parser, args.cost)  # checked as in `run`; a race reads no costs
     for field_name in ("A", "B"):
         low, high = getattr(args, f"low{field_name}"), getattr(args, f"high{field_name}")
         if low > high:
@@ -173,7 +177,7 @@ def cmd_explain(parser, args) -> int:
         engine.RangePredicate("A", args.lowA, args.highA),
         engine.RangePredicate("B", args.lowB, args.highB),
         hint=hint)
-    result = optimize(query, collection, catalog, variant, knobs, cost)
+    result = optimize(query, collection, catalog, variant, knobs)
     for plan, stats, score in zip(result.candidates, result.stats, result.scores):
         print(f"candidate {plan.id}: works={stats.works} results={stats.results} "
               f"eof={str(stats.reached_eof).lower()}")

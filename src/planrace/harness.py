@@ -127,13 +127,12 @@ def filter_outliers(samples: list[float]) -> list[float]:
 
 
 def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalog,
-                      forced_plans: list[PlanId], cost: CostModel, reps: int = 10,
-                      noise=None, rng: random.Random | None = None) -> dict[str, float]:
+                      forced_plans: list[PlanId], cost: CostModel,
+                      reps: int = 10) -> dict[str, float]:
     """Mean post-filter run time of every forced plan, via hint forcing.
 
-    noise, when given, is a callable (rng, time) -> time simulating wall-clock
-    jitter; without it the simulated executor makes all reps identical, so
-    one run stands for all of them.
+    The simulated executor makes all reps identical, so one run stands for
+    all of them.
     """
     if reps < 1:
         raise ValueError("need at least one sample")
@@ -141,34 +140,11 @@ def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalo
     # the plans hint forcing selects from, enumerated once for all forced plans
     producible = producible_plans(query, catalog)
     for plan_id in forced_plans:
-        plan = hinted_plan(producible, plan_id)
-        if noise is None:
-            t, _ = plan_cost_totals(plan, collection, catalog, cost)
-            # reps identical samples all pass the filter; summing them keeps
-            # the float rounding of their mean, which can differ from t
-            means[str(plan_id)] = sum([t] * reps) / reps
-            continue
-        samples = []
-        for _ in range(reps):
-            t, _ = plan_cost_totals(plan, collection, catalog, cost)
-            samples.append(noise(rng, t))
-        kept = filter_outliers(samples)
-        if not kept:
-            raise PlanraceError("outlier filter removed every sample")  # unreachable
-        means[str(plan_id)] = sum(kept) / len(kept)
+        t, _ = plan_cost_totals(hinted_plan(producible, plan_id), collection, catalog, cost)
+        # reps identical samples all pass the filter; summing them keeps the
+        # float rounding of their mean, which can differ from t
+        means[str(plan_id)] = sum([t] * reps) / reps
     return means
-
-
-def gaussian_noise(sigma_frac: float, spike_prob: float = 0.0, spike_scale: float = 10.0):
-    """Multiplicative jitter with occasional spikes, for exercising the IQR filter."""
-
-    def inject(rng: random.Random, t: float) -> float:
-        factor = max(0.0, rng.gauss(1.0, sigma_frac))
-        if spike_prob and rng.random() < spike_prob:
-            factor *= spike_scale
-        return t * factor
-
-    return inject
 
 
 def _direct_fill_queries(scenario: Scenario, collection: Collection,
@@ -193,14 +169,21 @@ def _direct_fill_queries(scenario: Scenario, collection: Collection,
 
 def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
           variant: OptimizerVariant, d: int, seed: int,
-          knobs: RaceKnobs = RaceKnobs(), cost: CostModel = CostModel(),
-          cache: PlanCache | None = None,
+          knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None,
           cache_mode: CacheMode = CacheMode.OFF) -> ExperimentGrid:
     """Fill every grid cell with a random query and the optimizer's choice.
 
     Each draw is what two rand_range_predicate calls (A's, then B's) and two
     match_count calls would give, inlined: most draws land in a filled cell,
     so only a draw that fills a new one builds its predicates and query.
+
+    rand_range_predicate's randint(lo, hi) is randrange(lo, hi + 1), and on
+    CPython 3.10 to 3.13 randrange(lo, lo + n) is lo + r for the first
+    r = getrandbits(n.bit_length()) below n (Random._randbelow_with_getrandbits).
+    The loop takes those getrandbits calls directly, so it reads the same
+    stream without randrange's two Python frames per value. A width is drawn
+    below the field's domain size, whose bit length is fixed; the low bound
+    is drawn below domain size - width + 1.
     """
     rng = random.Random(seed)
     n = len(collection)
@@ -212,28 +195,44 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
     b_values = count_column(collection, "B", catalog)
 
     def record(i: int, j: int, query: Query, count_a: int, count_b: int) -> None:
-        result = optimize(query, collection, catalog, variant, knobs, cost,
+        result = optimize(query, collection, catalog, variant, knobs,
                           cache=cache, cache_mode=cache_mode)
         cells[(i, j)] = GridCell(
             i=i, j=j, e_a=count_a / n, e_b=count_b / n,
             query=query, chosen=str(result.chosen))
 
-    # randint(lo, hi) is documented as randrange(lo, hi + 1): the same stream
-    randrange = rng.randrange
-    a_widths, a_top = a_hi - a_lo + 2, a_hi + 2
-    b_widths, b_top = b_hi - b_lo + 2, b_hi + 2
+    getrandbits = rng.getrandbits
+    a_size = a_hi - a_lo + 1
+    b_size = b_hi - b_lo + 1
+    a_bits = a_size.bit_length()
+    b_bits = b_size.bit_length()
+    filled = bytearray(d * d)  # filled[i * d + j]: cell (i, j) holds a query
     cap = REJECTION_CAP
     last = d - 1
     size = d * d
     draws = rejections = misses = 0
     while len(cells) < size:
-        width_a = randrange(1, a_widths)
-        low_a = randrange(a_lo, a_top - width_a)
-        width_b = randrange(1, b_widths)
-        low_b = randrange(b_lo, b_top - width_b)
+        # width - 1 below the domain size, then the low bound's offset below
+        # the domain size - width + 1, for A and then for B
+        r = getrandbits(a_bits)
+        while r >= a_size:
+            r = getrandbits(a_bits)
+        lows = a_size - r
+        low_a = getrandbits(lows.bit_length())
+        while low_a >= lows:
+            low_a = getrandbits(lows.bit_length())
+        low_a += a_lo
+        high_a = low_a + r + 1
+        r = getrandbits(b_bits)
+        while r >= b_size:
+            r = getrandbits(b_bits)
+        lows = b_size - r
+        low_b = getrandbits(lows.bit_length())
+        while low_b >= lows:
+            low_b = getrandbits(lows.bit_length())
+        low_b += b_lo
+        high_b = low_b + r + 1
         draws += 1
-        high_a = low_a + width_a
-        high_b = low_b + width_b
         count_a = bisect_left(a_values, high_a) - bisect_left(a_values, low_a)
         count_b = bisect_left(b_values, high_b) - bisect_left(b_values, low_b)
         # _cell_from_count, inlined
@@ -243,13 +242,11 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
         j = count_b * d // n
         if j > last:
             j = last
-        if (i, j) in cells:
+        if filled[i * d + j]:
             rejections += 1
             misses += 1
             if misses >= cap:
-                missing = [key for key in
-                           ((x, y) for x in range(d) for y in range(d))
-                           if key not in cells]
+                missing = [divmod(k, d) for k in range(size) if not filled[k]]
                 for fi, fj, query, ca, cb in _direct_fill_queries(
                         scenario, collection, catalog, missing, d):
                     record(fi, fj, query, ca, cb)
@@ -257,6 +254,7 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
                 break
             continue
         misses = 0
+        filled[i * d + j] = 1
         query = scenario.make_query(RangePredicate("A", low_a, high_a),
                                     RangePredicate("B", low_b, high_b))
         record(i, j, query, count_a, count_b)
@@ -266,14 +264,12 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
 
 
 def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCatalog,
-                 scenario: Scenario, cost: CostModel, reps: int = 10,
-                 noise=None, seed: int = 0) -> None:
+                 scenario: Scenario, cost: CostModel, reps: int = 10) -> None:
     """Fill per_plan_times for every cell."""
     forced = scenario.forced_plan_ids()
     for cell in grid.sorted_cells():
-        cell_rng = random.Random((seed, cell.i, cell.j)) if noise is not None else None
         cell.per_plan_times = measure_all_plans(cell.query, collection, catalog, forced,
-                                                cost, reps=reps, noise=noise, rng=cell_rng)
+                                                cost, reps=reps)
 
 
 def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
@@ -325,15 +321,14 @@ def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
     lo_b = RangePredicate("B", 0, 1)
     shape = query_shape(scenario.make_query(lo_a, lo_b))
     cache = PlanCache()
-    cache.put(PlanCacheEntry(shape=shape, plan_id=primed, trial_works=1))
+    cache.put(PlanCacheEntry(shape=shape, plan_id=primed))
     return cache
 
 
 def run_experiment(scenario: Scenario, collection: Collection, variant: OptimizerVariant,
                    d: int, seed: int, knobs: RaceKnobs = RaceKnobs(),
                    cost: CostModel = CostModel(), reps: int = 10,
-                   primed: PlanId | None = None,
-                   noise=None) -> tuple[ExperimentGrid, SummaryMetrics]:
+                   primed: PlanId | None = None) -> tuple[ExperimentGrid, SummaryMetrics]:
     """Sweep, measure and finalize one full experiment.
 
     With `primed` set this is the plan-cache experiment: the optimizer never
@@ -353,10 +348,9 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
     if freeze:
         gc.freeze()
     try:
-        grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cost,
+        grid = sweep(scenario, collection, catalog, variant, d, seed, knobs,
                      cache=cache, cache_mode=cache_mode)
-        measure_grid(grid, collection, catalog, scenario, cost, reps=reps,
-                     noise=noise, seed=seed)
+        measure_grid(grid, collection, catalog, scenario, cost, reps=reps)
         grid, metrics = finalize(grid)
     finally:
         if freeze:

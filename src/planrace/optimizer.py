@@ -33,7 +33,7 @@ from itertools import compress, islice
 
 from .engine import Collection, IndexCatalog, Query, query_shape
 from .errors import NoCandidatesError, UndefinedProductivityError
-from .executor import CostModel, PlanExecution, WorkState, plan_cost_totals, plan_scan
+from .executor import PlanExecution, WorkState, plan_scan
 from .plans import CandidatePlan, OptimizerVariant, PlanId, enumerate_candidates
 
 TIE_BREAK_CAP = 1e-4
@@ -197,8 +197,6 @@ def pick_best(scores: list[Score], candidates: list[CandidatePlan]) -> PlanId:
 class PlanCacheEntry:
     shape: str
     plan_id: PlanId
-    trial_works: int
-    replan_factor: float = 10.0
 
 
 @dataclass
@@ -211,18 +209,9 @@ class PlanCache:
     def put(self, entry: PlanCacheEntry) -> None:
         self.entries[entry.shape] = entry
 
-    def evict(self, shape: str) -> None:
-        self.entries.pop(shape, None)
-
-
-def maybe_replan(entry: PlanCacheEntry, observed_works: int) -> bool:
-    """True to evict: the cached plan blew past replan_factor x its trial works."""
-    return observed_works > entry.replan_factor * entry.trial_works
-
 
 class CacheMode(enum.Enum):
     OFF = "off"
-    ON = "on"
     ON_NO_REPLAN = "on-no-replan"
 
 
@@ -238,35 +227,24 @@ class OptimizeResult:
 def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
              variant: OptimizerVariant = OptimizerVariant.VANILLA,
              knobs: RaceKnobs = RaceKnobs(),
-             cost: CostModel = CostModel(),
              cache: PlanCache | None = None,
              cache_mode: CacheMode = CacheMode.OFF) -> OptimizeResult:
     """Choose a plan: enumerate, race, score, pick; or reuse a cached plan.
 
-    With the cache on, a shape hit skips the race. In ON mode the cached plan
-    is executed for this query and evicted (then re-raced) if its work blows
-    past the replan threshold; ON_NO_REPLAN reuses it unconditionally.
+    With the cache on (ON_NO_REPLAN), a shape hit skips the race and reuses
+    the cached plan unconditionally; a miss races and caches the winner.
     """
     shape = query_shape(query)
     use_cache = cache is not None and cache_mode is not CacheMode.OFF
     if use_cache:
         entry = cache.get(shape)
         if entry is not None:
-            if cache_mode is CacheMode.ON_NO_REPLAN:
-                return OptimizeResult(entry.plan_id, [], [], [], from_cache=True)
-            hinted = enumerate_candidates(
-                Query(query.predicates, query.projection, hint=entry.plan_id),
-                catalog, variant)
-            _, observed_works = plan_cost_totals(hinted[0], collection, catalog, cost)
-            if not maybe_replan(entry, observed_works):
-                return OptimizeResult(entry.plan_id, [], [], [], from_cache=True)
-            cache.evict(shape)
+            return OptimizeResult(entry.plan_id, [], [], [], from_cache=True)
 
     candidates = enumerate_candidates(query, catalog, variant)
     stats = race_closed_form(candidates, collection, catalog, knobs)
     scores = [score_plan(s, variant) for s in stats]
     chosen = pick_best(scores, candidates)
     if use_cache:
-        winner_works = next(s.works for s in stats if s.plan_id == chosen)
-        cache.put(PlanCacheEntry(shape=shape, plan_id=chosen, trial_works=winner_works))
+        cache.put(PlanCacheEntry(shape=shape, plan_id=chosen))
     return OptimizeResult(chosen, candidates, stats, scores)

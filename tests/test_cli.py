@@ -188,6 +188,7 @@ def error_lines(capsys):
     ("--dim", "-3"),  # was IndexError
     ("--dim", "1001"),  # D * D cells: 5000 ran for seconds on a one-document file
     ("--reps", "0"),  # was ValueError: need at least one sample
+    ("--reps", "1001"),  # 10**8 built a list of 10**8 references per plan and cell
     ("--works", "-5"),  # was ValueError: race knobs must all be positive
     ("--max-results", "0"),
     ("--coll-fraction", "-1"),
@@ -199,7 +200,8 @@ def test_run_rejects_nonpositive_argument(tmp_path, data_file, capsys, flag, val
                          flag, value])
     assert err.value.code == 2
     (line,) = error_lines(capsys)
-    wanted = "a positive number at most 1000" if flag == "--dim" else "a positive number"
+    bounded = flag in ("--dim", "--reps")
+    wanted = "a positive number at most 1000" if bounded else "a positive number"
     assert f"argument {flag}: expected {wanted}, got {value!r}" in line
     assert not (tmp_path / "x").exists()
 

@@ -34,7 +34,6 @@ from .optimizer import (
     optimize,
     pick_best,
     race,
-    race_closed_form,
     score_plan,
 )
 from .plans import (

@@ -8,7 +8,7 @@ import sys
 
 from . import engine, harness, viz
 from .errors import PlanraceError
-from .executor import CostModel
+from .executor import CostModel, plan_cost_totals
 from .optimizer import RaceKnobs, optimize
 from .plans import OptimizerVariant, parse_plan_hint
 from .scenarios import SCENARIOS, get_scenario
@@ -157,7 +157,7 @@ def cmd_run(parser, args) -> int:
 
 
 def cmd_explain(parser, args) -> int:
-    _parse_cost(parser, args.cost)  # checked as in `run`; a race reads no costs
+    cost = _parse_cost(parser, args.cost)
     for field_name in ("A", "B"):
         low, high = getattr(args, f"low{field_name}"), getattr(args, f"high{field_name}")
         if low > high:
@@ -179,8 +179,10 @@ def cmd_explain(parser, args) -> int:
         hint=hint)
     result = optimize(query, collection, catalog, variant, knobs)
     for plan, stats, score in zip(result.candidates, result.stats, result.scores):
+        # a race reads work units; the cost model prices the plan's full run
+        run_time, _ = plan_cost_totals(plan, collection, catalog, cost)
         print(f"candidate {plan.id}: works={stats.works} results={stats.results} "
-              f"eof={str(stats.reached_eof).lower()}")
+              f"eof={str(stats.reached_eof).lower()} time={run_time}")
         print(f"  base={score.base} productivity={score.productivity:.6f} "
               f"tie_break_unit={score.tie_break_unit:.6g} "
               f"no_fetch={score.no_fetch_bonus:.6g} no_sort={score.no_sort_bonus:.6g} "

@@ -9,6 +9,12 @@ the leading key's column. An index builds that sorted column up front and
 everything else on first use, so a run that only counts ranges never
 pays for the rest.
 
+Each field's values fall into at most BUCKETS rank buckets (RankBuckets).
+An access order, record_id order or an index's order, holds a bytes column
+of each field's bucket numbers in that order, built on first use; a range
+filter over a slice of it is one bytes.translate, and only the positions
+in the range's (at most two) boundary buckets need their values compared.
+
 Dataset files are read in blocks of whole lines; a block in save_dataset's
 own form is checked and converted by a few passes in C, any other block
 line by line.
@@ -17,11 +23,13 @@ line by line.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+import re
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, islice, repeat
-from operator import eq, ne
+from operator import eq, itemgetter, ne
 from pathlib import Path
 
 from .errors import DatasetFormatError, EmptyCollectionError, UnknownFieldError
@@ -36,6 +44,11 @@ class Collection:
     name: str
     columns: dict[str, list[int]]
     _sorted_values: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    # rank buckets and record_id-order bucket columns by field, built on first use
+    _rank_buckets: dict[str, RankBuckets] = field(default_factory=dict, repr=False,
+                                                  compare=False)
+    _bucket_columns: dict[str, bytes] = field(default_factory=dict, repr=False,
+                                              compare=False)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -75,7 +88,9 @@ class Index:
     columns are built the first time they are read, and kept: a run that
     never scans an index, such as one that reuses a primed plan, never
     builds them. Indexes are never modified, so two indexes in the same
-    order may share these lists.
+    order may share these lists. The closed-form race reads rids and the
+    fields' bucket columns in index order (bucket_column), never the other
+    columns; stepping a plan (PlanExecution) reads those.
     """
 
     def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection,
@@ -88,6 +103,8 @@ class Index:
         self._leading = leading
         self._rids: list[int] | None = None
         self.columns = _IndexColumns(self, {key_fields[0]: leading})
+        # bucket columns in index order by field (see bucket_column)
+        self._bucket_columns: dict[str, bytes] = {}
 
     def __repr__(self) -> str:
         return f"Index(name={self.name!r}, key_fields={self.key_fields!r})"
@@ -169,14 +186,20 @@ class _IndexColumns(Mapping):
 
 @dataclass
 class IndexCatalog:
-    """Indexes in creation order; order is the downstream tie-break."""
+    """Indexes in creation order; order is the downstream tie-break.
+
+    shape_plans holds the plans of each query shape in this catalog (see
+    plans.shape_candidates); adding an index drops them.
+    """
 
     indexes: list[Index] = field(default_factory=list)
+    shape_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def add(self, index: Index) -> None:
         if any(ix.name == index.name for ix in self.indexes):
             raise ValueError(f"duplicate index name {index.name!r}")
         self.indexes.append(index)
+        self.shape_plans.clear()
 
     def by_name(self, name: str) -> Index:
         for ix in self.indexes:
@@ -342,6 +365,101 @@ def match_count(collection: Collection, predicate: RangePredicate,
     return bisect_left(values, predicate.high) - bisect_left(values, predicate.low)
 
 
+# A field's values fall into at most this many rank buckets, so a bucket
+# number fits one byte.
+BUCKETS = 256
+
+
+class RankBuckets:
+    """At most BUCKETS buckets of one field's values, split at ranks.
+
+    The edges are the values at ranks floor(q * N / BUCKETS) of the sorted
+    column, q = 0..BUCKETS-1, without repeats; bucket k holds the values v
+    with edges[k] <= v < edges[k + 1] (the last bucket: up to the largest
+    value). A value that fills more than N / BUCKETS ranks starts a bucket.
+    """
+
+    def __init__(self, sorted_values: list[int]):
+        n = len(sorted_values)
+        edges = list(dict.fromkeys(sorted_values[q * n // BUCKETS] for q in range(BUCKETS)))
+        self.edges = edges
+        # the exclusive upper bound of each bucket's values
+        self._tops = edges[1:] + [sorted_values[-1] + 1]
+        # the bucket number of a value of this field
+        self.number = partial(bisect_right, edges[1:])
+
+    def numbers(self, values: list[int]) -> bytes:
+        """The bucket number of each value."""
+        return bytes(map(self.number, values))
+
+    def table(self, low: int, high: int) -> bytes:
+        """bytes.translate table: a bucket's number to 0 when none of its
+        values lies in [low, high), 1 when all do, and 2 when some may.
+
+        Only the first and the last bucket that meet the range can be 2.
+        """
+        first = bisect_right(self._tops, low)  # the buckets before lie below low
+        end = bisect_left(self.edges, high)  # the buckets from here on lie at or above high
+        if first >= end:
+            return bytes(BUCKETS)
+        last = end - 1
+        lower = 2 if self.edges[first] < low else 1
+        upper = 2 if self._tops[last] > high else 1
+        if first == last:
+            middle = bytes([max(lower, upper)])
+        else:
+            middle = bytes([lower]) + b"\1" * (last - first - 1) + bytes([upper])
+        return bytes(first) + middle + bytes(BUCKETS - end)
+
+
+def _take(data: bytes, positions: list[int]) -> bytes:
+    """data[p] for each p in positions, gathered in C."""
+    if len(positions) == 1:  # itemgetter of one key returns the item itself
+        return data[positions[0]:positions[0] + 1]
+    return bytes(itemgetter(*positions)(data))
+
+
+def rank_buckets(collection: Collection, field_name: str,
+                 catalog: IndexCatalog | None = None) -> RankBuckets:
+    """The field's rank buckets, built from its count_column on first use.
+
+    Kept on the collection: they depend only on the field's values, not on
+    which sorted copy of them the catalog offers.
+    """
+    buckets = collection._rank_buckets.get(field_name)
+    if buckets is None:
+        buckets = RankBuckets(count_column(collection, field_name, catalog))
+        collection._rank_buckets[field_name] = buckets
+    return buckets
+
+
+def bucket_column(collection: Collection, field_name: str, index: Index | None = None,
+                  catalog: IndexCatalog | None = None) -> bytes:
+    """The field's bucket numbers in an access order, built on first use.
+
+    That is record_id order when `index` is None, else the index's order;
+    the column is kept on the collection or on the index. An index that
+    shares its leading index's record ids shares its bucket columns too.
+    """
+    if index is None:
+        column = collection._bucket_columns.get(field_name)
+        if column is None:
+            buckets = rank_buckets(collection, field_name, catalog)
+            column = buckets.numbers(collection.columns[field_name])
+            collection._bucket_columns[field_name] = column
+        return column
+    column = index._bucket_columns.get(field_name)
+    if column is None:
+        base = index._base
+        if base is not None and index.rids is base.rids:
+            column = bucket_column(collection, field_name, base, catalog)
+        else:
+            in_rid_order = bucket_column(collection, field_name, None, catalog)
+            column = _take(in_rid_order, index.rids)
+        index._bucket_columns[field_name] = column
+    return column
+
+
 def save_dataset(collection: Collection, path) -> None:
     """Write the collection as UTF-8 CSV: header record_id,<fields>, LF endings."""
     path = Path(path)
@@ -354,6 +472,12 @@ def save_dataset(collection: Collection, path) -> None:
 
 # Characters of whole lines that load_dataset reads, checks and converts at once.
 LOAD_BLOCK_CHARS = 1 << 16
+
+# The one form of an integer in a dataset file.
+_INTEGER = re.compile(r"-?[0-9]+")
+# What int() reads in ASCII text besides that form: a "+" sign, underscores
+# between digits, and white space around the number.
+_INT_EXTRAS = "+_" + "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
 
 
 def load_dataset(path) -> Collection:
@@ -397,13 +521,16 @@ def _block_columns(lines: list[str], first_row: int, width: int) -> list[list[in
 
     `lines` are whole lines of rows first_row, first_row + 1, ..., each
     ending in a newline but the file's last one. They are in that form when
-    every line has width - 1 commas, every record id reads exactly
-    str(row), and every field parses with int: _parse_lines would then
-    accept them and return the same values.
+    every line has width - 1 commas, the text is ASCII without anything
+    else int() reads (_INT_EXTRAS), every record id reads exactly str(row),
+    and every field parses with int: _parse_lines would then accept them
+    and return the same values.
     """
     if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
         return None
     text = "".join(lines)
+    if not text.isascii() or any(c in text for c in _INT_EXTRAS):
+        return None
     if text.endswith("\n"):
         text = text[:-1]
     parts = text.replace("\n", ",").split(",")
@@ -420,7 +547,8 @@ def _parse_lines(path: Path, lines: list[str], first_row: int,
     """The field columns of rows first_row, first_row + 1, ..., line by line.
 
     A valid line has `width` comma-separated integers, the first of which
-    is its row's record id.
+    is its row's record id. An integer is ASCII digits with an optional
+    leading `-`.
     """
     columns: list[list[int]] = [[] for _ in range(width - 1)]
     for line_no, line in enumerate(lines, start=first_row + 2):
@@ -428,10 +556,9 @@ def _parse_lines(path: Path, lines: list[str], first_row: int,
         if len(parts) != width:
             raise DatasetFormatError(
                 path, line_no, f"expected {width} columns, found {len(parts)}")
-        try:
-            values = list(map(int, parts))
-        except ValueError:
-            raise DatasetFormatError(path, line_no, f"non-integer value in {line!r}") from None
+        if not all(map(_INTEGER.fullmatch, parts)):
+            raise DatasetFormatError(path, line_no, f"non-integer value in {line!r}")
+        values = list(map(int, parts))
         rid = values[0]
         if rid != line_no - 2:
             raise DatasetFormatError(

@@ -16,10 +16,17 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .engine import Collection, Index, IndexCatalog
-from .plans import CandidatePlan, FilterStage, PlanKind
+from .engine import (
+    Collection,
+    Index,
+    IndexCatalog,
+    Query,
+    bucket_column,
+    rank_buckets,
+)
+from .plans import CandidatePlan, FilterStage, PlanKind, ShapePlan
 
 
 class WorkState(enum.Enum):
@@ -50,21 +57,26 @@ class CostModel:
         return CostModel(self.c_seq * factor, self.c_idx * factor, self.c_fetch * factor)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PlanScan:
     """One plan's scan, described in closed form.
 
     The plan visits positions start..end-1 of an access order: index order
     for index plans, record_id order for COLLSCAN (index is None there, as a
     position is its own record id). A position matches when each filter
-    (column in that access order, low, high) holds low <= value < high.
-    Stepping and the closed-form race both read a plan's scan from here.
+    (field, low, high) holds low <= value < high for its record's value of
+    that field. Stepping and the closed-form race both read a plan's scan
+    from here: stepping compares each position's value (filter_columns),
+    the race masks whole chunks of positions through bucket columns (mask).
     """
 
     start: int
     end: int
     index: Index | None
-    filters: tuple[tuple[list[int], int, int], ...]
+    filters: tuple[tuple[str, int, int], ...]
+    collection: Collection = field(repr=False, compare=False)
+    catalog: IndexCatalog = field(repr=False, compare=False)
+    _masking: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def length(self) -> int:
@@ -72,23 +84,64 @@ class PlanScan:
 
     @property
     def rids(self) -> list[int] | None:
-        """The record id at each position, or None for COLLSCAN.
-
-        Only stepping reads it, as only emitted results need record ids.
-        """
+        """The record id at each position, or None for COLLSCAN."""
         return None if self.index is None else self.index.rids
 
-    def mask(self, lo: int, hi: int) -> list[bool]:
-        """Which of the scan's positions lo..hi-1 (counted from 0) match."""
+    def filter_columns(self) -> tuple[tuple[list[int], int, int], ...]:
+        """(column in the access order, low, high) of each filter."""
+        if self.index is None:
+            columns = self.collection.columns
+        else:
+            # IXSCAN's residual reads the fetched document, a covered plan's
+            # reads the index key; both values sit in the index-order column
+            columns = self.index.columns
+        return tuple((columns[f], low, high) for f, low, high in self.filters)
+
+    def _mask_filters(self) -> list[tuple[bytes, bytes, list[int], int, int]]:
+        """(bucket column, translate table, record_id-order column, low, high)
+        of each filter, built on the first call."""
+        if self._masking is None:
+            self._masking = [(bucket_column(self.collection, f, self.index, self.catalog),
+                              rank_buckets(self.collection, f, self.catalog).table(low, high),
+                              self.collection.columns[f], low, high)
+                             for f, low, high in self.filters]
+        return self._masking
+
+    @property
+    def mask_key(self) -> tuple:
+        """Equal for scans whose masks are equal: the same positions of the
+        same access order (the same record id list) under the same filters."""
+        return (None if self.index is None else id(self.index.rids),
+                self.start, self.end, self.filters)
+
+    def mask(self, lo: int, hi: int) -> bytes:
+        """1 for each of the scan's positions lo..hi-1 (counted from 0) that
+        matches, 0 for the others.
+
+        A filter's mask is the slice of its bucket column translated by its
+        table (RankBuckets.table): a position in a bucket wholly inside or
+        outside the range is decided there, and only a position marked 2
+        has its value read, through rids, and compared. The filters' masks
+        are ANDed as integers.
+        """
         a, b = self.start + lo, self.start + hi
-        if not self.filters:
-            return [True] * (b - a)
-        if len(self.filters) == 1:
-            ((column, low, high),) = self.filters
-            return [low <= v < high for v in column[a:b]]
-        (col1, low1, high1), (col2, low2, high2) = self.filters
-        return [low1 <= v < high1 and low2 <= w < high2
-                for v, w in zip(col1[a:b], col2[a:b])]
+        out = None
+        for buckets, table, column, low, high in self._mask_filters():
+            m = buckets[a:b].translate(table)
+            k = m.find(2)
+            if k >= 0:
+                rids = self.rids
+                m = bytearray(m)
+                while k >= 0:
+                    value = column[a + k] if rids is None else column[rids[a + k]]
+                    m[k] = low <= value < high
+                    k = m.find(2, k + 1)
+            if out is None:
+                out = m
+            else:
+                out = (int.from_bytes(out, "little") & int.from_bytes(m, "little")).to_bytes(
+                    b - a, "little")
+        return b"\1" * (b - a) if out is None else out
 
 
 def _scan_bounds(plan: CandidatePlan, collection: Collection,
@@ -106,14 +159,43 @@ def plan_scan(plan: CandidatePlan, collection: Collection, catalog: IndexCatalog
     """The positions a plan scans and the filters it applies to each."""
     start, end, index = _scan_bounds(plan, collection, catalog)
     if index is None:
-        filters = tuple((collection.columns[p.field], p.low, p.high)
-                        for p in plan.stages[0].predicates)
+        predicates = plan.stages[0].predicates
     else:
-        # IXSCAN's residual reads the fetched document, a covered plan's reads
-        # the index key; both values sit in the index-order column of that field
-        filters = tuple((index.columns[s.predicate.field], s.predicate.low, s.predicate.high)
-                        for s in plan.stages if isinstance(s, FilterStage))
-    return PlanScan(start, end, index, filters)
+        predicates = [s.predicate for s in plan.stages if isinstance(s, FilterStage)]
+    filters = tuple((p.field, p.low, p.high) for p in predicates)
+    return PlanScan(start, end, index, filters, collection, catalog)
+
+
+def shape_ranges(plans: tuple[ShapePlan, ...], query: Query,
+                 n_records: int) -> list[tuple[int, int]]:
+    """(start, end) of each shape plan's scan for the query's bounds.
+
+    Two bisects per leading field serve every plan whose index leads on
+    it, as such indexes share their sorted leading column's values.
+    """
+    positions: dict[str, tuple[int, int]] = {}
+    ranges = []
+    for plan in plans:
+        f = plan.leading
+        if f is None:
+            ranges.append((0, n_records))
+            continue
+        span = positions.get(f)
+        if span is None:
+            pred = query.predicate_on(f)
+            span = positions[f] = plan.index.range_positions(pred.low, pred.high)
+        ranges.append(span)
+    return ranges
+
+
+def shape_scans(plans: tuple[ShapePlan, ...], query: Query, collection: Collection,
+                catalog: IndexCatalog) -> list[PlanScan]:
+    """The scan of each shape plan bound to the query: plan_scan's scans of
+    the plans bind_plans gives, without building the plans."""
+    bounds = {p.field: (p.field, p.low, p.high) for p in query.predicates}
+    return [PlanScan(start, end, plan.index, tuple(map(bounds.__getitem__, plan.filters)),
+                     collection, catalog)
+            for plan, (start, end) in zip(plans, shape_ranges(plans, query, len(collection)))]
 
 
 def step_time(kind: PlanKind, cost: CostModel) -> float:
@@ -142,7 +224,7 @@ class PlanExecution:
         self._start = self._pos = scan.start
         self._end = scan.end
         self._rids = scan.rids
-        self._filters = scan.filters
+        self._filters = scan.filter_columns()
         self._step_time = step_time(plan.id.kind, cost)
 
     @property
@@ -188,9 +270,9 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
 
     COLLSCAN touches every document once; an index plan touches exactly the
     entries inside its bounds, plus one terminal step each. Equality with the
-    stepped protocol is enforced by tests; the harness uses this path so that
-    measuring a plan is O(log N) instead of O(N). It reads only the index's
-    leading column.
+    stepped protocol is enforced by tests. It is the reference for
+    measure_grid's scan length x step_time from the shape plans' ranges,
+    and explain prints it. It reads only the index's leading column.
     """
     start, end, _ = _scan_bounds(plan, collection, catalog)
     k = end - start

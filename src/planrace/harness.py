@@ -27,7 +27,7 @@ from .engine import (
     query_shape,
 )
 from .errors import PlanraceError, UnknownPlanError
-from .executor import CostModel, plan_cost_totals
+from .executor import CostModel, plan_cost_totals, shape_ranges, step_time
 from .optimizer import (
     CacheMode,
     PlanCache,
@@ -35,7 +35,14 @@ from .optimizer import (
     RaceKnobs,
     optimize,
 )
-from .plans import OptimizerVariant, PlanId, hinted_plan, plan_order_key, producible_plans
+from .plans import (
+    OptimizerVariant,
+    PlanId,
+    hinted_plan,
+    plan_order_key,
+    producible_plans,
+    shape_forced,
+)
 from .scenarios import Scenario
 
 # Give up on rejection sampling after this many consecutive misses and fill
@@ -136,15 +143,18 @@ def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalo
     """
     if reps < 1:
         raise ValueError("need at least one sample")
-    means: dict[str, float] = {}
     # the plans hint forcing selects from, enumerated once for all forced plans
     producible = producible_plans(query, catalog)
-    for plan_id in forced_plans:
-        t, _ = plan_cost_totals(hinted_plan(producible, plan_id), collection, catalog, cost)
-        # reps identical samples all pass the filter; summing them keeps the
-        # float rounding of their mean, which can differ from t
-        means[str(plan_id)] = sum([t] * reps) / reps
-    return means
+    return {str(plan_id): _mean_of_reps(
+                plan_cost_totals(hinted_plan(producible, plan_id), collection, catalog, cost)[0],
+                reps)
+            for plan_id in forced_plans}
+
+
+def _mean_of_reps(t: float, reps: int) -> float:
+    # reps identical samples all pass the outlier filter; summing them keeps
+    # the float rounding of their mean, which can differ from t
+    return sum([t] * reps) / reps
 
 
 def _direct_fill_queries(scenario: Scenario, collection: Collection,
@@ -265,11 +275,22 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
 
 def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCatalog,
                  scenario: Scenario, cost: CostModel, reps: int = 10) -> None:
-    """Fill per_plan_times for every cell."""
+    """Fill per_plan_times for every cell, as measure_all_plans would.
+
+    A forced plan's time is its scan length times its step time, which is
+    plan_cost_totals' time; the forced plans are found once per query shape
+    (shape_forced) and their scan lengths from two bisects per field.
+    """
+    if reps < 1:
+        raise ValueError("need at least one sample")
     forced = scenario.forced_plan_ids()
+    steps = [step_time(plan_id.kind, cost) for plan_id in forced]
+    names = [str(plan_id) for plan_id in forced]
     for cell in grid.sorted_cells():
-        cell.per_plan_times = measure_all_plans(cell.query, collection, catalog, forced,
-                                                cost, reps=reps)
+        plans = shape_forced(cell.query, catalog, forced)
+        ranges = shape_ranges(plans, cell.query, len(collection))
+        cell.per_plan_times = {name: _mean_of_reps((end - start) * step, reps)
+                               for name, step, (start, end) in zip(names, steps, ranges)}
 
 
 def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
@@ -278,8 +299,10 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
     Exact time ties go to the chosen plan when it participates (so boundary
     cells are not counted against the optimizer), otherwise to the first
     plan in canonical id order. A chosen plan as fast as the optimal one has
-    ratio 1, also when both take no time. Idempotent on an already-finalized
-    grid.
+    ratio 1, also when both take no time. A chosen plan that takes time
+    where the optimal one takes none is mischosen, and its slowdown is
+    unbounded: its ratio stays None, and impact is the mean slowdown over
+    the cells that have a ratio. Idempotent on an already-finalized grid.
     """
     correct = 0
     slowdowns = []
@@ -296,18 +319,20 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
         if chosen_time == best_time:
             cell.ratio = 1.0
         elif best_time == 0:
-            raise PlanraceError(
-                f"cell ({cell.i},{cell.j}): chosen plan {cell.chosen} takes {chosen_time} "
-                f"but {cell.optimal} takes no time, so the slowdown is unbounded")
+            cell.ratio = None
         else:
             cell.ratio = chosen_time / best_time
         if cell.chosen == cell.optimal:
             correct += 1
-        slowdowns.append((cell.ratio - 1.0) * 100.0)
-    n_cells = len(grid.cells)
+        if cell.ratio is not None:
+            slowdowns.append((cell.ratio - 1.0) * 100.0)
+    if not slowdowns:
+        raise PlanraceError(
+            "every cell's chosen plan takes time where its optimal plan takes none, "
+            "so no slowdown is bounded")
     metrics = SummaryMetrics(
-        accuracy=correct / n_cells,
-        impact_pct=sum(slowdowns) / n_cells,
+        accuracy=correct / len(grid.cells),
+        impact_pct=sum(slowdowns) / len(slowdowns),
     )
     return grid, metrics
 

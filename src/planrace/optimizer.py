@@ -8,7 +8,8 @@ race with the same number of work units.
 
 race() steps that protocol through PlanExecution.work() and is the
 reference. optimize() computes the same outcome in closed form
-(race_closed_form): the race runs
+(_race_scans), from the plans of the query's shape (plans.shape_candidates)
+bound to its bounds: the race runs
     R = min(ceil(max_rounds), min_p(s_p + 1), min_p(q_p))
 rounds, where s_p is plan p's scan length and q_p the scan position of its
 max_results-th match; every plan then has R works, reached EOF iff
@@ -33,10 +34,15 @@ from itertools import compress, islice
 
 from .engine import Collection, IndexCatalog, Query, query_shape
 from .errors import NoCandidatesError, UndefinedProductivityError
-from .executor import PlanExecution, WorkState, plan_scan
-from .plans import CandidatePlan, OptimizerVariant, PlanId, enumerate_candidates
+from .executor import PlanExecution, PlanScan, WorkState, shape_scans
+from .plans import CandidatePlan, OptimizerVariant, PlanId, bind_plans, shape_candidates
 
 TIE_BREAK_CAP = 1e-4
+
+# A race takes at least max_results rounds unless a scan ends first, and on
+# uniform data most take under 4 * max_results; a mask call costs about as
+# much as masking a few hundred positions, so the first chunk is that long.
+FIRST_CHUNK_RESULTS = 4
 
 
 @dataclass(frozen=True)
@@ -118,52 +124,47 @@ def race(executions: list[PlanExecution], n_records: int, knobs: RaceKnobs) -> l
     ]
 
 
-def race_closed_form(plans: list[CandidatePlan], collection: Collection,
-                     catalog: IndexCatalog, knobs: RaceKnobs) -> list[TrialStats]:
-    """The stats race() would return for fresh executions of these plans.
+def _race_scans(scans: list[PlanScan], n_records: int,
+                knobs: RaceKnobs) -> tuple[int, list[int]]:
+    """(R, each scan's matches in its first min(R, length) positions).
 
-    Scans every plan in lockstep chunks (max_results positions first, each
-    later chunk twice as long), lowering the bound on R as scan ends and
-    max_results-th matches show up, until R lies inside what was scanned.
-    Within a chunk the plans with the most matches so far go first, so that
-    once one of them fixes R the others scan no further than R.
+    Every scan is masked in lockstep chunks of positions, FIRST_CHUNK_RESULTS
+    * max_results first and each later chunk twice as long, and the bound on
+    R drops as scans end and max_results-th matches show up, until R lies
+    inside what was masked. Within a chunk the scans with the most matches
+    so far go first, so that once one of them fixes R the others mask no
+    further than R. A chunk's mask is one bytes.translate of a bucket column
+    per filter, with exact checks only in boundary buckets (PlanScan.mask),
+    and scans with equal masks, such as IXSCAN_A and IXSCAN_AB over an A
+    without ties, are masked once.
     """
-    if not plans:
-        raise NoCandidatesError("race needs at least one candidate execution")
-    scans = [plan_scan(p, collection, catalog) for p in plans]
+    distinct: dict[tuple, int] = {}
+    slots = [distinct.setdefault(s.mask_key, len(distinct)) for s in scans]
+    unique = [scans[slots.index(k)] for k in range(len(distinct))]
     m = knobs.max_results
-    rounds = min(math.ceil(knobs.max_rounds(len(collection))),
-                 min(s.length + 1 for s in scans))
-    results = [0] * len(scans)  # matches in each plan's first `done` positions
+    rounds = min(math.ceil(knobs.max_rounds(n_records)),
+                 min(s.length + 1 for s in unique))
+    results = [0] * len(unique)  # matches in each scan's first `done` positions
     done = 0
-    chunk = m
+    chunk = FIRST_CHUNK_RESULTS * m
     while done < rounds:
         hi = min(done + chunk, rounds)
         masks = {}
-        for k in sorted(range(len(scans)), key=results.__getitem__, reverse=True):
-            mask = masks[k] = scans[k].mask(done, min(hi, rounds, scans[k].length))
-            count = mask.count(True)
+        for k in sorted(range(len(unique)), key=results.__getitem__, reverse=True):
+            mask = masks[k] = unique[k].mask(done, min(hi, rounds, unique[k].length))
+            count = mask.count(1)
             need = m - results[k]
             if count >= need:
-                # 1-based scan position of this plan's max_results-th match
+                # 1-based scan position of this scan's max_results-th match
                 nth = next(islice(compress(range(len(mask)), mask), need - 1, None))
                 rounds = done + nth + 1
             results[k] += count
         if rounds < hi:  # the race ended inside this chunk: drop matches past it
             for k, mask in masks.items():
-                results[k] -= mask[rounds - done:].count(True)
+                results[k] -= mask[rounds - done:].count(1)
         done = hi
         chunk *= 2
-    return [
-        TrialStats(
-            plan_id=p.id,
-            works=rounds,
-            results=r,
-            reached_eof=rounds == s.length + 1,
-            has_fetch=p.has_fetch,
-        )
-        for p, s, r in zip(plans, scans, results)
-    ]
+    return rounds, [results[k] for k in slots]
 
 
 def score_plan(stats: TrialStats, variant: OptimizerVariant) -> Score:
@@ -234,16 +235,28 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     With the cache on (ON_NO_REPLAN), a shape hit skips the race and reuses
     the cached plan unconditionally; a miss races and caches the winner.
     """
-    shape = query_shape(query)
     use_cache = cache is not None and cache_mode is not CacheMode.OFF
     if use_cache:
+        shape = query_shape(query)
         entry = cache.get(shape)
         if entry is not None:
             return OptimizeResult(entry.plan_id, [], [], [], from_cache=True)
 
-    candidates = enumerate_candidates(query, catalog, variant)
-    stats = race_closed_form(candidates, collection, catalog, knobs)
+    plans = shape_candidates(query, catalog, variant)
+    scans = shape_scans(plans, query, collection, catalog)
+    rounds, results = _race_scans(scans, len(collection), knobs)
+    stats = [
+        TrialStats(
+            plan_id=p.id,
+            works=rounds,
+            results=r,
+            reached_eof=rounds == s.length + 1,
+            has_fetch=p.has_fetch,
+        )
+        for p, s, r in zip(plans, scans, results)
+    ]
     scores = [score_plan(s, variant) for s in stats]
+    candidates = bind_plans(plans, query)
     chosen = pick_best(scores, candidates)
     if use_cache:
         cache.put(PlanCacheEntry(shape=shape, plan_id=chosen))

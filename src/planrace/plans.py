@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import IndexCatalog, Query, RangePredicate, index_name_for
+from .engine import Index, IndexCatalog, Query, RangePredicate, index_name_for, query_shape
 from .errors import NoCandidatesError, UnknownPlanError
 
 
@@ -107,17 +107,20 @@ class CandidatePlan:
         return str(self.id)
 
 
-def _ixscan_plan(query: Query, field: str, other: RangePredicate) -> CandidatePlan:
+def _ixscan_plan(query: Query, plan_id: PlanId) -> CandidatePlan:
+    (field,) = plan_id.key_fields
     pred = query.predicate_on(field)
+    other = next(p for p in query.predicates if p.field != field)
     stages = (
-        IxScanStage(index_name_for((field,)), field, pred.low, pred.high),
+        IxScanStage(plan_id.index_name, field, pred.low, pred.high),
         FetchStage(),
         FilterStage(other),
     )
-    return CandidatePlan(PlanId(PlanKind.IXSCAN, (field,)), stages)
+    return CandidatePlan(plan_id, stages)
 
 
-def _cover_plan(query: Query, key_fields: tuple[str, ...]) -> CandidatePlan:
+def _cover_plan(query: Query, plan_id: PlanId) -> CandidatePlan:
+    key_fields = plan_id.key_fields
     leading = key_fields[0]
     pred = query.predicate_on(leading)
     residuals = tuple(
@@ -126,10 +129,10 @@ def _cover_plan(query: Query, key_fields: tuple[str, ...]) -> CandidatePlan:
         if query.predicate_on(f) is not None
     )
     stages = (
-        IxScanStage(index_name_for(key_fields), leading, pred.low, pred.high),
+        IxScanStage(plan_id.index_name, leading, pred.low, pred.high),
         *residuals,
     )
-    return CandidatePlan(PlanId(PlanKind.IXSCAN_COVER, key_fields), stages)
+    return CandidatePlan(plan_id, stages)
 
 
 def _collscan_plan(query: Query) -> CandidatePlan:
@@ -142,19 +145,26 @@ def _covers(query: Query, key_fields: tuple[str, ...]) -> bool:
     return set(query.projection.fields) <= set(key_fields)
 
 
+def plan_for(query: Query, plan_id: PlanId) -> CandidatePlan:
+    """The plan `plan_id` names, with the query's bounds."""
+    if plan_id.kind is PlanKind.COLLSCAN:
+        return _collscan_plan(query)
+    if plan_id.kind is PlanKind.IXSCAN:
+        return _ixscan_plan(query, plan_id)
+    return _cover_plan(query, plan_id)
+
+
 def _index_plans(query: Query, catalog: IndexCatalog) -> list[CandidatePlan]:
     """One plan per usable index, in catalog order."""
     query_fields = query.fields()
     index_plans: list[CandidatePlan] = []
     for ix in catalog.indexes:
+        if ix.key_fields[0] not in query_fields:
+            continue
         if len(ix.key_fields) == 1:
-            f = ix.key_fields[0]
-            if f in query_fields:
-                other = next(p for p in query.predicates if p.field != f)
-                index_plans.append(_ixscan_plan(query, f, other))
-        else:
-            if ix.key_fields[0] in query_fields and _covers(query, ix.key_fields):
-                index_plans.append(_cover_plan(query, ix.key_fields))
+            index_plans.append(_ixscan_plan(query, PlanId(PlanKind.IXSCAN, ix.key_fields)))
+        elif _covers(query, ix.key_fields):
+            index_plans.append(_cover_plan(query, PlanId(PlanKind.IXSCAN_COVER, ix.key_fields)))
     return index_plans
 
 
@@ -210,3 +220,74 @@ def parse_plan_hint(text: str) -> PlanId:
     except KeyError:
         valid = ", ".join(PLAN_ID_ORDER)
         raise UnknownPlanError(f"unknown plan {text!r}; valid forms: {valid}") from None
+
+
+# ---------------------------------------------------------------------------
+# Plans per query shape. Candidates and producible plans depend on a query's
+# fields, projection and hint, never on its bounds, so every query of a
+# sweep (one shape) has the same plans; only their ranges change.
+
+@dataclass(frozen=True)
+class ShapePlan:
+    """One plan of a query shape, without the query's bounds.
+
+    Bound to a query, its index scan takes its range from the query's
+    predicate on `leading`, and each filter its bounds from the query's
+    predicate on that field (see executor.shape_scans).
+    """
+
+    id: PlanId
+    has_fetch: bool
+    index: Index | None  # the access order; None is record_id order (COLLSCAN)
+    leading: str | None  # the field the index scan's range is on
+    filters: tuple[str, ...]  # the fields filtered, in stage order
+
+
+def _shape_plan(plan: CandidatePlan, catalog: IndexCatalog) -> ShapePlan:
+    first = plan.stages[0]
+    if isinstance(first, CollScanStage):
+        return ShapePlan(plan.id, plan.has_fetch, None, None,
+                         tuple(p.field for p in first.predicates))
+    return ShapePlan(plan.id, plan.has_fetch, catalog.by_name(first.index_name), first.field,
+                     tuple(s.predicate.field for s in plan.stages if isinstance(s, FilterStage)))
+
+
+def shape_candidates(query: Query, catalog: IndexCatalog,
+                     variant: OptimizerVariant = OptimizerVariant.VANILLA,
+                     collscan_allowed: bool = True) -> tuple[ShapePlan, ...]:
+    """enumerate_candidates(query, catalog, variant, collscan_allowed),
+    without the bounds.
+
+    Enumerated for the first query of each shape, hint, variant and gate,
+    and kept in catalog.shape_plans. A failed enumeration is not kept, so
+    it fails again, with the same error, for every query of its shape.
+    """
+    key = ("candidates", query_shape(query), query.hint, variant, collscan_allowed)
+    plans = catalog.shape_plans.get(key)
+    if plans is None:
+        plans = tuple(_shape_plan(p, catalog) for p in
+                      enumerate_candidates(query, catalog, variant, collscan_allowed))
+        catalog.shape_plans[key] = plans
+    return plans
+
+
+def shape_forced(query: Query, catalog: IndexCatalog,
+                 forced: list[PlanId]) -> tuple[ShapePlan, ...]:
+    """The plan hint forcing selects for each of `forced`, without the bounds.
+
+    As hinted_plan on producible_plans(query, catalog): an UnknownPlanError
+    for a plan the query's shape cannot produce. Kept like shape_candidates.
+    """
+    key = ("forced", query_shape(query), tuple(forced))
+    plans = catalog.shape_plans.get(key)
+    if plans is None:
+        producible = producible_plans(query, catalog)
+        plans = tuple(_shape_plan(hinted_plan(producible, plan_id), catalog)
+                      for plan_id in forced)
+        catalog.shape_plans[key] = plans
+    return plans
+
+
+def bind_plans(plans: tuple[ShapePlan, ...], query: Query) -> list[CandidatePlan]:
+    """The shape plans with the query's bounds."""
+    return [plan_for(query, p.id) for p in plans]

@@ -264,3 +264,53 @@ def test_run_unwritable_output_is_one_error_line(tmp_path, data_file, capsys):
     assert main(RUN_ARGS + ["--data", str(data_file), "--dim", "3",
                             "--out", str(out)]) == 1
     assert error_lines(capsys) == [f"error: cannot write {out}: Not a directory"]
+
+
+def test_explain_cost_changes_only_the_printed_times(data_file, capsys):
+    args = ["explain", "--scenario", "covering", "--variant", "mod", "--data", str(data_file),
+            "--lowA", "0", "--highA", "300", "--lowB", "100", "--highB", "1500"]
+    assert main(args) == 0
+    default_out = capsys.readouterr().out
+    assert main(args + ["--cost", "9,1,1"]) == 0
+    costed_out = capsys.readouterr().out
+    times = re.compile(r" time=(\S+)")
+    # time = scan length * step time: COLLSCAN 2000 * c_seq, IXSCAN_A 300 *
+    # (c_idx + c_fetch), IXSCAN_B 1400 * (c_idx + c_fetch), IXSCAN_AB 300 * c_idx
+    assert dict(re.findall(r"candidate (\S+):.* time=(\S+)", default_out)) == {
+        "IXSCAN_A": "1500.0", "IXSCAN_B": "7000.0", "IXSCAN_AB": "300.0", "COLLSCAN": "2000.0"}
+    assert dict(re.findall(r"candidate (\S+):.* time=(\S+)", costed_out)) == {
+        "IXSCAN_A": "600.0", "IXSCAN_B": "2800.0", "IXSCAN_AB": "300.0", "COLLSCAN": "18000.0"}
+    assert times.sub("", costed_out) == times.sub("", default_out)
+
+
+@pytest.fixture(scope="module")
+def zipfian_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("zipf") / "zipf.csv"
+    assert main(["gen", "--n", "5000", "--dist", "zipfian", "--seed", "7",
+                 "--out", str(path)]) == 0
+    return path
+
+
+def test_run_primed_on_skewed_data_reports_unbounded_cells(tmp_path, zipfian_file, capsys):
+    # a cell whose A range matches nothing: IXSCAN_A takes no time, the primed
+    # IXSCAN_B some, so its slowdown is unbounded and its ratio is empty (the
+    # sweep draws about 3.3M queries here, so this test takes seconds)
+    out = tmp_path / "out"
+    rc = main(["run", "--scenario", "both-indexed", "--variant", "vanilla", "--data",
+               str(zipfian_file), "--dim", "10", "--seed", "7", "--cache-primed", "IXSCAN_B",
+               "--out", str(out)])
+    assert rc == 0
+    rows = (out / "results.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cells = [dict(zip(header, row.split(","))) for row in rows[1:]]
+    assert len(cells) == 100
+    unbounded = [c for c in cells if c["ratio"] == ""]
+    assert unbounded
+    for c in unbounded:
+        assert (c["chosen"], c["optimal"], c["t_IXSCAN_A"]) == ("IXSCAN_B", "IXSCAN_A", "0.0")
+        assert float(c["t_IXSCAN_B"]) > 0
+    ratios = [float(c["ratio"]) for c in cells if c["ratio"]]
+    impact = sum((r - 1) * 100 for r in ratios) / len(ratios)
+    last = capsys.readouterr().out.strip().splitlines()[-1]
+    assert last == f"accuracy={sum(c['chosen'] == c['optimal'] for c in cells) / 100:.4f} " \
+                   f"impact={impact:.4f}"

@@ -257,6 +257,30 @@ def test_load_rejects_non_integer(tmp_path):
     assert err.value.line_no == 3
 
 
+@pytest.mark.parametrize("rows,line_no", [
+    ("0,1_000,\u0661\n", 2),
+    ("0,1,2\n1, 7 ,+3\n", 3),
+    ("0,1,2\n1,7,+3\n", 3),
+    ("0,1,2\n1,7,\u0663\n", 3),
+])
+def test_load_rejects_integers_int_would_read(tmp_path, rows, line_no):
+    path = tmp_path / "bad.csv"
+    path.write_text("record_id,A,B\n" + rows, encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="non-integer value") as err:
+        load_dataset(path)
+    assert err.value.line_no == line_no
+
+
+def test_load_accepts_crlf_zero_padding_and_minus(tmp_path, monkeypatch):
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"record_id,A,B\r\n0,05,-3\r\n01,-0,7\r\n")
+    assert load_dataset(path).columns == {"A": [5, 0], "B": [-3, 7]}
+    # without the padded record id the block is in save_dataset's form
+    path.write_bytes(b"record_id,A,B\r\n0,05,-3\r\n1,-0,7\r\n")
+    monkeypatch.setattr(engine, "_parse_lines", None)
+    assert load_dataset(path).columns == {"A": [5, 0], "B": [-3, 7]}
+
+
 def test_load_rejects_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("record_id,A,B\n0,1\n")
@@ -283,7 +307,10 @@ def test_load_rejects_duplicate_field(tmp_path):
 
 
 def reference_load(path):
-    """Field columns of a dataset file, read whole and checked line by line."""
+    """Field columns of a dataset file, read whole and checked line by line.
+
+    Every value must be ASCII digits with an optional leading `-`.
+    """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -301,10 +328,9 @@ def reference_load(path):
         if len(parts) != width:
             raise DatasetFormatError(
                 path, line_no, f"expected {width} columns, found {len(parts)}")
-        try:
-            values = [int(part) for part in parts]
-        except ValueError:
-            raise DatasetFormatError(path, line_no, f"non-integer value in {line!r}") from None
+        if not all(part.isascii() and part.removeprefix("-").isdigit() for part in parts):
+            raise DatasetFormatError(path, line_no, f"non-integer value in {line!r}")
+        values = [int(part) for part in parts]
         if values[0] != line_no - 2:
             raise DatasetFormatError(
                 path, line_no, f"record_id {values[0]} out of order (expected {line_no - 2})")
@@ -351,10 +377,18 @@ def with_rid(new_rid):
     return lambda line: new_rid(line.split(",", 1)[0]) + line[line.index(","):]
 
 
-VALID_EDITS = {
-    "rid-plus": with_rid(lambda rid: "+" + rid),
-    "rid-zero-padded": with_rid(lambda rid: "0" + rid),
-    "rid-space": with_rid(lambda rid: " " + rid),
+def with_field(new_a):
+    def edit(line):
+        rid, a, rest = line.split(",", 2)
+        return ",".join([rid, new_a(a), rest])
+    return edit
+
+
+# record ids written other than as str(row): True if the file stays valid
+RID_EDITS = {
+    "rid-plus": (with_rid(lambda rid: "+" + rid), False),
+    "rid-zero-padded": (with_rid(lambda rid: "0" + rid), True),
+    "rid-space": (with_rid(lambda rid: " " + rid), False),
 }
 FAULTS = {
     "extra-column": lambda line: line + ",1",
@@ -362,6 +396,15 @@ FAULTS = {
     "non-integer": lambda line: line.replace(",", ",x", 1),
     "rid-out-of-order": with_rid(lambda rid: str(int(rid) + 1)),
     "blank-line": lambda line: "\n" + line,
+    # forms int() reads that a dataset file may not hold, in field A
+    "underscore": with_field(lambda a: "1_" + a),
+    "spaces": with_field(lambda a: " " + a + " "),
+    "tab": with_field(lambda a: "\t" + a),
+    "plus": with_field(lambda a: "+" + a),
+    "arabic-indic-digit": with_field(lambda a: a + "\u0661"),
+    # forms int() rejects as well
+    "minus-alone": with_field(lambda a: "-"),
+    "minus-inside": with_field(lambda a: a + "-1"),
 }
 
 
@@ -384,12 +427,19 @@ WHERE = ["first-block", "later-block", "last-line"]
 
 
 @pytest.mark.parametrize("where", WHERE)
-@pytest.mark.parametrize("edit", sorted(VALID_EDITS))
+@pytest.mark.parametrize("edit", sorted(RID_EDITS))
 def test_load_matches_reference_on_other_valid_rids(tmp_path, dataset_texts, edit, where):
+    # `05` is still a valid record id; `+5` and ` 5` are no longer integers
+    # of the file format
     texts, line_nos = dataset_texts
     line_no = line_nos[where]
-    text = edit_line(texts["uniform-distinct"], line_no, VALID_EDITS[edit])
-    assert assert_loads_like_reference(tmp_path / "data.csv", text)[0] == "columns"
+    change, valid = RID_EDITS[edit]
+    text = edit_line(texts["uniform-distinct"], line_no, change)
+    outcome = assert_loads_like_reference(tmp_path / "data.csv", text)
+    if valid:
+        assert outcome[0] == "columns"
+    else:
+        assert outcome[:2] == ("error", line_no)
 
 
 @pytest.mark.parametrize("where", WHERE)

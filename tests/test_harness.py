@@ -166,6 +166,34 @@ def test_measure_all_plans_one_run_keeps_ten_sample_mean(small_world, monkeypatc
     assert times["IXSCAN_AB"] != 37 * 0.3
 
 
+@pytest.mark.parametrize("cost", [COST, CostModel(0.1, 0.3, 0.7)], ids=["default", "fractional"])
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_measure_grid_equals_plan_cost_totals(dist, cost):
+    # measure_grid's closed form against hint forcing through plan_cost_totals,
+    # for every forced plan of every cell of every scenario
+    collection = generate_dataset(600, dist, seed=9)
+    for name, scenario in SCENARIOS.items():
+        catalog = scenario.build_catalog(collection)
+        grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, d=6, seed=4)
+        measure_grid(grid, collection, catalog, scenario, cost, reps=7)
+        for cell in grid.sorted_cells():
+            assert list(cell.per_plan_times.items()) == list(measure_all_plans(
+                cell.query, collection, catalog, scenario.forced_plan_ids(), cost,
+                reps=7).items()), (name, cell.i, cell.j)
+
+
+def test_measure_grid_rejects_unproducible_forced_plan(small_world):
+    collection, _, _ = small_world
+    scenario = get_scenario("covering")
+    catalog = scenario.build_catalog(collection)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, d=2, seed=1)
+    # a projection the compound index does not cover: IXSCAN_AB is not producible
+    for cell in grid.sorted_cells():
+        cell.query = Query(cell.query.predicates)
+    with pytest.raises(UnknownPlanError):
+        measure_grid(grid, collection, catalog, scenario, COST)
+
+
 def test_measure_all_plans_includes_collscan_even_when_never_chosen(small_world):
     collection, _, _ = small_world
     scenario = get_scenario("both-indexed")
@@ -432,12 +460,24 @@ def test_finalize_zero_time_chosen_plan_has_ratio_one():
     assert metrics == SummaryMetrics(accuracy=1.0, impact_pct=0.0)
 
 
-def test_finalize_rejects_positive_time_against_zero_best():
+def test_finalize_leaves_unbounded_ratio_empty():
+    # the chosen COLLSCAN takes time where IXSCAN_A takes none: mischosen,
+    # with no ratio, and left out of the impact mean
     grid = synthetic_grid([
-        (0, 0, "IXSCAN_A", {"IXSCAN_A": 5.0, "COLLSCAN": 9.0}),
+        (0, 0, "IXSCAN_A", {"IXSCAN_A": 5.0, "COLLSCAN": 15.0}),
+        (0, 1, "COLLSCAN", {"IXSCAN_A": 5.0, "COLLSCAN": 15.0}),   # ratio 3.0
         (1, 0, "COLLSCAN", {"IXSCAN_A": 0.0, "COLLSCAN": 2000.0}),
     ])
-    with pytest.raises(PlanraceError, match=r"cell \(1,0\): chosen plan COLLSCAN") as err:
+    _, metrics = finalize(grid)
+    unbounded = grid.cells[(1, 0)]
+    assert (unbounded.optimal, unbounded.ratio) == ("IXSCAN_A", None)
+    assert metrics == SummaryMetrics(accuracy=1 / 3, impact_pct=100.0)
+    assert finalize(grid)[1] == metrics
+
+
+def test_finalize_rejects_grid_without_bounded_ratio():
+    grid = synthetic_grid([(0, 0, "COLLSCAN", {"IXSCAN_A": 0.0, "COLLSCAN": 2000.0})], d=1)
+    with pytest.raises(PlanraceError, match="no slowdown is bounded") as err:
         finalize(grid)
     assert "\n" not in str(err.value)
 
@@ -596,6 +636,8 @@ def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
     (catalog,) = built_catalogs
     for ix in catalog.indexes:
         assert built_parts(ix) == (False, [ix.key_fields[0]])
+        assert ix._bucket_columns == {}
+    assert collection._rank_buckets == {} and collection._bucket_columns == {}
 
 
 COVERING_BA = Scenario("covering-BA", (("B",), ("A",), ("B", "A")),
@@ -610,8 +652,13 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
     run_experiment(scenario, collection, OptimizerVariant.MOD, d=5, seed=3)
     (catalog,) = built_catalogs
     for ix in catalog.indexes:
-        # every plan races, and each index plan filters on its non-leading field
-        assert built_parts(ix) == (True, ["A", "B"])
+        # every plan races; each index plan filters on its non-leading field
+        # through that field's bucket column, not its index-order column; a
+        # compound index in its leading index's order is masked as that one
+        assert built_parts(ix) == (True, [ix.key_fields[0]])
+        other = "B" if ix.key_fields[0] == "A" else "A"
+        shared = ix._base is not None and ix.rids is ix._base.rids
+        assert sorted(ix._bucket_columns) == ([] if shared else [other])
         scratch = build_index(collection, ix.key_fields)
         assert ix.rids == scratch.rids
         assert ix.columns == scratch.columns

@@ -18,7 +18,6 @@ from planrace.optimizer import (
     optimize,
     pick_best,
     race,
-    race_closed_form,
     score_plan,
 )
 from planrace.plans import (
@@ -138,7 +137,8 @@ DIFFERENTIAL_KNOBS = (
 
 @pytest.mark.parametrize("n,dist", [(37, "uniform-with-repeats"),
                                     (400, "uniform-distinct"),
-                                    (1500, "zipfian")])
+                                    (1500, "zipfian"),
+                                    (5000, "uniform-with-repeats")])
 def test_closed_form_race_equals_stepped_race(n, dist):
     rng = random.Random(n)
     collection = generate_dataset(n, dist, seed=n)
@@ -157,18 +157,11 @@ def test_closed_form_race_equals_stepped_race(n, dist):
                     plans = enumerate_candidates(q, catalog, variant)
                     stepped = race([PlanExecution(p, collection, catalog, COST) for p in plans],
                                    n, knobs)
-                    closed = race_closed_form(plans, collection, catalog, knobs)
-                    via_optimize = optimize(q, collection, catalog, variant, knobs).stats
+                    closed = optimize(q, collection, catalog, variant, knobs)
                     races += 1
-                    mismatches += closed != stepped or via_optimize != stepped
-    assert races == 3 * 4 * 3 * 28  # 3024 over the three parametrized datasets
+                    mismatches += closed.stats != stepped or closed.candidates != plans
+    assert races == 3 * 4 * 3 * 28  # 1008 races per dataset
     assert mismatches == 0
-
-
-def test_closed_form_race_rejects_empty():
-    c = generate_dataset(50, "uniform-distinct", seed=3)
-    with pytest.raises(NoCandidatesError):
-        race_closed_form([], c, get_scenario("both-indexed").build_catalog(c), KNOBS)
 
 
 # --- score_plan -----------------------------------------------------------

@@ -6,17 +6,28 @@ import random
 
 import pytest
 
-from planrace.engine import IndexCatalog, RangePredicate, generate_dataset
+from planrace.engine import (
+    IndexCatalog,
+    Projection,
+    Query,
+    RangePredicate,
+    build_index,
+    generate_dataset,
+)
 from planrace.errors import NoCandidatesError, UnknownPlanError
-from planrace.executor import CostModel, PlanExecution, run_to_completion
+from planrace.executor import CostModel, PlanExecution, plan_scan, run_to_completion, shape_scans
 from planrace.plans import (
+    PLAN_ID_ORDER,
     FetchStage,
     OptimizerVariant,
     PlanKind,
+    bind_plans,
     enumerate_candidates,
     hinted_plan,
     parse_plan_hint,
     producible_plans,
+    shape_candidates,
+    shape_forced,
 )
 from planrace.scenarios import SCENARIOS, get_scenario
 
@@ -180,3 +191,76 @@ def test_all_plans_return_oracle_result_set(dataset):
             for plan in enumerate_candidates(q, catalog, OptimizerVariant.MOD):
                 got, _, _ = run_to_completion(PlanExecution(plan, dataset, catalog, COST))
                 assert got == oracle, f"{plan.id} diverged from filter oracle"
+
+
+# --- plans per query shape ------------------------------------------------------
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the PlanraceError it raises."""
+    try:
+        return "plans", fn(*args)
+    except (NoCandidatesError, UnknownPlanError) as exc:
+        return "error", type(exc), str(exc)
+
+
+SHAPE_CATALOGS = [*sorted(SCENARIOS), "no-indexes"]
+HINTS = [None, *(parse_plan_hint(name) for name in PLAN_ID_ORDER)]
+
+
+@pytest.mark.parametrize("collscan_allowed", [True, False])
+@pytest.mark.parametrize("name", SHAPE_CATALOGS)
+def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name, collscan_allowed):
+    rng = random.Random(name)
+    catalog = IndexCatalog() if name == "no-indexes" else catalog_for(name, dataset)
+    projections = [None, Projection(("A", "B")), Projection(("A", "B"), suppress_record_id=False),
+                   Projection(("A",))]
+    errors = 0
+    for variant in OptimizerVariant:
+        for hint in HINTS:
+            for projection in projections:
+                for _ in range(4):  # the first query builds the shape's plans
+                    a0, b0 = rng.randrange(-5, 405), rng.randrange(-5, 405)
+                    q = Query((RangePredicate("A", a0, rng.randrange(a0, 410)),
+                               RangePredicate("B", b0, rng.randrange(b0, 410))),
+                              projection, hint)
+                    want = outcome(enumerate_candidates, q, catalog, variant, collscan_allowed)
+                    got = outcome(shape_candidates, q, catalog, variant, collscan_allowed)
+                    if want[0] == "error":
+                        assert got == want
+                        errors += 1
+                        continue
+                    plans = got[1]
+                    assert bind_plans(plans, q) == want[1]
+                    assert [p.has_fetch for p in plans] == [p.has_fetch for p in want[1]]
+                    assert shape_scans(plans, q, dataset, catalog) == [
+                        plan_scan(p, dataset, catalog) for p in want[1]]
+    # hints the catalog cannot produce; no plan at all without indexes and collscan
+    assert errors > 0
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_shape_forced_bound_equal_hinted_producible_plans(dataset, name):
+    rng = random.Random(name)
+    catalog = catalog_for(name, dataset)
+    forced = get_scenario(name).forced_plan_ids()
+    every = [parse_plan_hint(p) for p in PLAN_ID_ORDER]
+    for _ in range(20):
+        a0, b0 = rng.randrange(400), rng.randrange(400)
+        q = query_for(name, a0, rng.randrange(a0, 401), b0, rng.randrange(b0, 401))
+        producible = producible_plans(q, catalog)
+        plans = shape_forced(q, catalog, forced)
+        assert plans is shape_forced(q, catalog, forced)  # kept per shape
+        assert bind_plans(plans, q) == [hinted_plan(producible, p) for p in forced]
+        # every known plan: UnknownPlanError where the scenario lacks an index
+        assert outcome(lambda: bind_plans(shape_forced(q, catalog, every), q)) == outcome(
+            lambda: [hinted_plan(producible, p) for p in every])
+
+
+def test_adding_an_index_drops_shape_plans(dataset):
+    catalog = catalog_for("both-indexed", dataset)
+    q = query_for("covering")
+    assert [str(p.id) for p in shape_candidates(q, catalog)] == ["IXSCAN_A", "IXSCAN_B"]
+    catalog.add(build_index(dataset, ("A", "B"), catalog))
+    assert catalog.shape_plans == {}
+    assert [str(p.id) for p in shape_candidates(q, catalog)] == [
+        "IXSCAN_A", "IXSCAN_B", "IXSCAN_AB"]

@@ -106,6 +106,15 @@ def test_impact_heatmap_pixels():
     assert img.rows[1][1] == (200, 0, 0)      # ratio 4.0 saturates
 
 
+def test_unbounded_cell_is_gray_in_heatmap_and_blank_in_csv():
+    # finalize leaves the ratio of a cell with an unbounded slowdown empty
+    grid = tiny_grid()
+    grid.cells[(1, 0)].ratio = None
+    assert impact_heatmap(grid).rows[1][1] == (128, 128, 128)
+    row = results_csv(grid).split("\n")[3].split(",")
+    assert row[:2] == ["1", "0"] and row[6] == ""
+
+
 def test_heatmap_all_white_iff_perfect():
     grid = tiny_grid()
     for c in grid.cells.values():

@@ -20,6 +20,10 @@ MAX_DIM = 1000
 # Forced measurement sums `reps` copies of each plan's time (one list of
 # `reps` references per plan and cell); this keeps that list small.
 MAX_REPS = 1000
+# gen holds about 200 bytes per document while it generates and writes the
+# file (two int objects, two list slots and a line of text: 217 MB peak at
+# 10**6 documents), so this keeps gen within about 2 GB.
+MAX_DOCUMENTS = 10**7
 
 
 def _positive(convert, most: float = math.inf):
@@ -35,6 +39,23 @@ def _positive(convert, most: float = math.inf):
         if value is None or not 0 < value < math.inf or value > most:
             raise argparse.ArgumentTypeError(
                 f"expected a positive number{bound}, got {text!r}")
+        return value
+
+    return parse
+
+
+def _int_at_most(most: int):
+    """argparse type: an integer no larger than `most`; smaller ones,
+    zero and negative ones included, are left to the command to judge."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value > most:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer at most {most}, got {text!r}")
         return value
 
     return parse
@@ -76,7 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a dataset file")
-    gen.add_argument("--n", type=int, required=True, help="number of documents")
+    gen.add_argument("--n", type=_int_at_most(MAX_DOCUMENTS), required=True,
+                     help=f"number of documents, at most {MAX_DOCUMENTS}")
     gen.add_argument("--dist", default="uniform-distinct", choices=engine.DISTRIBUTIONS)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output CSV path")

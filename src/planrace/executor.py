@@ -65,9 +65,9 @@ class PlanScan:
     for index plans, record_id order for COLLSCAN (index is None there, as a
     position is its own record id). A position matches when each filter
     (field, low, high) holds low <= value < high for its record's value of
-    that field. Stepping and the closed-form race both read a plan's scan
-    from here: stepping compares each position's value (filter_columns),
-    the race masks whole chunks of positions through bucket columns (mask).
+    that field. Stepping reads a plan's scan from here and compares each
+    position's value (filter_columns); mask gives the same matches for a
+    chunk of positions through match_mask, the closed-form race's kernel.
     """
 
     start: int
@@ -107,41 +107,39 @@ class PlanScan:
                              for f, low, high in self.filters]
         return self._masking
 
-    @property
-    def mask_key(self) -> tuple:
-        """Equal for scans whose masks are equal: the same positions of the
-        same access order (the same record id list) under the same filters."""
-        return (None if self.index is None else id(self.index.rids),
-                self.start, self.end, self.filters)
-
     def mask(self, lo: int, hi: int) -> bytes:
-        """1 for each of the scan's positions lo..hi-1 (counted from 0) that
-        matches, 0 for the others.
+        """match_mask of the scan's positions lo..hi-1 (counted from 0)."""
+        return match_mask(self._mask_filters(), self.rids, self.start + lo, self.start + hi)
 
-        A filter's mask is the slice of its bucket column translated by its
-        table (RankBuckets.table): a position in a bucket wholly inside or
-        outside the range is decided there, and only a position marked 2
-        has its value read, through rids, and compared. The filters' masks
-        are ANDed as integers.
-        """
-        a, b = self.start + lo, self.start + hi
-        out = None
-        for buckets, table, column, low, high in self._mask_filters():
-            m = buckets[a:b].translate(table)
-            k = m.find(2)
-            if k >= 0:
-                rids = self.rids
-                m = bytearray(m)
-                while k >= 0:
-                    value = column[a + k] if rids is None else column[rids[a + k]]
-                    m[k] = low <= value < high
-                    k = m.find(2, k + 1)
-            if out is None:
-                out = m
-            else:
-                out = (int.from_bytes(out, "little") & int.from_bytes(m, "little")).to_bytes(
-                    b - a, "little")
-        return b"\1" * (b - a) if out is None else out
+
+def match_mask(filters, rids: list[int] | None, a: int, b: int) -> bytes:
+    """1 for each position a..b-1 of an access order that matches every
+    filter, 0 for the others.
+
+    A filter is (bucket column in the access order, translate table,
+    record_id-order column, low, high). Its mask is the slice of its bucket
+    column translated by its table (RankBuckets.table): a position in a
+    bucket wholly inside or outside [low, high) is decided there, and only
+    a position marked 2 has its value read, through rids (None for
+    record_id order), and compared. The filters' masks are ANDed as
+    integers.
+    """
+    out = None
+    for buckets, table, column, low, high in filters:
+        m = buckets[a:b].translate(table)
+        k = m.find(2)
+        if k >= 0:
+            m = bytearray(m)
+            while k >= 0:
+                value = column[a + k] if rids is None else column[rids[a + k]]
+                m[k] = low <= value < high
+                k = m.find(2, k + 1)
+        if out is None:
+            out = m
+        else:
+            out = (int.from_bytes(out, "little") & int.from_bytes(m, "little")).to_bytes(
+                b - a, "little")
+    return b"\1" * (b - a) if out is None else out
 
 
 def _scan_bounds(plan: CandidatePlan, collection: Collection,
@@ -186,16 +184,6 @@ def shape_ranges(plans: tuple[ShapePlan, ...], query: Query,
             span = positions[f] = plan.index.range_positions(pred.low, pred.high)
         ranges.append(span)
     return ranges
-
-
-def shape_scans(plans: tuple[ShapePlan, ...], query: Query, collection: Collection,
-                catalog: IndexCatalog) -> list[PlanScan]:
-    """The scan of each shape plan bound to the query: plan_scan's scans of
-    the plans bind_plans gives, without building the plans."""
-    bounds = {p.field: (p.field, p.low, p.high) for p in query.predicates}
-    return [PlanScan(start, end, plan.index, tuple(map(bounds.__getitem__, plan.filters)),
-                     collection, catalog)
-            for plan, (start, end) in zip(plans, shape_ranges(plans, query, len(collection)))]
 
 
 def step_time(kind: PlanKind, cost: CostModel) -> float:

@@ -2,7 +2,9 @@
 
 The harness drives the optimizer over a D x D grid of (e_A, e_B)
 selectivities. Random range queries are drawn until every cell has been
-visited once; each visited cell records the optimizer's choice. Every plan
+visited once; each visited cell records the optimizer's choice. The sweep
+is two stages: a forked worker draws the cells (draw_cells) while the main
+process races each one as it arrives (sweep). Every plan
 in the scenario's forced set (collection scan included, whether or not the
 optimizer would consider it) is then timed over repeated runs, outliers are
 dropped with the 1.5 IQR rule, and each cell's chosen plan is compared
@@ -12,9 +14,14 @@ against the true argmin to yield an accuracy fraction and a mean slowdown.
 from __future__ import annotations
 
 import gc
+import marshal
 import math
+import os
 import random
+import signal
+import threading
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -157,71 +164,60 @@ def _mean_of_reps(t: float, reps: int) -> float:
     return sum([t] * reps) / reps
 
 
-def _direct_fill_queries(scenario: Scenario, collection: Collection,
-                         catalog: IndexCatalog, missing: list[tuple[int, int]],
-                         d: int) -> list[tuple[int, int, Query, int, int]]:
+def _direct_fill_cells(collection: Collection, catalog: IndexCatalog,
+                       missing: list[tuple[int, int]], d: int) -> list[tuple[int, ...]]:
     # Construct a query per unvisited cell targeting the cell's center
     # selectivity; exact for distinct uniform values, best effort otherwise.
     n = len(collection)
     out = []
     for (i, j) in missing:
-        counts = []
-        preds = []
+        bounds, counts = [], []
         for field_name, cell_idx in (("A", i), ("B", j)):
             target = max(1, ((2 * cell_idx + 1) * n) // (2 * d))
             lo, _ = collection.value_bounds(field_name)
-            pred = RangePredicate(field_name, lo, lo + target)
-            preds.append(pred)
-            counts.append(match_count(collection, pred, catalog))
-        out.append((i, j, scenario.make_query(preds[0], preds[1]), counts[0], counts[1]))
+            bounds += [lo, lo + target]
+            counts.append(match_count(collection, RangePredicate(field_name, lo, lo + target),
+                                      catalog))
+        out.append((i, j, *bounds, *counts))
     return out
 
 
-def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
-          variant: OptimizerVariant, d: int, seed: int,
-          knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None,
-          cache_mode: CacheMode = CacheMode.OFF) -> ExperimentGrid:
-    """Fill every grid cell with a random query and the optimizer's choice.
+def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int):
+    """Yield the cells the sweep fills, in fill order, then its counters.
+
+    A cell is (i, j, low_a, high_a, low_b, high_b, count_a, count_b): the
+    cell's coordinates, the bounds of its query's A and B ranges and their
+    match counts. The last item is (draws, rejections, filled_directly).
 
     Each draw is what two rand_range_predicate calls (A's, then B's) and two
-    match_count calls would give, inlined: most draws land in a filled cell,
-    so only a draw that fills a new one builds its predicates and query.
-
-    rand_range_predicate's randint(lo, hi) is randrange(lo, hi + 1), and on
-    CPython 3.10 to 3.13 randrange(lo, lo + n) is lo + r for the first
-    r = getrandbits(n.bit_length()) below n (Random._randbelow_with_getrandbits).
-    The loop takes those getrandbits calls directly, so it reads the same
-    stream without randrange's two Python frames per value. A width is drawn
-    below the field's domain size, whose bit length is fixed; the low bound
-    is drawn below domain size - width + 1.
+    match_count calls would give, inlined. rand_range_predicate's
+    randint(lo, hi) is randrange(lo, hi + 1), and on CPython 3.10 to 3.13
+    randrange(lo, lo + n) is lo + r for the first r = getrandbits(n.bit_length())
+    below n (Random._randbelow_with_getrandbits). The loop takes those
+    getrandbits calls directly, so it reads the same stream without
+    randrange's two Python frames per value. A width is drawn below the
+    field's domain size, whose bit length is fixed; the low bound is drawn
+    below domain size - width + 1. A draw whose A count falls in a full row
+    is rejected without B's bisects; B's range is drawn all the same.
     """
     rng = random.Random(seed)
     n = len(collection)
-    grid = ExperimentGrid(d=d)
-    cells = grid.cells
     a_lo, a_hi = collection.value_bounds("A")
     b_lo, b_hi = collection.value_bounds("B")
     a_values = count_column(collection, "A", catalog)
     b_values = count_column(collection, "B", catalog)
-
-    def record(i: int, j: int, query: Query, count_a: int, count_b: int) -> None:
-        result = optimize(query, collection, catalog, variant, knobs,
-                          cache=cache, cache_mode=cache_mode)
-        cells[(i, j)] = GridCell(
-            i=i, j=j, e_a=count_a / n, e_b=count_b / n,
-            query=query, chosen=str(result.chosen))
-
     getrandbits = rng.getrandbits
     a_size = a_hi - a_lo + 1
     b_size = b_hi - b_lo + 1
     a_bits = a_size.bit_length()
     b_bits = b_size.bit_length()
     filled = bytearray(d * d)  # filled[i * d + j]: cell (i, j) holds a query
+    open_in_row = [d] * d  # the cells of each row not filled yet
     cap = REJECTION_CAP
     last = d - 1
-    size = d * d
+    left = d * d
     draws = rejections = misses = 0
-    while len(cells) < size:
+    while left:
         # width - 1 below the domain size, then the low bound's offset below
         # the domain size - width + 1, for A and then for B
         r = getrandbits(a_bits)
@@ -244,32 +240,148 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
         high_b = low_b + r + 1
         draws += 1
         count_a = bisect_left(a_values, high_a) - bisect_left(a_values, low_a)
-        count_b = bisect_left(b_values, high_b) - bisect_left(b_values, low_b)
         # _cell_from_count, inlined
         i = count_a * d // n
         if i > last:
             i = last
-        j = count_b * d // n
-        if j > last:
-            j = last
-        if filled[i * d + j]:
-            rejections += 1
-            misses += 1
-            if misses >= cap:
-                missing = [divmod(k, d) for k in range(size) if not filled[k]]
-                for fi, fj, query, ca, cb in _direct_fill_queries(
-                        scenario, collection, catalog, missing, d):
-                    record(fi, fj, query, ca, cb)
-                grid.filled_directly = len(missing)
+        if open_in_row[i]:
+            count_b = bisect_left(b_values, high_b) - bisect_left(b_values, low_b)
+            j = count_b * d // n
+            if j > last:
+                j = last
+            k = i * d + j
+            if not filled[k]:
+                misses = 0
+                filled[k] = 1
+                open_in_row[i] -= 1
+                left -= 1
+                yield i, j, low_a, high_a, low_b, high_b, count_a, count_b
+                continue
+        rejections += 1
+        misses += 1
+        if misses >= cap:
+            missing = [divmod(k, d) for k in range(d * d) if not filled[k]]
+            yield from _direct_fill_cells(collection, catalog, missing, d)
+            yield draws, rejections, len(missing)
+            return
+    yield draws, rejections, 0
+
+
+# Cells per batch the draw worker writes to its pipe; the first batches
+# reach the racing process after a few draws.
+WORKER_BATCH = 32
+
+
+def _draw_worker(write_fd: int, collection: Collection, catalog: IndexCatalog,
+                 d: int, seed: int) -> None:
+    """The forked worker: write draw_cells' items to the pipe in marshalled
+    batches, or the error that stopped it as a str; never returns."""
+    code = 1
+    try:
+        with open(write_fd, "wb") as out:
+            try:
+                batch = []
+                for item in draw_cells(collection, catalog, d, seed):
+                    batch.append(item)
+                    if len(batch) == WORKER_BATCH:
+                        marshal.dump(batch, out)
+                        out.flush()
+                        batch = []
+                marshal.dump(batch, out)
+                code = 0
+            except Exception as exc:
+                marshal.dump(f"{type(exc).__name__}: {exc}", out)
+    finally:
+        # skip the forking process's cleanup: its exit handlers, its
+        # buffered output and the frames above this one are not the worker's
+        os._exit(code)
+
+
+def _overlap_draws() -> bool:
+    """Whether sweep draws in a forked worker: os.fork exists, this process
+    runs no other thread (whose locks a forked child could never take) and
+    it may run on more than one CPU. On one CPU the worker cannot overlap
+    the races and only adds its own cost."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return False
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _cells_from_worker(collection: Collection, catalog: IndexCatalog, d: int, seed: int):
+    """draw_cells' items, drawn by a forked worker process.
+
+    A worker that fails, or whose stream ends before the counters, makes
+    this raise a PlanraceError. However the reader stops, closing this
+    generator kills and reaps the worker. When no pipe or process can be
+    had, the cells are drawn in this process.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+    except OSError:
+        yield from draw_cells(collection, catalog, d, seed)
+        return
+    if pid == 0:
+        os.close(read_fd)
+        _draw_worker(write_fd, collection, catalog, d, seed)
+    os.close(write_fd)
+    reaped = False
+    try:
+        with open(read_fd, "rb") as stream:
+            while True:
+                try:
+                    batch = marshal.load(stream)
+                except (EOFError, ValueError):  # the end, or a batch cut short
+                    break
+                if isinstance(batch, str):
+                    raise PlanraceError(f"the sweep's draw worker failed: {batch}")
+                yield from batch
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise PlanraceError(f"the sweep's draw worker stopped before its last cell ({how})")
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
+          variant: OptimizerVariant, d: int, seed: int,
+          knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None,
+          cache_mode: CacheMode = CacheMode.OFF) -> ExperimentGrid:
+    """Fill every grid cell with a random query and the optimizer's choice.
+
+    Two stages: a forked worker process draws the cells (draw_cells) and
+    streams them through a pipe, while this process builds each cell's
+    query, races it (optimize) and records the choice, in fill order. Where
+    the two cannot overlap (_overlap_draws), draw_cells runs in this
+    process; the cells and the grid are the same either way.
+    """
+    n = len(collection)
+    grid = ExperimentGrid(d=d)
+    cells = grid.cells
+    make_query = scenario.make_query
+    draw = _cells_from_worker if _overlap_draws() else draw_cells
+    with closing(draw(collection, catalog, d, seed)) as items:
+        for item in items:
+            if len(item) == 3:
+                grid.draws, grid.rejections, grid.filled_directly = item
                 break
-            continue
-        misses = 0
-        filled[i * d + j] = 1
-        query = scenario.make_query(RangePredicate("A", low_a, high_a),
-                                    RangePredicate("B", low_b, high_b))
-        record(i, j, query, count_a, count_b)
-    grid.draws = draws
-    grid.rejections = rejections
+            i, j, low_a, high_a, low_b, high_b, count_a, count_b = item
+            query = make_query(RangePredicate("A", low_a, high_a),
+                               RangePredicate("B", low_b, high_b))
+            result = optimize(query, collection, catalog, variant, knobs,
+                              cache=cache, cache_mode=cache_mode)
+            cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
+                                     query=query, chosen=str(result.chosen))
     return grid
 
 

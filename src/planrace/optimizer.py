@@ -8,8 +8,9 @@ race with the same number of work units.
 
 race() steps that protocol through PlanExecution.work() and is the
 reference. optimize() computes the same outcome in closed form
-(_race_scans), from the plans of the query's shape (plans.shape_candidates)
-bound to its bounds: the race runs
+(_race_scans) over the distinct scans of the query's shape (RaceLayout,
+kept per shape next to plans.shape_candidates) bound to its bounds: the
+race runs
     R = min(ceil(max_rounds), min_p(s_p + 1), min_p(q_p))
 rounds, where s_p is plan p's scan length and q_p the scan position of its
 max_results-th match; every plan then has R works, reached EOF iff
@@ -22,7 +23,10 @@ with productivity = results / works, a tie-break unit of
 min(1 / (10 * works), 1e-4) granted once per absent penalty flag (fetch,
 blocking sort, index intersection), and an EOF bonus of 1. The "mod"
 variant halves productivity for any plan containing a fetch, compensating
-for the fetch cost hidden inside its single work unit.
+for the fetch cost hidden inside its single work unit. optimize() picks
+the winner from R, the results and the scan lengths with that arithmetic
+(race_winner) and keeps them as its OptimizeResult, from which the bound
+candidates, their TrialStats and Scores are derived when read.
 """
 
 from __future__ import annotations
@@ -32,10 +36,25 @@ import math
 from dataclasses import dataclass, field
 from itertools import compress, islice
 
-from .engine import Collection, IndexCatalog, Query, query_shape
+from .engine import (
+    Collection,
+    IndexCatalog,
+    Query,
+    RankBuckets,
+    bucket_column,
+    query_shape,
+    rank_buckets,
+)
 from .errors import NoCandidatesError, UndefinedProductivityError
-from .executor import PlanExecution, PlanScan, WorkState, shape_scans
-from .plans import CandidatePlan, OptimizerVariant, PlanId, bind_plans, shape_candidates
+from .executor import PlanExecution, WorkState, match_mask, shape_ranges
+from .plans import (
+    CandidatePlan,
+    OptimizerVariant,
+    PlanId,
+    ShapePlan,
+    bind_plans,
+    shape_candidates,
+)
 
 TIE_BREAK_CAP = 1e-4
 
@@ -124,9 +143,81 @@ def race(executions: list[PlanExecution], n_records: int, knobs: RaceKnobs) -> l
     ]
 
 
-def _race_scans(scans: list[PlanScan], n_records: int,
+@dataclass(frozen=True)
+class RaceLayout:
+    """What the races of one query shape read, found at its first race.
+
+    plans are the shape's candidates (plans.shape_candidates). Plans that
+    scan the same access order (the same record id list, or record_id
+    order) from the same leading field under the same filter fields scan
+    the same positions for every query, so they share one of `scans`:
+    IXSCAN_A and IXSCAN_AB over an A without repeated values. A scan is
+    (the position in plans of its first plan, rids or None for record_id
+    order, filters), each filter (field, bucket column in the access order,
+    record_id-order column); slots[p] is the scan of plans[p]. `buckets`
+    holds the rank buckets of each filtered field.
+    """
+
+    plans: tuple[ShapePlan, ...]
+    slots: tuple[int, ...]
+    scans: tuple[tuple, ...]
+    buckets: dict[str, RankBuckets]
+
+
+def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection,
+                  catalog: IndexCatalog) -> RaceLayout:
+    distinct: dict[tuple, int] = {}
+    slots = []
+    scans = []
+    buckets: dict[str, RankBuckets] = {}
+    for p, plan in enumerate(plans):
+        rids = None if plan.index is None else plan.index.rids
+        key = (plan.leading, None if rids is None else id(rids), plan.filters)
+        slot = distinct.get(key)
+        if slot is None:
+            slot = distinct[key] = len(scans)
+            for f in plan.filters:
+                if f not in buckets:
+                    buckets[f] = rank_buckets(collection, f, catalog)
+            scans.append((p, rids, tuple(
+                (f, bucket_column(collection, f, plan.index, catalog), collection.columns[f])
+                for f in plan.filters)))
+        slots.append(slot)
+    return RaceLayout(plans, tuple(slots), tuple(scans), buckets)
+
+
+def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
+                variant: OptimizerVariant) -> RaceLayout:
+    """The race layout of the query's shape, hint and variant, kept in
+    catalog.shape_plans next to the shape's plans."""
+    key = ("race", query_shape(query), query.hint, variant)
+    layout = catalog.shape_plans.get(key)
+    if layout is None:
+        plans = shape_candidates(query, catalog, variant)
+        layout = catalog.shape_plans[key] = _build_layout(plans, collection, catalog)
+    return layout
+
+
+def bind_layout(layout: RaceLayout, query: Query,
+                n_records: int) -> list[tuple[int, int, list[int] | None, list]]:
+    """The layout's scans for the query's bounds: (start, end, rids, the
+    filters as match_mask reads them) of each.
+
+    One bisect pair per leading field gives every range (shape_ranges), and
+    one RankBuckets.table per filtered field every filter's table.
+    """
+    spans = shape_ranges(layout.plans, query, n_records)
+    bounds = {p.field: (p.low, p.high) for p in query.predicates}
+    tables = {f: rb.table(*bounds[f]) for f, rb in layout.buckets.items()}
+    return [(*spans[p], rids,
+             [(column, tables[f], values, *bounds[f]) for f, column, values in filters])
+            for p, rids, filters in layout.scans]
+
+
+def _race_scans(scans: list[tuple[int, int, list[int] | None, list]], n_records: int,
                 knobs: RaceKnobs) -> tuple[int, list[int]]:
-    """(R, each scan's matches in its first min(R, length) positions).
+    """(R, each scan's matches in its first min(R, length) positions) for
+    scans as bind_layout gives them.
 
     Every scan is masked in lockstep chunks of positions, FIRST_CHUNK_RESULTS
     * max_results first and each later chunk twice as long, and the bound on
@@ -134,24 +225,25 @@ def _race_scans(scans: list[PlanScan], n_records: int,
     inside what was masked. Within a chunk the scans with the most matches
     so far go first, so that once one of them fixes R the others mask no
     further than R. A chunk's mask is one bytes.translate of a bucket column
-    per filter, with exact checks only in boundary buckets (PlanScan.mask),
-    and scans with equal masks, such as IXSCAN_A and IXSCAN_AB over an A
-    without ties, are masked once.
+    per filter, with exact checks only in boundary buckets (match_mask).
+    The round budget binds only when it lies below every scan's length + 1,
+    so an infinite budget is never rounded.
     """
-    distinct: dict[tuple, int] = {}
-    slots = [distinct.setdefault(s.mask_key, len(distinct)) for s in scans]
-    unique = [scans[slots.index(k)] for k in range(len(distinct))]
     m = knobs.max_results
-    rounds = min(math.ceil(knobs.max_rounds(n_records)),
-                 min(s.length + 1 for s in unique))
-    results = [0] * len(unique)  # matches in each scan's first `done` positions
+    rounds = min(end - start + 1 for start, end, _, _ in scans)
+    budget = knobs.max_rounds(n_records)
+    if budget < rounds:
+        rounds = math.ceil(budget)
+    results = [0] * len(scans)  # matches in each scan's first `done` positions
     done = 0
     chunk = FIRST_CHUNK_RESULTS * m
     while done < rounds:
         hi = min(done + chunk, rounds)
         masks = {}
-        for k in sorted(range(len(unique)), key=results.__getitem__, reverse=True):
-            mask = masks[k] = unique[k].mask(done, min(hi, rounds, unique[k].length))
+        for k in sorted(range(len(scans)), key=results.__getitem__, reverse=True):
+            start, end, rids, filters = scans[k]
+            mask = masks[k] = match_mask(filters, rids, start + done,
+                                         start + min(hi, rounds, end - start))
             count = mask.count(1)
             need = m - results[k]
             if count >= need:
@@ -164,24 +256,48 @@ def _race_scans(scans: list[PlanScan], n_records: int,
                 results[k] -= mask[rounds - done:].count(1)
         done = hi
         chunk *= 2
-    return rounds, [results[k] for k in slots]
+    return rounds, results
+
+
+def _score_terms(works: int, results: int, reached_eof: bool, has_fetch: bool,
+                 variant: OptimizerVariant) -> tuple[float, float, float, float]:
+    """(productivity, tie-break unit, no-fetch bonus, EOF bonus) of a plan."""
+    if works < 1:
+        raise UndefinedProductivityError("cannot score a plan with zero work units")
+    productivity = results / works
+    if variant is OptimizerVariant.MOD and has_fetch:
+        productivity *= 0.5
+    unit = min(1.0 / (10 * works), TIE_BREAK_CAP)
+    return productivity, unit, 0.0 if has_fetch else unit, 1.0 if reached_eof else 0.0
+
+
+def race_winner(plans: tuple[ShapePlan, ...], rounds: int, results: list[int],
+                lengths: list[int], variant: OptimizerVariant) -> int:
+    """The position of the race's winner among `plans`: the highest
+    score_plan(...).total, summed in Score.total's order (no plan has a
+    blocking sort or an index intersection); exact ties go to the earliest
+    plan, as in pick_best."""
+    best = best_total = None
+    for k, plan in enumerate(plans):
+        productivity, unit, no_fetch, eof = _score_terms(
+            rounds, results[k], rounds == lengths[k] + 1, plan.has_fetch, variant)
+        total = 1.0 + productivity + (no_fetch + unit + unit) + eof
+        if best is None or total > best_total:
+            best, best_total = k, total
+    return best
 
 
 def score_plan(stats: TrialStats, variant: OptimizerVariant) -> Score:
-    if stats.works < 1:
-        raise UndefinedProductivityError("cannot score a plan with zero work units")
-    productivity = stats.results / stats.works
-    if variant is OptimizerVariant.MOD and stats.has_fetch:
-        productivity *= 0.5
-    unit = min(1.0 / (10 * stats.works), TIE_BREAK_CAP)
+    productivity, unit, no_fetch, eof = _score_terms(
+        stats.works, stats.results, stats.reached_eof, stats.has_fetch, variant)
     return Score(
         base=1.0,
         productivity=productivity,
         tie_break_unit=unit,
-        no_fetch_bonus=0.0 if stats.has_fetch else unit,
+        no_fetch_bonus=no_fetch,
         no_sort_bonus=0.0 if stats.has_blocking_sort else unit,
         no_ixisect_bonus=0.0 if stats.has_ixisect else unit,
-        eof_bonus=1.0 if stats.reached_eof else 0.0,
+        eof_bonus=eof,
     )
 
 
@@ -218,11 +334,37 @@ class CacheMode(enum.Enum):
 
 @dataclass
 class OptimizeResult:
+    """The chosen plan and the race that chose it.
+
+    The race is kept as its query, the plans raced, the variant that scored
+    them, R and each plan's results and scan length; candidates, stats and
+    scores are derived from it on each read. A result from the plan cache
+    ran no race: those three are empty.
+    """
+
     chosen: PlanId
-    candidates: list[CandidatePlan]
-    stats: list[TrialStats]
-    scores: list[Score]
     from_cache: bool = False
+    query: Query | None = None
+    plans: tuple[ShapePlan, ...] = ()
+    variant: OptimizerVariant = OptimizerVariant.VANILLA
+    rounds: int = 0
+    results: list[int] = field(default_factory=list)
+    lengths: list[int] = field(default_factory=list)
+
+    @property
+    def candidates(self) -> list[CandidatePlan]:
+        return bind_plans(self.plans, self.query) if self.plans else []
+
+    @property
+    def stats(self) -> list[TrialStats]:
+        r = self.rounds
+        return [TrialStats(plan_id=p.id, works=r, results=results,
+                           reached_eof=r == length + 1, has_fetch=p.has_fetch)
+                for p, results, length in zip(self.plans, self.results, self.lengths)]
+
+    @property
+    def scores(self) -> list[Score]:
+        return [score_plan(s, self.variant) for s in self.stats]
 
 
 def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
@@ -230,7 +372,8 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
              knobs: RaceKnobs = RaceKnobs(),
              cache: PlanCache | None = None,
              cache_mode: CacheMode = CacheMode.OFF) -> OptimizeResult:
-    """Choose a plan: enumerate, race, score, pick; or reuse a cached plan.
+    """Choose a plan: race the shape's candidates, score, pick; or reuse a
+    cached plan.
 
     With the cache on (ON_NO_REPLAN), a shape hit skips the race and reuses
     the cached plan unconditionally; a miss races and caches the winner.
@@ -240,24 +383,15 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
         shape = query_shape(query)
         entry = cache.get(shape)
         if entry is not None:
-            return OptimizeResult(entry.plan_id, [], [], [], from_cache=True)
+            return OptimizeResult(entry.plan_id, from_cache=True)
 
-    plans = shape_candidates(query, catalog, variant)
-    scans = shape_scans(plans, query, collection, catalog)
-    rounds, results = _race_scans(scans, len(collection), knobs)
-    stats = [
-        TrialStats(
-            plan_id=p.id,
-            works=rounds,
-            results=r,
-            reached_eof=rounds == s.length + 1,
-            has_fetch=p.has_fetch,
-        )
-        for p, s, r in zip(plans, scans, results)
-    ]
-    scores = [score_plan(s, variant) for s in stats]
-    candidates = bind_plans(plans, query)
-    chosen = pick_best(scores, candidates)
+    layout = race_layout(query, collection, catalog, variant)
+    scans = bind_layout(layout, query, len(collection))
+    rounds, found = _race_scans(scans, len(collection), knobs)
+    results = [found[k] for k in layout.slots]
+    lengths = [scans[k][1] - scans[k][0] for k in layout.slots]
+    plans = layout.plans
+    chosen = plans[race_winner(plans, rounds, results, lengths, variant)].id
     if use_cache:
         cache.put(PlanCacheEntry(shape=shape, plan_id=chosen))
-    return OptimizeResult(chosen, candidates, stats, scores)
+    return OptimizeResult(chosen, False, query, plans, variant, rounds, results, lengths)

@@ -233,7 +233,7 @@ class ShapePlan:
 
     Bound to a query, its index scan takes its range from the query's
     predicate on `leading`, and each filter its bounds from the query's
-    predicate on that field (see executor.shape_scans).
+    predicate on that field (see optimizer.bind_layout and bind_plans).
     """
 
     id: PlanId

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import re
+import signal
 
 import pytest
 
+from planrace import harness
 from planrace.cli import main
 
 
@@ -314,3 +317,69 @@ def test_run_primed_on_skewed_data_reports_unbounded_cells(tmp_path, zipfian_fil
     last = capsys.readouterr().out.strip().splitlines()[-1]
     assert last == f"accuracy={sum(c['chosen'] == c['optimal'] for c in cells) / 100:.4f} " \
                    f"impact={impact:.4f}"
+
+
+@pytest.mark.parametrize("value", ["10000001", "10000000000000"])
+def test_gen_rejects_too_many_documents(tmp_path, capsys, value):
+    # 10**13 documents ended in a MemoryError traceback
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["gen", "--n", value, "--out", str(out)])
+    assert err.value.code == 2
+    (line,) = error_lines(capsys)
+    assert line.endswith(f"argument --n: expected an integer at most 10000000, got {value!r}")
+    assert not out.exists()
+
+
+def test_huge_coll_fraction_is_an_unbounded_budget(tmp_path, data_file, capsys):
+    # 1e308 * N overflows to inf, which the race rounded: OverflowError
+    reports = {}
+    for fraction in ("2", "1e308"):
+        out = tmp_path / fraction
+        assert main(RUN_ARGS + ["--data", str(data_file), "--dim", "5", "--seed", "3",
+                                "--coll-fraction", fraction, "--out", str(out)]) == 0
+        reports[fraction] = {name: (out / name).read_bytes() for name in
+                             ("results.csv", "chosen.ppm", "optimal.ppm", "impact.ppm")}
+        assert main(EXPLAIN_ARGS + ["--data", str(data_file),
+                                    "--coll-fraction", fraction]) == 0
+        reports[fraction]["explain"] = capsys.readouterr().out.splitlines()[-5:]
+    assert reports["1e308"] == reports["2"]
+
+
+def no_room():
+    raise MemoryError("no room")
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("stop,message", [
+    (no_room, "the sweep's draw worker failed: MemoryError: no room"),
+    (killed, "the sweep's draw worker stopped before its last cell (killed by signal 9)"),
+])
+def test_failed_draw_worker_is_one_error_line(tmp_path, data_file, capsys, monkeypatch,
+                                              stop, message):
+    def failing(collection, catalog, d, seed):
+        yield 0, 0, 0, 1, 0, 1, 1, 1
+        stop()
+
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(harness, "draw_cells", failing)
+    monkeypatch.setattr(harness, "_overlap_draws", lambda: True)
+    monkeypatch.setattr(os, "fork", recorded)
+    out = tmp_path / "x"
+    assert main(RUN_ARGS + ["--data", str(data_file), "--dim", "3", "--out", str(out)]) == 1
+    assert error_lines(capsys) == [f"error: {message}"]
+    assert not out.exists()
+    (pid,) = pids
+    with pytest.raises(ChildProcessError):  # the worker is reaped
+        os.waitpid(pid, os.WNOHANG)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
 import signal
 import statistics
+import threading
+import time
 from bisect import bisect_left
+from contextlib import contextmanager
 
 import pytest
 
@@ -266,8 +270,10 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed,
             if misses >= harness.REJECTION_CAP:
                 missing = [(x, y) for x in range(d) for y in range(d)
                            if (x, y) not in grid.cells]
-                for fi, fj, query, ca, cb in harness._direct_fill_queries(
-                        scenario, collection, catalog, missing, d):
+                for fi, fj, la, ha, lb, hb, ca, cb in harness._direct_fill_cells(
+                        collection, catalog, missing, d):
+                    query = scenario.make_query(RangePredicate("A", la, ha),
+                                                RangePredicate("B", lb, hb))
                     record(fi, fj, query, ca, cb)
                 grid.filled_directly = len(missing)
                 break
@@ -377,6 +383,204 @@ def test_sweep_cache_primed_matches_reference(small_world):
     grid = assert_sweep_matches_reference(scenario, collection, 8, 3, primed="IXSCAN_AB")
     assert {cell.chosen for cell in grid.cells.values()} == {"IXSCAN_AB"}
     assert grid.filled_directly == 0
+
+
+# --- the sweep's draw worker ---------------------------------------------------
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked during the test, with the draw
+    worker used whatever the number of CPUs."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(harness, "_overlap_draws", lambda: True)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def drawn_cells(grid, n):
+    """Every cell in fill order as draw_cells gives it, and the counters."""
+    cells = []
+    for (i, j), cell in grid.cells.items():
+        bounds = {p.field: (p.low, p.high) for p in cell.query.predicates}
+        counts = [round(e * n) for e in (cell.e_a, cell.e_b)]
+        assert [c / n for c in counts] == [cell.e_a, cell.e_b]
+        cells.append((i, j, *bounds["A"], *bounds["B"], *counts))
+    return [*cells, (grid.draws, grid.rejections, grid.filled_directly)]
+
+
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+@pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
+def test_sweep_through_the_worker_equals_in_process_draws(monkeypatch, forks, dist,
+                                                           scenario_name):
+    # zipfian data leaves cells unreachable: the cap ends their search quickly
+    monkeypatch.setattr(harness, "REJECTION_CAP", 5000)
+    collection = generate_dataset(2000, dist, seed=19)
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
+    assert len(forks) == 1
+    assert_reaped(forks)
+    drawn = list(harness.draw_cells(collection, catalog, 8, 5))
+    assert drawn_cells(grid, len(collection)) == drawn
+    monkeypatch.setattr(harness, "_overlap_draws", lambda: False)
+    in_process = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
+    assert len(forks) == 1
+    assert cell_facts(grid) == cell_facts(in_process)
+
+
+def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, small_world):
+    collection, scenario, catalog = small_world
+    cache = primed_cache_for(scenario, parse_plan_hint("IXSCAN_AB"))
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 8, 3,
+                 cache=cache, cache_mode=CacheMode.ON_NO_REPLAN)
+    assert drawn_cells(grid, len(collection)) == list(
+        harness.draw_cells(collection, catalog, 8, 3))
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    tiny = generate_dataset(9, "uniform-distinct", seed=7)
+    both = get_scenario("both-indexed")
+    tiny_catalog = both.build_catalog(tiny)
+    grid = sweep(both, tiny, tiny_catalog, OptimizerVariant.VANILLA, 10, 7)
+    assert grid.filled_directly == 19
+    assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, tiny_catalog, 10, 7))
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+def test_sweep_without_a_process_draws_in_process(monkeypatch, small_world):
+    collection, scenario, catalog = small_world
+
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(harness, "_overlap_draws", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 6, seed=8)
+    assert drawn_cells(grid, len(collection)) == list(
+        harness.draw_cells(collection, catalog, 6, 8))
+
+
+def test_threads_keep_the_draws_in_process(monkeypatch):
+    monkeypatch.setattr(threading, "active_count", lambda: 2)
+    assert not harness._overlap_draws()
+
+
+def cells_then(stop):
+    """A draw_cells that yields 40 cells (more than one batch), then calls stop()."""
+
+    def draw(collection, catalog, d, seed):
+        for k in range(40):
+            yield k // d, k % d, 0, 1, 0, 1, 1, 1
+        stop()
+
+    return draw
+
+
+def boom():
+    raise RuntimeError("boom")
+
+
+def killed():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def hang():
+    while True:
+        time.sleep(1)
+
+
+@pytest.mark.parametrize("stop,message", [
+    (boom, "the sweep's draw worker failed: RuntimeError: boom"),
+    (killed, "the sweep's draw worker stopped before its last cell (killed by signal 9)"),
+    (lambda: None, "the sweep's draw worker stopped before its last cell (exit status 0)"),
+])
+def test_worker_failure_fails_the_sweep_and_reaps_the_worker(monkeypatch, forks,
+                                                              small_world, stop, message):
+    collection, scenario, catalog = small_world
+    monkeypatch.setattr(harness, "draw_cells", cells_then(stop))
+    with pytest.raises(PlanraceError) as err:
+        sweep(scenario, collection, catalog, OptimizerVariant.MOD, 10, seed=1)
+    assert str(err.value) == message
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_sweep_that_stops_reading_reaps_the_worker(monkeypatch, forks, small_world):
+    collection, scenario, catalog = small_world
+    calls = []
+
+    def failing_optimize(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise PlanraceError("optimize failed")
+        return optimize(*args, **kwargs)
+
+    # the worker hangs after its first 40 cells; the sweep fails before it needs more
+    monkeypatch.setattr(harness, "draw_cells", cells_then(hang))
+    monkeypatch.setattr(harness, "optimize", failing_optimize)
+    with deadline(10), pytest.raises(PlanraceError, match="optimize failed"):
+        sweep(scenario, collection, catalog, OptimizerVariant.MOD, 10, seed=1)
+    assert_reaped(forks)
+
+
+@contextmanager
+def deadline(seconds):
+    """SIGALRM raises TimeoutError after `seconds`, then again every second
+    until the block ends, so that a wait on a worker that was never killed
+    fails the test instead of hanging it."""
+
+    def timed_out(signum, frame):
+        signal.alarm(1)
+        raise TimeoutError(f"ran for over {seconds} s")
+
+    handler = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def test_deadline_bounds_a_hung_worker(monkeypatch, forks, small_world):
+    collection, scenario, catalog = small_world
+    monkeypatch.setattr(harness, "draw_cells", lambda *args: hang() or iter(()))
+    with deadline(1), pytest.raises(TimeoutError):
+        sweep(scenario, collection, catalog, OptimizerVariant.MOD, 4, seed=1)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
+    # the cells and counters are the reference's (the differentials above);
+    # here B's range is counted only for draws whose A row has an open cell
+    collection = generate_dataset(300, "uniform-distinct", seed=17)
+    catalog = get_scenario("both-indexed").build_catalog(collection)
+    b_values = count_column(collection, "B", catalog)
+    bisects = {"A": 0, "B": 0}
+
+    def counted(values, x):
+        bisects["B" if values is b_values else "A"] += 1
+        return bisect_left(values, x)
+
+    monkeypatch.setattr(harness, "bisect_left", counted)
+    *cells, (draws, rejections, filled_directly) = harness.draw_cells(collection, catalog, 6, 2)
+    assert len(cells) == 36 and filled_directly == 0
+    assert bisects["A"] == 2 * draws
+    assert 2 * len(cells) <= bisects["B"] < bisects["A"]
 
 
 @pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])

@@ -160,6 +160,8 @@ def test_closed_form_race_equals_stepped_race(n, dist):
                     closed = optimize(q, collection, catalog, variant, knobs)
                     races += 1
                     mismatches += closed.stats != stepped or closed.candidates != plans
+                    mismatches += closed.chosen != pick_best(
+                        [score_plan(st, variant) for st in stepped], plans)
     assert races == 3 * 4 * 3 * 28  # 1008 races per dataset
     assert mismatches == 0
 
@@ -304,6 +306,19 @@ def test_optimize_is_deterministic(collection):
         assert [s.works for s in again.stats] == [s.works for s in first.stats]
 
 
+def test_optimize_result_derives_its_fields_on_each_read(collection):
+    scenario = get_scenario("covering")
+    catalog = scenario.build_catalog(collection)
+    r = optimize(make_query("covering", 0.2, 0.6, collection), collection, catalog,
+                 OptimizerVariant.MOD)
+    for name in ("candidates", "stats", "scores"):
+        first, again = getattr(r, name), getattr(r, name)
+        assert first == again and first is not again and len(first) == 4
+    assert [s.total for s in r.scores] == [score_plan(s, OptimizerVariant.MOD).total
+                                           for s in r.stats]
+    assert r.chosen == pick_best(r.scores, r.candidates)
+
+
 def test_optimize_cache_hit_skips_race(collection):
     scenario = get_scenario("both-indexed")
     catalog = scenario.build_catalog(collection)
@@ -315,7 +330,7 @@ def test_optimize_cache_hit_skips_race(collection):
     r2 = optimize(q2, collection, catalog, cache=cache, cache_mode=CacheMode.ON_NO_REPLAN)
     assert r2.from_cache
     assert r2.chosen == r1.chosen  # primed plan reused even though B would now win
-    assert r2.stats == []
+    assert r2.stats == [] and r2.candidates == [] and r2.scores == []
 
 
 def test_optimize_cache_off_always_races(collection):

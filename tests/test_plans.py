@@ -15,7 +15,8 @@ from planrace.engine import (
     generate_dataset,
 )
 from planrace.errors import NoCandidatesError, UnknownPlanError
-from planrace.executor import CostModel, PlanExecution, plan_scan, run_to_completion, shape_scans
+from planrace.executor import CostModel, PlanExecution, plan_scan, run_to_completion
+from planrace.optimizer import _build_layout, bind_layout
 from planrace.plans import (
     PLAN_ID_ORDER,
     FetchStage,
@@ -232,8 +233,15 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name, collsc
                     plans = got[1]
                     assert bind_plans(plans, q) == want[1]
                     assert [p.has_fetch for p in plans] == [p.has_fetch for p in want[1]]
-                    assert shape_scans(plans, q, dataset, catalog) == [
-                        plan_scan(p, dataset, catalog) for p in want[1]]
+                    # the race layout bound to q scans what plan_scan gives
+                    layout = _build_layout(plans, dataset, catalog)
+                    scans = bind_layout(layout, q, len(dataset))
+                    assert sorted(set(layout.slots)) == list(range(len(scans)))
+                    for slot, plan in zip(layout.slots, want[1]):
+                        start, end, rids, filters = scans[slot]
+                        scan = plan_scan(plan, dataset, catalog)
+                        assert (start, end) == (scan.start, scan.end) and rids is scan.rids
+                        assert filters == scan._mask_filters()
     # hints the catalog cannot produce; no plan at all without indexes and collscan
     assert errors > 0
 

@@ -156,14 +156,15 @@ def cmd_run(parser, args) -> int:
     knobs = RaceKnobs(args.works, args.coll_fraction, args.max_results)
     scenario = get_scenario(args.scenario)
     variant = VARIANTS[args.variant]
-    collection = _load(args.data)
     primed = None
     if args.cache_primed is not None:
+        # checked before the dataset is read, which can take seconds
         try:
             primed = parse_plan_hint(args.cache_primed)
             harness.primed_cache_for(scenario, primed)  # validate executability
         except PlanraceError as exc:
             parser.error(str(exc))
+    collection = _load(args.data)
     grid, metrics = harness.run_experiment(
         scenario, collection, variant, d=args.dim, seed=args.seed, knobs=knobs,
         cost=cost, reps=args.reps, primed=primed)

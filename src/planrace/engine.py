@@ -11,9 +11,11 @@ pays for the rest.
 
 Each field's values fall into at most BUCKETS rank buckets (RankBuckets).
 An access order, record_id order or an index's order, holds a bytes column
-of each field's bucket numbers in that order, built on first use; a range
-filter over a slice of it is one bytes.translate, and only the positions
-in the range's (at most two) boundary buckets need their values compared.
+of each field's bucket numbers in that order, built on first use; the
+record_id order one is scattered from the order of the field's index when
+it has one. A range filter over a slice of it is one bytes.translate, and
+only the positions in the range's (at most two) boundary buckets need
+their values compared.
 
 Dataset files are read in blocks of whole lines; a block in save_dataset's
 own form is checked and converted by a few passes in C, any other block
@@ -49,6 +51,7 @@ class Collection:
                                                   compare=False)
     _bucket_columns: dict[str, bytes] = field(default_factory=dict, repr=False,
                                               compare=False)
+    _record_ids: list[int] | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -66,6 +69,16 @@ class Collection:
             cached = sorted(self.columns[field_name])
             self._sorted_values[field_name] = cached
         return cached
+
+    def record_ids(self) -> list[int]:
+        """The record ids 0..N-1 in order, built on first use.
+
+        Each index sorts a copy of this list, so that every index's record
+        ids are the same int objects.
+        """
+        if self._record_ids is None:
+            self._record_ids = list(range(len(self)))
+        return self._record_ids
 
     def value_bounds(self, field_name: str) -> tuple[int, int]:
         """Smallest and largest value stored for a field."""
@@ -129,7 +142,7 @@ class Index:
         columns = self._collection.columns
         lead = self._leading
         if self._base is None:
-            rids = list(range(len(lead)))
+            rids = list(self._collection.record_ids())
             for f in reversed(self.key_fields):
                 rids.sort(key=columns[f].__getitem__)
             return rids
@@ -392,6 +405,23 @@ class RankBuckets:
         """The bucket number of each value."""
         return bytes(map(self.number, values))
 
+    def numbers_from_order(self, sorted_values: list[int], rids: list[int]) -> bytes:
+        """numbers() of the values in record_id order, from an order of them.
+
+        sorted_values are the field's values in sorted order and rids[k] the
+        record id of sorted_values[k], as in an index leading on the field.
+        Each bucket's values are one run of sorted_values, found by one
+        bisect, and each record id of the run gets the bucket's number.
+        """
+        out = bytearray(len(rids))
+        start = 0
+        for k, top in enumerate(self._tops):
+            end = bisect_left(sorted_values, top)
+            for r in rids[start:end]:
+                out[r] = k
+            start = end
+        return bytes(out)
+
     def table(self, low: int, high: int) -> bytes:
         """bytes.translate table: a bucket's number to 0 when none of its
         values lies in [low, high), 1 when all do, and 2 when some may.
@@ -438,14 +468,23 @@ def bucket_column(collection: Collection, field_name: str, index: Index | None =
     """The field's bucket numbers in an access order, built on first use.
 
     That is record_id order when `index` is None, else the index's order;
-    the column is kept on the collection or on the index. An index that
-    shares its leading index's record ids shares its bucket columns too.
+    the column is kept on the collection or on the index. The record_id
+    order column is scattered from the order of the catalog's single-field
+    index on the field (RankBuckets.numbers_from_order), or, for a field
+    without one, read value by value (RankBuckets.numbers). A column in an
+    index's order is gathered from it through the index's record ids. An
+    index that shares its leading index's record ids shares its bucket
+    columns too.
     """
     if index is None:
         column = collection._bucket_columns.get(field_name)
         if column is None:
             buckets = rank_buckets(collection, field_name, catalog)
-            column = buckets.numbers(collection.columns[field_name])
+            ix = None if catalog is None else catalog.single_field_index(field_name)
+            if ix is None:
+                column = buckets.numbers(collection.columns[field_name])
+            else:
+                column = buckets.numbers_from_order(ix.columns[field_name], ix.rids)
             collection._bucket_columns[field_name] = column
         return column
     column = index._bucket_columns.get(field_name)

@@ -164,24 +164,30 @@ def plan_scan(plan: CandidatePlan, collection: Collection, catalog: IndexCatalog
     return PlanScan(start, end, index, filters, collection, catalog)
 
 
-def shape_ranges(plans: tuple[ShapePlan, ...], query: Query,
-                 n_records: int) -> list[tuple[int, int]]:
+def shape_ranges(plans: tuple[ShapePlan, ...], query: Query, n_records: int,
+                 positions: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
     """(start, end) of each shape plan's scan for the query's bounds.
 
     Two bisects per leading field serve every plan whose index leads on
     it, as such indexes share their sorted leading column's values.
+    `positions`, when given, are those bisects' results already: the
+    (start, end) of each of the query's predicates in that column, in the
+    query's predicate order (count_column gives the same positions).
     """
-    positions: dict[str, tuple[int, int]] = {}
+    spans: dict[str, tuple[int, int]] = {}
+    if positions is not None:
+        ends = iter(positions)
+        spans = {p.field: (start, end) for p, start, end in zip(query.predicates, ends, ends)}
     ranges = []
     for plan in plans:
         f = plan.leading
         if f is None:
             ranges.append((0, n_records))
             continue
-        span = positions.get(f)
+        span = spans.get(f)
         if span is None:
             pred = query.predicate_on(f)
-            span = positions[f] = plan.index.range_positions(pred.low, pred.high)
+            span = spans[f] = plan.index.range_positions(pred.low, pred.high)
         ranges.append(span)
     return ranges
 
@@ -259,7 +265,7 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
     COLLSCAN touches every document once; an index plan touches exactly the
     entries inside its bounds, plus one terminal step each. Equality with the
     stepped protocol is enforced by tests. It is the reference for
-    measure_grid's scan length x step_time from the shape plans' ranges,
+    measure_grid's scan length x step_time from each cell's positions,
     and explain prints it. It reads only the index's leading column.
     """
     start, end, _ = _scan_bounds(plan, collection, catalog)

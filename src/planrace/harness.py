@@ -34,7 +34,7 @@ from .engine import (
     query_shape,
 )
 from .errors import PlanraceError, UnknownPlanError
-from .executor import CostModel, plan_cost_totals, shape_ranges, step_time
+from .executor import CostModel, plan_cost_totals, step_time
 from .optimizer import (
     CacheMode,
     PlanCache,
@@ -59,12 +59,25 @@ REJECTION_CAP = 1_000_000
 
 @dataclass
 class GridCell:
+    """One visited cell: its query, the optimizer's choice and, once
+    measured and finalized, every forced plan's time and the verdict.
+
+    positions are (start_a, end_a, start_b, end_b): where the query's A and
+    B ranges start and end in the fields' sorted values (count_column), so
+    end - start is a range's match count. Every index leading on a field
+    holds those same sorted values, so they are also the scan range of
+    every plan on that field. The sweep gets them from its draws; a cell
+    built otherwise can take them from Index.range_positions, and one
+    without them (None) cannot be measured (measure_grid).
+    """
+
     i: int
     j: int
     e_a: float
     e_b: float
     query: Query
     chosen: str
+    positions: tuple[int, int, int, int] | None = None
     per_plan_times: dict[str, float] = field(default_factory=dict)
     optimal: str | None = None
     ratio: float | None = None
@@ -168,26 +181,32 @@ def _direct_fill_cells(collection: Collection, catalog: IndexCatalog,
                        missing: list[tuple[int, int]], d: int) -> list[tuple[int, ...]]:
     # Construct a query per unvisited cell targeting the cell's center
     # selectivity; exact for distinct uniform values, best effort otherwise.
+    # Each range starts at its field's smallest value, the first of its
+    # sorted values, so its positions there are (0, its match count).
     n = len(collection)
+    lows = {field_name: count_column(collection, field_name, catalog)[0]
+            for field_name in ("A", "B")}
     out = []
     for (i, j) in missing:
-        bounds, counts = [], []
+        bounds, positions = [], []
         for field_name, cell_idx in (("A", i), ("B", j)):
             target = max(1, ((2 * cell_idx + 1) * n) // (2 * d))
-            lo, _ = collection.value_bounds(field_name)
+            lo = lows[field_name]
             bounds += [lo, lo + target]
-            counts.append(match_count(collection, RangePredicate(field_name, lo, lo + target),
-                                      catalog))
-        out.append((i, j, *bounds, *counts))
+            positions += [0, match_count(collection, RangePredicate(field_name, lo, lo + target),
+                                         catalog)]
+        out.append((i, j, *bounds, *positions))
     return out
 
 
 def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int):
     """Yield the cells the sweep fills, in fill order, then its counters.
 
-    A cell is (i, j, low_a, high_a, low_b, high_b, count_a, count_b): the
-    cell's coordinates, the bounds of its query's A and B ranges and their
-    match counts. The last item is (draws, rejections, filled_directly).
+    A cell is (i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b,
+    end_b): the cell's coordinates, the bounds of its query's A and B ranges
+    and those ranges' bisect_left positions in the fields' count_column,
+    whose differences are their match counts (GridCell.positions). The last
+    item is (draws, rejections, filled_directly).
 
     Each draw is what two rand_range_predicate calls (A's, then B's) and two
     match_count calls would give, inlined. rand_range_predicate's
@@ -202,10 +221,13 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
     """
     rng = random.Random(seed)
     n = len(collection)
-    a_lo, a_hi = collection.value_bounds("A")
-    b_lo, b_hi = collection.value_bounds("B")
     a_values = count_column(collection, "A", catalog)
     b_values = count_column(collection, "B", catalog)
+    # the ends of the sorted values are the fields' value_bounds, without
+    # a scan of the columns (which, in the forked worker, would also copy
+    # every page of their int objects before the first cell)
+    a_lo, a_hi = a_values[0], a_values[-1]
+    b_lo, b_hi = b_values[0], b_values[-1]
     getrandbits = rng.getrandbits
     a_size = a_hi - a_lo + 1
     b_size = b_hi - b_lo + 1
@@ -239,14 +261,16 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
         low_b += b_lo
         high_b = low_b + r + 1
         draws += 1
-        count_a = bisect_left(a_values, high_a) - bisect_left(a_values, low_a)
+        start_a = bisect_left(a_values, low_a)
+        end_a = bisect_left(a_values, high_a)
         # _cell_from_count, inlined
-        i = count_a * d // n
+        i = (end_a - start_a) * d // n
         if i > last:
             i = last
         if open_in_row[i]:
-            count_b = bisect_left(b_values, high_b) - bisect_left(b_values, low_b)
-            j = count_b * d // n
+            start_b = bisect_left(b_values, low_b)
+            end_b = bisect_left(b_values, high_b)
+            j = (end_b - start_b) * d // n
             if j > last:
                 j = last
             k = i * d + j
@@ -255,7 +279,7 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
                 filled[k] = 1
                 open_in_row[i] -= 1
                 left -= 1
-                yield i, j, low_a, high_a, low_b, high_b, count_a, count_b
+                yield i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b
                 continue
         rejections += 1
         misses += 1
@@ -363,7 +387,9 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
     streams them through a pipe, while this process builds each cell's
     query, races it (optimize) and records the choice, in fill order. Where
     the two cannot overlap (_overlap_draws), draw_cells runs in this
-    process; the cells and the grid are the same either way.
+    process; the cells and the grid are the same either way. The race and
+    the cell take the ranges' positions that the draws found; the query
+    puts A's range first, as the positions do.
     """
     n = len(collection)
     grid = ExperimentGrid(d=d)
@@ -375,13 +401,15 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
             if len(item) == 3:
                 grid.draws, grid.rejections, grid.filled_directly = item
                 break
-            i, j, low_a, high_a, low_b, high_b, count_a, count_b = item
+            i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b = item
+            positions = (start_a, end_a, start_b, end_b)
             query = make_query(RangePredicate("A", low_a, high_a),
                                RangePredicate("B", low_b, high_b))
             result = optimize(query, collection, catalog, variant, knobs,
-                              cache=cache, cache_mode=cache_mode)
-            cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
-                                     query=query, chosen=str(result.chosen))
+                              cache=cache, cache_mode=cache_mode, positions=positions)
+            cells[(i, j)] = GridCell(i=i, j=j, e_a=(end_a - start_a) / n,
+                                     e_b=(end_b - start_b) / n, query=query,
+                                     chosen=str(result.chosen), positions=positions)
     return grid
 
 
@@ -390,19 +418,32 @@ def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCat
     """Fill per_plan_times for every cell, as measure_all_plans would.
 
     A forced plan's time is its scan length times its step time, which is
-    plan_cost_totals' time; the forced plans are found once per query shape
-    (shape_forced) and their scan lengths from two bisects per field.
+    plan_cost_totals' time. An index plan scans the cell's range of its
+    leading field, end - start of the cell's positions (GridCell.positions);
+    COLLSCAN scans all N records. Each query shape's forced plans are
+    checked once (shape_forced): one the shape cannot produce raises an
+    UnknownPlanError.
     """
     if reps < 1:
         raise ValueError("need at least one sample")
+    n = len(collection)
     forced = scenario.forced_plan_ids()
-    steps = [step_time(plan_id.kind, cost) for plan_id in forced]
-    names = [str(plan_id) for plan_id in forced]
+    # each forced plan's name, step time, and the offset of its range's
+    # start in a cell's positions, None for COLLSCAN
+    offsets = {"A": 0, "B": 2}
+    plans = [(str(plan_id), step_time(plan_id.kind, cost),
+              offsets[plan_id.key_fields[0]] if plan_id.key_fields else None)
+             for plan_id in forced]
+    checked = set()
     for cell in grid.sorted_cells():
-        plans = shape_forced(cell.query, catalog, forced)
-        ranges = shape_ranges(plans, cell.query, len(collection))
-        cell.per_plan_times = {name: _mean_of_reps((end - start) * step, reps)
-                               for name, step, (start, end) in zip(names, steps, ranges)}
+        shape = query_shape(cell.query)
+        if shape not in checked:
+            shape_forced(cell.query, catalog, forced)
+            checked.add(shape)
+        p = cell.positions
+        cell.per_plan_times = {
+            name: _mean_of_reps((n if k is None else p[k + 1] - p[k]) * step, reps)
+            for name, step, k in plans}
 
 
 def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:

@@ -198,15 +198,17 @@ def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
     return layout
 
 
-def bind_layout(layout: RaceLayout, query: Query,
-                n_records: int) -> list[tuple[int, int, list[int] | None, list]]:
+def bind_layout(layout: RaceLayout, query: Query, n_records: int,
+                positions: tuple[int, ...] | None = None
+                ) -> list[tuple[int, int, list[int] | None, list]]:
     """The layout's scans for the query's bounds: (start, end, rids, the
     filters as match_mask reads them) of each.
 
-    One bisect pair per leading field gives every range (shape_ranges), and
-    one RankBuckets.table per filtered field every filter's table.
+    One bisect pair per leading field, or the query's `positions` when
+    given, gives every range (shape_ranges), and one RankBuckets.table per
+    filtered field every filter's table.
     """
-    spans = shape_ranges(layout.plans, query, n_records)
+    spans = shape_ranges(layout.plans, query, n_records, positions)
     bounds = {p.field: (p.low, p.high) for p in query.predicates}
     tables = {f: rb.table(*bounds[f]) for f, rb in layout.buckets.items()}
     return [(*spans[p], rids,
@@ -371,12 +373,17 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
              variant: OptimizerVariant = OptimizerVariant.VANILLA,
              knobs: RaceKnobs = RaceKnobs(),
              cache: PlanCache | None = None,
-             cache_mode: CacheMode = CacheMode.OFF) -> OptimizeResult:
+             cache_mode: CacheMode = CacheMode.OFF,
+             positions: tuple[int, ...] | None = None) -> OptimizeResult:
     """Choose a plan: race the shape's candidates, score, pick; or reuse a
     cached plan.
 
     With the cache on (ON_NO_REPLAN), a shape hit skips the race and reuses
     the cached plan unconditionally; a miss races and caches the winner.
+    `positions`, when the caller has them, are the (start, end) of each of
+    the query's predicates in its field's count_column, in predicate order;
+    the race then takes its scan ranges from them instead of bisecting
+    (shape_ranges).
     """
     use_cache = cache is not None and cache_mode is not CacheMode.OFF
     if use_cache:
@@ -386,7 +393,7 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
             return OptimizeResult(entry.plan_id, from_cache=True)
 
     layout = race_layout(query, collection, catalog, variant)
-    scans = bind_layout(layout, query, len(collection))
+    scans = bind_layout(layout, query, len(collection), positions)
     rounds, found = _race_scans(scans, len(collection), knobs)
     results = [found[k] for k in layout.slots]
     lengths = [scans[k][1] - scans[k][0] for k in layout.slots]

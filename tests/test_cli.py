@@ -129,6 +129,20 @@ def test_run_rejects_unexecutable_primed_plan(tmp_path, data_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("plan,message", [
+    ("BOGUS", "unknown plan 'BOGUS'"),
+    ("IXSCAN_AB", "plan IXSCAN_AB is not executable in scenario 'both-indexed'"),
+])
+def test_run_checks_primed_plan_before_reading_the_dataset(tmp_path, capsys, plan, message):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", "both-indexed", "--variant", "vanilla",
+              "--data", str(missing), "--out", str(tmp_path / "x"), "--cache-primed", plan])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert message in err_text and "cannot read dataset" not in err_text
+
+
 def test_run_rejects_bad_cost_string(tmp_path, data_file):
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "both-indexed", "--variant", "vanilla",
@@ -361,7 +375,7 @@ def killed():
 def test_failed_draw_worker_is_one_error_line(tmp_path, data_file, capsys, monkeypatch,
                                               stop, message):
     def failing(collection, catalog, d, seed):
-        yield 0, 0, 0, 1, 0, 1, 1, 1
+        yield 0, 0, 0, 1, 0, 1, 0, 1, 0, 1
         stop()
 
     pids = []

@@ -150,6 +150,23 @@ def test_compound_index_from_leading_index_equals_full_sort(case, keys):
     assert_index_columns_follow_rids(c, derived)
 
 
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_indexes_share_the_collections_record_id_ints(dist):
+    c = generate_dataset(3000, dist, seed=11)
+    catalog = get_scenario("covering").build_catalog(c)
+    assert c._record_ids is None  # built when an index's order is first read
+    for ix in catalog.indexes:
+        keys = ix.key_fields
+        expected = sorted(range(len(c)), key=lambda rid: (*(c.columns[f][rid] for f in keys), rid))
+        assert ix.rids == expected
+    record_ids = c.record_ids()
+    assert record_ids == list(range(len(c)))
+    by_value = {rid: rid for rid in record_ids}
+    for ix in catalog.indexes:
+        # one int object per record id, whichever index holds it
+        assert all(r is by_value[r] for r in ix.rids)
+
+
 def test_compound_index_shares_leading_index_lists_without_ties():
     c = generate_dataset(500, "uniform-distinct", seed=3)
     catalog = get_scenario("covering").build_catalog(c)

@@ -28,7 +28,7 @@ from planrace.executor import (
     run_to_completion,
 )
 from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
-from planrace.scenarios import get_scenario
+from planrace.scenarios import SCENARIOS, get_scenario
 
 COST = CostModel()
 
@@ -339,3 +339,27 @@ def test_bucket_columns_follow_each_access_order(dist, values):
         for ix in catalog.indexes:
             assert list(bucket_column(collection, f, ix, catalog)) == [
                 number(column[rid]) for rid in ix.rids]
+
+
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_scattered_bucket_columns_equal_numbers(monkeypatch, dist, scenario_name):
+    # numbers() reads each value; with the field's single-field index the
+    # record_id order column is scattered from the index's order instead
+    collection = generate_dataset(2000, dist, seed=13)
+    catalog = get_scenario(scenario_name).build_catalog(collection)
+    for f in ("A", "B"):
+        buckets = rank_buckets(collection, f, catalog)
+        want = buckets.numbers(collection.columns[f])
+        # every access order of the field's sorted values gives the same column
+        for ix in catalog.indexes:
+            if ix.key_fields[0] == f:
+                assert buckets.numbers_from_order(ix.columns[f], ix.rids) == want
+        read = []
+        monkeypatch.setattr(RankBuckets, "numbers",
+                            lambda self, values: read.append(1) or bytes(map(self.number, values)))
+        assert bucket_column(collection, f, None, catalog) == want
+        assert read == ([] if catalog.single_field_index(f) else [1])
+        monkeypatch.undo()
+        for ix in catalog.indexes:
+            assert bucket_column(collection, f, ix, catalog) == bytes(want[r] for r in ix.rids)

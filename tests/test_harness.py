@@ -27,7 +27,7 @@ from planrace.engine import (
     match_count,
 )
 from planrace.errors import PlanraceError, UnknownPlanError
-from planrace.executor import CostModel, plan_cost_totals
+from planrace.executor import CostModel, plan_cost_totals, shape_ranges
 from planrace.harness import (
     ExperimentGrid,
     GridCell,
@@ -44,7 +44,13 @@ from planrace.harness import (
     sweep,
 )
 from planrace.optimizer import CacheMode, RaceKnobs, optimize
-from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
+from planrace.plans import (
+    OptimizerVariant,
+    enumerate_candidates,
+    parse_plan_hint,
+    shape_candidates,
+    shape_forced,
+)
 from planrace.scenarios import SCENARIOS, Scenario, get_scenario
 
 COST = CostModel()
@@ -186,6 +192,29 @@ def test_measure_grid_equals_plan_cost_totals(dist, cost):
                 reps=7).items()), (name, cell.i, cell.j)
 
 
+def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
+    # the direct fill's positions, and positions from Index.range_positions
+    # of cells built by hand, against hint forcing through plan_cost_totals
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    scenario = get_scenario("both-indexed")
+    catalog = scenario.build_catalog(collection)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 10, 7)
+    assert grid.filled_directly == 19
+    by_hand = ExperimentGrid(d=2)
+    for i, (la, ha, lb, hb) in enumerate([(0, 9, 3, 5), (-4, 2, 7, 40)]):
+        query = scenario.make_query(RangePredicate("A", la, ha), RangePredicate("B", lb, hb))
+        a, b = catalog.by_name("A_1"), catalog.by_name("B_1")
+        positions = (*a.range_positions(la, ha), *b.range_positions(lb, hb))
+        by_hand.cells[(i, i)] = GridCell(i=i, j=i, e_a=0.0, e_b=0.0, query=query,
+                                         chosen="COLLSCAN", positions=positions)
+    for g in (grid, by_hand):
+        measure_grid(g, collection, catalog, scenario, COST, reps=3)
+        for cell in g.sorted_cells():
+            assert cell.per_plan_times == measure_all_plans(
+                cell.query, collection, catalog, scenario.forced_plan_ids(), COST, reps=3)
+
+
 def test_measure_grid_rejects_unproducible_forced_plan(small_world):
     collection, _, _ = small_world
     scenario = get_scenario("covering")
@@ -249,11 +278,13 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed,
     a_lo, a_hi = collection.value_bounds("A")
     b_lo, b_hi = collection.value_bounds("B")
 
-    def record(i, j, query, count_a, count_b):
+    def record(i, j, query):
         result = optimize(query, collection, catalog, variant, RaceKnobs(),
                           cache=cache, cache_mode=cache_mode)
+        count_a, count_b = (match_count(collection, p, catalog) for p in query.predicates)
         grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
-                                      query=query, chosen=str(result.chosen))
+                                      query=query, chosen=str(result.chosen),
+                                      positions=reference_positions(query, collection, catalog))
 
     misses = 0
     while not grid.complete:
@@ -270,17 +301,33 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed,
             if misses >= harness.REJECTION_CAP:
                 missing = [(x, y) for x in range(d) for y in range(d)
                            if (x, y) not in grid.cells]
-                for fi, fj, la, ha, lb, hb, ca, cb in harness._direct_fill_cells(
+                for fi, fj, la, ha, lb, hb, *_ in harness._direct_fill_cells(
                         collection, catalog, missing, d):
                     query = scenario.make_query(RangePredicate("A", la, ha),
                                                 RangePredicate("B", lb, hb))
-                    record(fi, fj, query, ca, cb)
+                    record(fi, fj, query)
                 grid.filled_directly = len(missing)
                 break
             continue
         misses = 0
-        record(i, j, scenario.make_query(pred_a, pred_b), count_a, count_b)
+        record(i, j, scenario.make_query(pred_a, pred_b))
     return grid
+
+
+def reference_positions(query, collection, catalog):
+    """(start, end) of each of the query's ranges, flattened: from each index
+    leading on the range's field (all of them agree), else by bisecting the
+    field's sorted values."""
+    positions = []
+    for p in query.predicates:
+        spans = {ix.range_positions(p.low, p.high)
+                 for ix in catalog.indexes if ix.key_fields[0] == p.field}
+        if not spans:
+            values = collection.sorted_values(p.field)
+            spans = {(bisect_left(values, p.low), bisect_left(values, p.high))}
+        (span,) = spans
+        positions += span
+    return tuple(positions)
 
 
 def cell_facts(grid):
@@ -289,7 +336,7 @@ def cell_facts(grid):
     for (i, j), cell in grid.cells.items():
         bounds = [(p.field, p.low, p.high) for p in cell.query.predicates]
         cells.append(((i, j), cell.i, cell.j, bounds, cell.query.projection,
-                      cell.e_a, cell.e_b, cell.chosen))
+                      cell.e_a, cell.e_b, cell.chosen, cell.positions))
     return cells, (grid.draws, grid.rejections, grid.filled_directly)
 
 
@@ -416,10 +463,25 @@ def drawn_cells(grid, n):
     cells = []
     for (i, j), cell in grid.cells.items():
         bounds = {p.field: (p.low, p.high) for p in cell.query.predicates}
-        counts = [round(e * n) for e in (cell.e_a, cell.e_b)]
-        assert [c / n for c in counts] == [cell.e_a, cell.e_b]
-        cells.append((i, j, *bounds["A"], *bounds["B"], *counts))
+        start_a, end_a, start_b, end_b = cell.positions
+        assert [(end_a - start_a) / n, (end_b - start_b) / n] == [cell.e_a, cell.e_b]
+        cells.append((i, j, *bounds["A"], *bounds["B"], *cell.positions))
     return [*cells, (grid.draws, grid.rejections, grid.filled_directly)]
+
+
+def assert_positions_are_scan_ranges(grid, collection, catalog, scenario, variant):
+    """Each cell's positions are its ranges' positions in every index leading
+    on the range's field and the scan range of every candidate and forced
+    plan that leads on it, and their lengths are the cell's selectivities."""
+    n = len(collection)
+    forced = scenario.forced_plan_ids()
+    for cell in grid.cells.values():
+        q = cell.query
+        assert cell.positions == reference_positions(q, collection, catalog)
+        start_a, end_a, start_b, end_b = cell.positions
+        assert (cell.e_a, cell.e_b) == ((end_a - start_a) / n, (end_b - start_b) / n)
+        for plans in (shape_candidates(q, catalog, variant), shape_forced(q, catalog, forced)):
+            assert shape_ranges(plans, q, n, cell.positions) == shape_ranges(plans, q, n)
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
@@ -449,6 +511,8 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
                  cache=cache, cache_mode=CacheMode.ON_NO_REPLAN)
     assert drawn_cells(grid, len(collection)) == list(
         harness.draw_cells(collection, catalog, 8, 3))
+    assert_positions_are_scan_ranges(grid, collection, catalog, scenario,
+                                     OptimizerVariant.VANILLA)
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
     tiny = generate_dataset(9, "uniform-distinct", seed=7)
     both = get_scenario("both-indexed")
@@ -456,6 +520,7 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
     grid = sweep(both, tiny, tiny_catalog, OptimizerVariant.VANILLA, 10, 7)
     assert grid.filled_directly == 19
     assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, tiny_catalog, 10, 7))
+    assert_positions_are_scan_ranges(grid, tiny, tiny_catalog, both, OptimizerVariant.VANILLA)
     assert len(forks) == 2
     assert_reaped(forks)
 
@@ -473,6 +538,37 @@ def test_sweep_without_a_process_draws_in_process(monkeypatch, small_world):
         harness.draw_cells(collection, catalog, 6, 8))
 
 
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_worker_positions_are_every_plans_scan_range(monkeypatch, forks, dist, scenario_name):
+    monkeypatch.setattr(harness, "REJECTION_CAP", 5000)
+    collection = generate_dataset(1000, dist, seed=21)
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 7, seed=6)
+    assert len(forks) == 1
+    assert_positions_are_scan_ranges(grid, collection, catalog, scenario, OptimizerVariant.MOD)
+
+
+def test_draws_and_direct_fill_scan_no_column_for_its_bounds(monkeypatch):
+    # the bounds are the ends of the sorted count columns; the reference
+    # sweeps above, which read value_bounds, hold them equal
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    catalog = get_scenario("both-indexed").build_catalog(collection)
+    calls = []
+    bounds = Collection.value_bounds
+
+    def counted(self, field_name):
+        calls.append(field_name)
+        return bounds(self, field_name)
+
+    monkeypatch.setattr(Collection, "value_bounds", counted)
+    *cells, (_, _, filled_directly) = harness.draw_cells(collection, catalog, 10, 7)
+    assert len(cells) == 100 and filled_directly == 19
+    assert calls == []
+
+
 def test_threads_keep_the_draws_in_process(monkeypatch):
     monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert not harness._overlap_draws()
@@ -483,7 +579,7 @@ def cells_then(stop):
 
     def draw(collection, catalog, d, seed):
         for k in range(40):
-            yield k // d, k % d, 0, 1, 0, 1, 1, 1
+            yield k // d, k % d, 0, 1, 0, 1, 0, 1, 0, 1
         stop()
 
     return draw

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import RangePredicate, generate_dataset
+from planrace.engine import RangePredicate, count_column, generate_dataset
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
@@ -160,6 +161,12 @@ def test_closed_form_race_equals_stepped_race(n, dist):
                     closed = optimize(q, collection, catalog, variant, knobs)
                     races += 1
                     mismatches += closed.stats != stepped or closed.candidates != plans
+                    # the same race from the ranges' positions in the count columns
+                    positions = tuple(
+                        bisect_left(count_column(collection, p.field, catalog), bound)
+                        for p in q.predicates for bound in (p.low, p.high))
+                    mismatches += optimize(q, collection, catalog, variant, knobs,
+                                           positions=positions) != closed
                     mismatches += closed.chosen != pick_best(
                         [score_plan(st, variant) for st in stepped], plans)
     assert races == 3 * 4 * 3 * 28  # 1008 races per dataset

@@ -20,9 +20,10 @@ MAX_DIM = 1000
 # Forced measurement sums `reps` copies of each plan's time (one list of
 # `reps` references per plan and cell); this keeps that list small.
 MAX_REPS = 1000
-# gen holds about 200 bytes per document while it generates and writes the
-# file (two int objects, two list slots and a line of text: 217 MB peak at
-# 10**6 documents), so this keeps gen within about 2 GB.
+# gen holds at most about 165 bytes per document while it generates and
+# writes the file (two int objects and list slots per document before the
+# columns become int64 arrays, then a line of text: 163 MB peak at 10**6
+# documents), so this keeps gen within about 2 GB.
 MAX_DOCUMENTS = 10**7
 
 

@@ -1,13 +1,15 @@
 """Columnar storage: collections, secondary indexes, dataset generation and I/O.
 
 A collection is an immutable, in-memory set of documents with dense record
-ids (0..N-1), stored as one integer column per field in record_id order;
-that order models on-disk sequential scan order. An index is the same
-columns permuted into (key tuple, record_id) order, plus the record ids in
-that order, so a range scan is a contiguous slice found by binary search on
-the leading key's column. An index builds that sorted column up front and
+ids (0..N-1), stored as one int64 array per field in record_id order; that
+order models on-disk sequential scan order. An index is the same columns
+permuted into (key tuple, record_id) order, plus the record ids in that
+order, so a range scan is a contiguous slice found by binary search on the
+leading key's column. An index builds that sorted column up front and
 everything else on first use, so a run that only counts ranges never
-pays for the rest.
+pays for the rest. Every column, sorted copy and record id order is an
+array('q'): 8 bytes per value, where a list of ints holds an 8-byte
+reference and a 32-byte int object.
 
 Each field's values fall into at most BUCKETS rank buckets (RankBuckets).
 An access order, record_id order or an index's order, holds a bytes column
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import random
 import re
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -34,24 +37,49 @@ from itertools import compress, islice, repeat
 from operator import eq, itemgetter, ne
 from pathlib import Path
 
-from .errors import DatasetFormatError, EmptyCollectionError, UnknownFieldError
+from .errors import (
+    DatasetFormatError,
+    EmptyCollectionError,
+    PlanraceError,
+    UnknownFieldError,
+)
 
 DISTRIBUTIONS = ("uniform-distinct", "uniform-with-repeats", "zipfian")
+
+# The values an int64 column holds (MongoDB's NumberLong range).
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
+
+
+def _int64_column(field_name: str, values) -> array:
+    """The values as an array('q'); an array('q') is kept as it is."""
+    if isinstance(values, array) and values.typecode == "q":
+        return values
+    try:
+        return array("q", values)
+    except OverflowError:
+        raise PlanraceError(f"field {field_name!r} holds a value outside the int64 range "
+                            f"[{INT64_MIN}, {INT64_MAX}]") from None
 
 
 @dataclass
 class Collection:
-    """One integer column per field, each in record_id order; dict order is field order."""
+    """One int64 column per field, each in record_id order; dict order is field order.
+
+    Columns given as other sequences of ints are converted to array('q').
+    """
 
     name: str
-    columns: dict[str, list[int]]
-    _sorted_values: dict[str, list[int]] = field(default_factory=dict, repr=False)
+    columns: dict[str, array]
+    _sorted_values: dict[str, array] = field(default_factory=dict, repr=False)
     # rank buckets and record_id-order bucket columns by field, built on first use
     _rank_buckets: dict[str, RankBuckets] = field(default_factory=dict, repr=False,
                                                   compare=False)
     _bucket_columns: dict[str, bytes] = field(default_factory=dict, repr=False,
                                               compare=False)
-    _record_ids: list[int] | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.columns = {f: _int64_column(f, values) for f, values in self.columns.items()}
 
     def __len__(self) -> int:
         return len(next(iter(self.columns.values())))
@@ -60,25 +88,23 @@ class Collection:
     def field_list(self) -> list[str]:
         return list(self.columns)
 
-    def sorted_values(self, field_name: str) -> list[int]:
+    def sorted_values(self, field_name: str) -> array:
         """Sorted copy of one field's column, built once (collections are immutable)."""
         if field_name not in self.columns:
             raise UnknownFieldError(f"collection has no field {field_name!r}")
         cached = self._sorted_values.get(field_name)
         if cached is None:
-            cached = sorted(self.columns[field_name])
-            self._sorted_values[field_name] = cached
+            cached = self._sorted_values[field_name] = array("q", sorted(self.columns[field_name]))
         return cached
 
-    def record_ids(self) -> list[int]:
-        """The record ids 0..N-1 in order, built on first use.
-
-        Each index sorts a copy of this list, so that every index's record
-        ids are the same int objects.
-        """
-        if self._record_ids is None:
-            self._record_ids = list(range(len(self)))
-        return self._record_ids
+    def keep_sorted_values(self, field_name: str, data: bytes) -> None:
+        """Keep `data`, the raw bytes of the field's sorted values (what
+        sorted_values(field_name).tobytes() gives), as its sorted values."""
+        values = array("q", data)
+        if len(values) != len(self):
+            raise PlanraceError(f"{len(values)} sorted values for field {field_name!r} "
+                                f"of {len(self)} documents")
+        self._sorted_values[field_name] = values
 
     def value_bounds(self, field_name: str) -> tuple[int, int]:
         """Smallest and largest value stored for a field."""
@@ -101,20 +127,20 @@ class Index:
     columns are built the first time they are read, and kept: a run that
     never scans an index, such as one that reuses a primed plan, never
     builds them. Indexes are never modified, so two indexes in the same
-    order may share these lists. The closed-form race reads rids and the
+    order may share these arrays. The closed-form race reads rids and the
     fields' bucket columns in index order (bucket_column), never the other
     columns; stepping a plan (PlanExecution) reads those.
     """
 
     def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection,
-                 leading: list[int], base: Index | None = None):
+                 leading: array, base: Index | None = None):
         self.name = name
         self.key_fields = key_fields
         self._collection = collection
         # the single-field index on key_fields[0] this one extends, if any
         self._base = base
         self._leading = leading
-        self._rids: list[int] | None = None
+        self._rids: array | None = None
         self.columns = _IndexColumns(self, {key_fields[0]: leading})
         # bucket columns in index order by field (see bucket_column)
         self._bucket_columns: dict[str, bytes] = {}
@@ -123,12 +149,12 @@ class Index:
         return f"Index(name={self.name!r}, key_fields={self.key_fields!r})"
 
     @property
-    def rids(self) -> list[int]:
+    def rids(self) -> array:
         if self._rids is None:
             self._rids = self._order()
         return self._rids
 
-    def _order(self) -> list[int]:
+    def _order(self) -> array:
         """Record ids in (key tuple, record_id) order.
 
         Stable sorts by the last key first give exactly the order of sorting
@@ -142,30 +168,30 @@ class Index:
         columns = self._collection.columns
         lead = self._leading
         if self._base is None:
-            rids = list(self._collection.record_ids())
+            rids = list(range(len(lead)))
             for f in reversed(self.key_fields):
                 rids.sort(key=columns[f].__getitem__)
-            return rids
+            return array("q", rids)
         if not any(map(eq, lead, islice(lead, 1, None))):
             return self._base.rids
         # positions k >= 1 that start a new leading key
         starts = list(compress(range(1, len(lead)), map(ne, lead, islice(lead, 1, None))))
-        rids = list(self._base.rids)
+        rids = array("q", self._base.rids)
         rest = [columns[f].__getitem__ for f in reversed(self.key_fields[1:])]
         for a, b in zip([0] + starts, starts + [len(lead)]):
             if b - a > 1:
-                run = rids[a:b]
+                run = rids[a:b].tolist()
                 for key in rest:
                     run.sort(key=key)
-                rids[a:b] = run
+                rids[a:b] = array("q", run)
         return rids
 
-    def _gather(self, field_name: str) -> list[int]:
+    def _gather(self, field_name: str) -> array:
         """The field's column in index order."""
         rids = self.rids
         if self._base is not None and rids is self._base.rids:
             return self._base.columns[field_name]
-        return list(map(self._collection.columns[field_name].__getitem__, rids))
+        return array("q", map(self._collection.columns[field_name].__getitem__, rids))
 
     def range_positions(self, low: int, high: int) -> tuple[int, int]:
         """Entry positions [lo, hi) whose leading key lies in [low, high)."""
@@ -178,11 +204,11 @@ class _IndexColumns(Mapping):
     A column is gathered the first time it is read, then kept.
     """
 
-    def __init__(self, index: Index, built: dict[str, list[int]]):
+    def __init__(self, index: Index, built: dict[str, array]):
         self._index = index
         self._built = built
 
-    def __getitem__(self, field_name: str) -> list[int]:
+    def __getitem__(self, field_name: str) -> array:
         column = self._built.get(field_name)
         if column is None:
             if field_name not in self._index._collection.columns:
@@ -202,7 +228,7 @@ class IndexCatalog:
     """Indexes in creation order; order is the downstream tie-break.
 
     shape_plans holds the plans of each query shape in this catalog (see
-    plans.shape_candidates); adding an index drops them.
+    plans.shape_candidates), keyed by shape_key; adding an index drops them.
     """
 
     indexes: list[Index] = field(default_factory=list)
@@ -290,6 +316,17 @@ def query_shape(query: Query) -> str:
     return f"find({preds})|proj({proj})|sort()"
 
 
+def shape_key(query: Query) -> tuple:
+    """A key that two queries share only if they share query_shape: their
+    predicates' fields, in query order, and their projection.
+
+    Cheaper than the shape string, so the per-shape caches use it. Two
+    queries of one shape whose predicates come in different orders have
+    different keys.
+    """
+    return (*[p.field for p in query.predicates], query.projection)
+
+
 def generate_dataset(n: int, distribution: str = "uniform-distinct", seed: int = 0) -> Collection:
     """Build an n-document collection with integer fields A and B.
 
@@ -325,9 +362,10 @@ def build_index(collection: Collection, key_fields,
                 catalog: IndexCatalog | None = None) -> Index:
     """The index on key_fields, named like "A_1_B_1".
 
-    Only the leading key's sorted column is built here (see Index). When
-    `catalog` holds the single-field index on a compound key's leading
-    field, the compound index shares that column and later derives its
+    Only the leading key's sorted column is built here (see Index): it is
+    the collection's sorted_values of the field, shared by every index
+    leading on it. When `catalog` holds the single-field index on a
+    compound key's leading field, the compound index later derives its
     order from that index's (see Index._order).
     """
     key_fields = tuple(key_fields)
@@ -338,11 +376,7 @@ def build_index(collection: Collection, key_fields,
     base = None
     if catalog is not None and len(key_fields) > 1:
         base = catalog.single_field_index(key_fields[0])
-    if base is None:
-        leading = sorted(collection.columns[key_fields[0]])
-    else:
-        leading = base.columns[key_fields[0]]
-    return Index(name, key_fields, collection, leading, base)
+    return Index(name, key_fields, collection, collection.sorted_values(key_fields[0]), base)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate,
@@ -357,11 +391,12 @@ def selectivity(collection: Collection, predicate: RangePredicate,
 
 
 def count_column(collection: Collection, field_name: str,
-                 catalog: IndexCatalog | None = None) -> list[int]:
+                 catalog: IndexCatalog | None = None) -> array:
     """The sorted values of one field that range counts bisect.
 
     That is the leading column of the catalog's single-field index on the
-    field when there is one, otherwise the collection's sorted copy.
+    field when there is one, otherwise the collection's sorted copy; an
+    index built by build_index holds that same array.
     """
     if field_name not in collection.columns:
         raise UnknownFieldError(f"collection has no field {field_name!r}")
@@ -392,7 +427,7 @@ class RankBuckets:
     value). A value that fills more than N / BUCKETS ranks starts a bucket.
     """
 
-    def __init__(self, sorted_values: list[int]):
+    def __init__(self, sorted_values: array):
         n = len(sorted_values)
         edges = list(dict.fromkeys(sorted_values[q * n // BUCKETS] for q in range(BUCKETS)))
         self.edges = edges
@@ -401,11 +436,11 @@ class RankBuckets:
         # the bucket number of a value of this field
         self.number = partial(bisect_right, edges[1:])
 
-    def numbers(self, values: list[int]) -> bytes:
+    def numbers(self, values: array) -> bytes:
         """The bucket number of each value."""
         return bytes(map(self.number, values))
 
-    def numbers_from_order(self, sorted_values: list[int], rids: list[int]) -> bytes:
+    def numbers_from_order(self, sorted_values: array, rids: array) -> bytes:
         """numbers() of the values in record_id order, from an order of them.
 
         sorted_values are the field's values in sorted order and rids[k] the
@@ -442,7 +477,7 @@ class RankBuckets:
         return bytes(first) + middle + bytes(BUCKETS - end)
 
 
-def _take(data: bytes, positions: list[int]) -> bytes:
+def _take(data: bytes, positions: array) -> bytes:
     """data[p] for each p in positions, gathered in C."""
     if len(positions) == 1:  # itemgetter of one key returns the item itself
         return data[positions[0]:positions[0] + 1]
@@ -541,7 +576,7 @@ def load_dataset(path) -> Collection:
             raise DatasetFormatError(path, 1, f"duplicate field name in header {header_line!r}")
         field_list = header[1:]
         width = len(header)
-        columns: list[list[int]] = [[] for _ in field_list]
+        columns = [array("q") for _ in field_list]
         rows = 0
         while block := file.readlines(LOAD_BLOCK_CHARS):
             values = _block_columns(block, rows, width)
@@ -555,15 +590,15 @@ def load_dataset(path) -> Collection:
     return Collection(name=path.stem, columns=dict(zip(field_list, columns)))
 
 
-def _block_columns(lines: list[str], first_row: int, width: int) -> list[list[int]] | None:
+def _block_columns(lines: list[str], first_row: int, width: int) -> list[array] | None:
     """The field columns of lines in save_dataset's own form, else None.
 
     `lines` are whole lines of rows first_row, first_row + 1, ..., each
     ending in a newline but the file's last one. They are in that form when
     every line has width - 1 commas, the text is ASCII without anything
     else int() reads (_INT_EXTRAS), every record id reads exactly str(row),
-    and every field parses with int: _parse_lines would then accept them
-    and return the same values.
+    and every field parses with int into the int64 range: _parse_lines
+    would then accept them and return the same values.
     """
     if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
         return None
@@ -576,18 +611,18 @@ def _block_columns(lines: list[str], first_row: int, width: int) -> list[list[in
     if parts[::width] != list(map(str, range(first_row, first_row + len(lines)))):
         return None
     try:
-        return [list(map(int, parts[k::width])) for k in range(1, width)]
-    except ValueError:
+        return [array("q", list(map(int, parts[k::width]))) for k in range(1, width)]
+    except (ValueError, OverflowError):
         return None
 
 
 def _parse_lines(path: Path, lines: list[str], first_row: int,
-                 width: int) -> list[list[int]]:
+                 width: int) -> list[array]:
     """The field columns of rows first_row, first_row + 1, ..., line by line.
 
     A valid line has `width` comma-separated integers, the first of which
-    is its row's record id. An integer is ASCII digits with an optional
-    leading `-`.
+    is its row's record id and the others in the int64 range. An integer is
+    ASCII digits with an optional leading `-`.
     """
     columns: list[list[int]] = [[] for _ in range(width - 1)]
     for line_no, line in enumerate(lines, start=first_row + 2):
@@ -603,5 +638,8 @@ def _parse_lines(path: Path, lines: list[str], first_row: int,
             raise DatasetFormatError(
                 path, line_no, f"record_id {rid} out of order (expected {line_no - 2})")
         for column, value in zip(columns, values[1:]):
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise DatasetFormatError(path, line_no, f"value {value} outside the int64 range "
+                                                        f"[{INT64_MIN}, {INT64_MAX}]")
             column.append(value)
-    return columns
+    return [array("q", column) for column in columns]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from .engine import (
@@ -83,11 +84,11 @@ class PlanScan:
         return self.end - self.start
 
     @property
-    def rids(self) -> list[int] | None:
+    def rids(self) -> array | None:
         """The record id at each position, or None for COLLSCAN."""
         return None if self.index is None else self.index.rids
 
-    def filter_columns(self) -> tuple[tuple[list[int], int, int], ...]:
+    def filter_columns(self) -> tuple[tuple[array, int, int], ...]:
         """(column in the access order, low, high) of each filter."""
         if self.index is None:
             columns = self.collection.columns
@@ -97,7 +98,7 @@ class PlanScan:
             columns = self.index.columns
         return tuple((columns[f], low, high) for f, low, high in self.filters)
 
-    def _mask_filters(self) -> list[tuple[bytes, bytes, list[int], int, int]]:
+    def _mask_filters(self) -> list[tuple[bytes, bytes, array, int, int]]:
         """(bucket column, translate table, record_id-order column, low, high)
         of each filter, built on the first call."""
         if self._masking is None:
@@ -112,7 +113,7 @@ class PlanScan:
         return match_mask(self._mask_filters(), self.rids, self.start + lo, self.start + hi)
 
 
-def match_mask(filters, rids: list[int] | None, a: int, b: int) -> bytes:
+def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
     """1 for each position a..b-1 of an access order that matches every
     filter, 0 for the others.
 

@@ -14,16 +14,13 @@ against the true argmin to yield an accuracy fraction and a mean slowdown.
 from __future__ import annotations
 
 import gc
-import marshal
 import math
-import os
 import random
-import signal
-import threading
 from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
 
+from . import workers
 from .engine import (
     Collection,
     IndexCatalog,
@@ -32,6 +29,7 @@ from .engine import (
     count_column,
     match_count,
     query_shape,
+    shape_key,
 )
 from .errors import PlanraceError, UnknownPlanError
 from .executor import CostModel, plan_cost_totals, step_time
@@ -224,8 +222,7 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
     a_values = count_column(collection, "A", catalog)
     b_values = count_column(collection, "B", catalog)
     # the ends of the sorted values are the fields' value_bounds, without
-    # a scan of the columns (which, in the forked worker, would also copy
-    # every page of their int objects before the first cell)
+    # a scan of the columns
     a_lo, a_hi = a_values[0], a_values[-1]
     b_lo, b_hi = b_values[0], b_values[-1]
     getrandbits = rng.getrandbits
@@ -291,92 +288,6 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
     yield draws, rejections, 0
 
 
-# Cells per batch the draw worker writes to its pipe; the first batches
-# reach the racing process after a few draws.
-WORKER_BATCH = 32
-
-
-def _draw_worker(write_fd: int, collection: Collection, catalog: IndexCatalog,
-                 d: int, seed: int) -> None:
-    """The forked worker: write draw_cells' items to the pipe in marshalled
-    batches, or the error that stopped it as a str; never returns."""
-    code = 1
-    try:
-        with open(write_fd, "wb") as out:
-            try:
-                batch = []
-                for item in draw_cells(collection, catalog, d, seed):
-                    batch.append(item)
-                    if len(batch) == WORKER_BATCH:
-                        marshal.dump(batch, out)
-                        out.flush()
-                        batch = []
-                marshal.dump(batch, out)
-                code = 0
-            except Exception as exc:
-                marshal.dump(f"{type(exc).__name__}: {exc}", out)
-    finally:
-        # skip the forking process's cleanup: its exit handlers, its
-        # buffered output and the frames above this one are not the worker's
-        os._exit(code)
-
-
-def _overlap_draws() -> bool:
-    """Whether sweep draws in a forked worker: os.fork exists, this process
-    runs no other thread (whose locks a forked child could never take) and
-    it may run on more than one CPU. On one CPU the worker cannot overlap
-    the races and only adds its own cost."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return False
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) > 1
-    return (os.cpu_count() or 1) > 1
-
-
-def _cells_from_worker(collection: Collection, catalog: IndexCatalog, d: int, seed: int):
-    """draw_cells' items, drawn by a forked worker process.
-
-    A worker that fails, or whose stream ends before the counters, makes
-    this raise a PlanraceError. However the reader stops, closing this
-    generator kills and reaps the worker. When no pipe or process can be
-    had, the cells are drawn in this process.
-    """
-    try:
-        read_fd, write_fd = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-    except OSError:
-        yield from draw_cells(collection, catalog, d, seed)
-        return
-    if pid == 0:
-        os.close(read_fd)
-        _draw_worker(write_fd, collection, catalog, d, seed)
-    os.close(write_fd)
-    reaped = False
-    try:
-        with open(read_fd, "rb") as stream:
-            while True:
-                try:
-                    batch = marshal.load(stream)
-                except (EOFError, ValueError):  # the end, or a batch cut short
-                    break
-                if isinstance(batch, str):
-                    raise PlanraceError(f"the sweep's draw worker failed: {batch}")
-                yield from batch
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise PlanraceError(f"the sweep's draw worker stopped before its last cell ({how})")
-    finally:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
           variant: OptimizerVariant, d: int, seed: int,
           knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None,
@@ -384,19 +295,23 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
     """Fill every grid cell with a random query and the optimizer's choice.
 
     Two stages: a forked worker process draws the cells (draw_cells) and
-    streams them through a pipe, while this process builds each cell's
-    query, races it (optimize) and records the choice, in fill order. Where
-    the two cannot overlap (_overlap_draws), draw_cells runs in this
-    process; the cells and the grid are the same either way. The race and
-    the cell take the ranges' positions that the draws found; the query
-    puts A's range first, as the positions do.
+    streams them through a pipe (workers.forked), while this process builds
+    each cell's query, races it (optimize) and records the choice, in fill
+    order. Where the two cannot overlap (workers.can_overlap), draw_cells
+    runs in this process; the cells and the grid are the same either way.
+    The race and the cell take the ranges' positions that the draws found;
+    the query puts A's range first, as the positions do.
     """
     n = len(collection)
     grid = ExperimentGrid(d=d)
     cells = grid.cells
     make_query = scenario.make_query
-    draw = _cells_from_worker if _overlap_draws() else draw_cells
-    with closing(draw(collection, catalog, d, seed)) as items:
+    args = (collection, catalog, d, seed)
+    if workers.can_overlap():
+        draws = workers.forked(draw_cells, args, "the sweep's draw worker", "its last cell")
+    else:
+        draws = draw_cells(*args)
+    with closing(draws) as items:
         for item in items:
             if len(item) == 3:
                 grid.draws, grid.rejections, grid.filled_directly = item
@@ -436,10 +351,10 @@ def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCat
              for plan_id in forced]
     checked = set()
     for cell in grid.sorted_cells():
-        shape = query_shape(cell.query)
-        if shape not in checked:
+        key = shape_key(cell.query)
+        if key not in checked:
             shape_forced(cell.query, catalog, forced)
-            checked.add(shape)
+            checked.add(key)
         p = cell.positions
         cell.per_plan_times = {
             name: _mean_of_reps((n if k is None else p[k + 1] - p[k]) * step, reps)

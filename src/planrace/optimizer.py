@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from itertools import compress, islice
 
@@ -44,6 +45,7 @@ from .engine import (
     bucket_column,
     query_shape,
     rank_buckets,
+    shape_key,
 )
 from .errors import NoCandidatesError, UndefinedProductivityError
 from .executor import PlanExecution, WorkState, match_mask, shape_ranges
@@ -148,7 +150,7 @@ class RaceLayout:
     """What the races of one query shape read, found at its first race.
 
     plans are the shape's candidates (plans.shape_candidates). Plans that
-    scan the same access order (the same record id list, or record_id
+    scan the same access order (the same record id array, or record_id
     order) from the same leading field under the same filter fields scan
     the same positions for every query, so they share one of `scans`:
     IXSCAN_A and IXSCAN_AB over an A without repeated values. A scan is
@@ -190,7 +192,7 @@ def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
                 variant: OptimizerVariant) -> RaceLayout:
     """The race layout of the query's shape, hint and variant, kept in
     catalog.shape_plans next to the shape's plans."""
-    key = ("race", query_shape(query), query.hint, variant)
+    key = ("race", shape_key(query), query.hint, variant)
     layout = catalog.shape_plans.get(key)
     if layout is None:
         plans = shape_candidates(query, catalog, variant)
@@ -200,7 +202,7 @@ def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
 
 def bind_layout(layout: RaceLayout, query: Query, n_records: int,
                 positions: tuple[int, ...] | None = None
-                ) -> list[tuple[int, int, list[int] | None, list]]:
+                ) -> list[tuple[int, int, array | None, list]]:
     """The layout's scans for the query's bounds: (start, end, rids, the
     filters as match_mask reads them) of each.
 
@@ -216,7 +218,7 @@ def bind_layout(layout: RaceLayout, query: Query, n_records: int,
             for p, rids, filters in layout.scans]
 
 
-def _race_scans(scans: list[tuple[int, int, list[int] | None, list]], n_records: int,
+def _race_scans(scans: list[tuple[int, int, array | None, list]], n_records: int,
                 knobs: RaceKnobs) -> tuple[int, list[int]]:
     """(R, each scan's matches in its first min(R, length) positions) for
     scans as bind_layout gives them.
@@ -387,7 +389,11 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     """
     use_cache = cache is not None and cache_mode is not CacheMode.OFF
     if use_cache:
-        shape = query_shape(query)
+        # the shape string, built once per shape and kept with its plans
+        key = ("shape", shape_key(query))
+        shape = catalog.shape_plans.get(key)
+        if shape is None:
+            shape = catalog.shape_plans[key] = query_shape(query)
         entry = cache.get(shape)
         if entry is not None:
             return OptimizeResult(entry.plan_id, from_cache=True)

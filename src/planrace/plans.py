@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Index, IndexCatalog, Query, RangePredicate, index_name_for, query_shape
+from .engine import Index, IndexCatalog, Query, RangePredicate, index_name_for, shape_key
 from .errors import NoCandidatesError, UnknownPlanError
 
 
@@ -262,7 +262,7 @@ def shape_candidates(query: Query, catalog: IndexCatalog,
     and kept in catalog.shape_plans. A failed enumeration is not kept, so
     it fails again, with the same error, for every query of its shape.
     """
-    key = ("candidates", query_shape(query), query.hint, variant, collscan_allowed)
+    key = ("candidates", shape_key(query), query.hint, variant, collscan_allowed)
     plans = catalog.shape_plans.get(key)
     if plans is None:
         plans = tuple(_shape_plan(p, catalog) for p in
@@ -278,7 +278,7 @@ def shape_forced(query: Query, catalog: IndexCatalog,
     As hinted_plan on producible_plans(query, catalog): an UnknownPlanError
     for a plan the query's shape cannot produce. Kept like shape_candidates.
     """
-    key = ("forced", query_shape(query), tuple(forced))
+    key = ("forced", shape_key(query), tuple(forced))
     plans = catalog.shape_plans.get(key)
     if plans is None:
         producible = producible_plans(query, catalog)

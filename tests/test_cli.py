@@ -8,7 +8,7 @@ import signal
 
 import pytest
 
-from planrace import harness
+from planrace import harness, workers
 from planrace.cli import main
 
 
@@ -200,6 +200,26 @@ def error_lines(capsys):
     return [line for line in err.splitlines() if "error:" in line]
 
 
+@pytest.mark.parametrize("command", ["run", "explain"])
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+def test_value_outside_int64_is_one_error_line(tmp_path, capsys, command, value):
+    data = tmp_path / "data.csv"
+    data.write_text(f"record_id,A,B\n0,1,2\n1,3,{value}\n")
+    args = RUN_ARGS + ["--out", str(tmp_path / "x")] if command == "run" else EXPLAIN_ARGS
+    assert main(args + ["--data", str(data)]) == 1
+    assert error_lines(capsys) == [
+        f"error: {data}:3: value {value} outside the int64 range "
+        f"[-9223372036854775808, 9223372036854775807]"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_explain_takes_the_int64_extremes(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text(f"record_id,A,B\n0,{2**63 - 1},{-2**63}\n1,{-2**63},{2**63 - 1}\n")
+    assert main(EXPLAIN_ARGS + ["--data", str(data)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "winner: IXSCAN_AB"
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--dim", "0"),  # was ZeroDivisionError
     ("--dim", "-3"),  # was IndexError
@@ -388,7 +408,7 @@ def test_failed_draw_worker_is_one_error_line(tmp_path, data_file, capsys, monke
         return pid
 
     monkeypatch.setattr(harness, "draw_cells", failing)
-    monkeypatch.setattr(harness, "_overlap_draws", lambda: True)
+    monkeypatch.setattr(workers, "can_overlap", lambda: True)
     monkeypatch.setattr(os, "fork", recorded)
     out = tmp_path / "x"
     assert main(RUN_ARGS + ["--data", str(data_file), "--dim", "3", "--out", str(out)]) == 1

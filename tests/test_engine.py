@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -22,7 +25,14 @@ from planrace.engine import (
     save_dataset,
     selectivity,
 )
-from planrace.errors import DatasetFormatError, EmptyCollectionError, UnknownFieldError
+from planrace.errors import (
+    DatasetFormatError,
+    EmptyCollectionError,
+    PlanraceError,
+    UnknownFieldError,
+)
+from planrace.optimizer import optimize
+from planrace.plans import OptimizerVariant
 from planrace.scenarios import get_scenario
 
 
@@ -38,7 +48,7 @@ def index_entries(ix):
 
 def assert_index_columns_follow_rids(c, ix):
     for f in c.field_list:
-        assert ix.columns[f] == [c.columns[f][rid] for rid in ix.rids]
+        assert ix.columns[f] == array("q", [c.columns[f][rid] for rid in ix.rids])
 
 
 # --- generate_dataset ---------------------------------------------------
@@ -151,20 +161,18 @@ def test_compound_index_from_leading_index_equals_full_sort(case, keys):
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_indexes_share_the_collections_record_id_ints(dist):
+def test_index_rids_are_int64_arrays_in_key_then_record_id_order(dist):
     c = generate_dataset(3000, dist, seed=11)
     catalog = get_scenario("covering").build_catalog(c)
-    assert c._record_ids is None  # built when an index's order is first read
     for ix in catalog.indexes:
+        assert ix._rids is None  # built when the index's order is first read
         keys = ix.key_fields
         expected = sorted(range(len(c)), key=lambda rid: (*(c.columns[f][rid] for f in keys), rid))
-        assert ix.rids == expected
-    record_ids = c.record_ids()
-    assert record_ids == list(range(len(c)))
-    by_value = {rid: rid for rid in record_ids}
-    for ix in catalog.indexes:
-        # one int object per record id, whichever index holds it
-        assert all(r is by_value[r] for r in ix.rids)
+        assert isinstance(ix.rids, array) and ix.rids.typecode == "q"
+        assert ix.rids == array("q", expected)
+    a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
+    # without ties in A, A_1's order is already A_1_B_1's
+    assert (ab.rids is a.rids) == (dist == "uniform-distinct")
 
 
 def test_compound_index_shares_leading_index_lists_without_ties():
@@ -291,11 +299,12 @@ def test_load_rejects_integers_int_would_read(tmp_path, rows, line_no):
 def test_load_accepts_crlf_zero_padding_and_minus(tmp_path, monkeypatch):
     path = tmp_path / "data.csv"
     path.write_bytes(b"record_id,A,B\r\n0,05,-3\r\n01,-0,7\r\n")
-    assert load_dataset(path).columns == {"A": [5, 0], "B": [-3, 7]}
+    expected = {"A": array("q", [5, 0]), "B": array("q", [-3, 7])}
+    assert load_dataset(path).columns == expected
     # without the padded record id the block is in save_dataset's form
     path.write_bytes(b"record_id,A,B\r\n0,05,-3\r\n1,-0,7\r\n")
     monkeypatch.setattr(engine, "_parse_lines", None)
-    assert load_dataset(path).columns == {"A": [5, 0], "B": [-3, 7]}
+    assert load_dataset(path).columns == expected
 
 
 def test_load_rejects_missing_column(tmp_path):
@@ -326,7 +335,8 @@ def test_load_rejects_duplicate_field(tmp_path):
 def reference_load(path):
     """Field columns of a dataset file, read whole and checked line by line.
 
-    Every value must be ASCII digits with an optional leading `-`.
+    Every value must be ASCII digits with an optional leading `-`, and every
+    field value in the int64 range.
     """
     lines = Path(path).read_text(encoding="utf-8").split("\n")
     if lines and lines[-1] == "":
@@ -351,10 +361,14 @@ def reference_load(path):
         if values[0] != line_no - 2:
             raise DatasetFormatError(
                 path, line_no, f"record_id {values[0]} out of order (expected {line_no - 2})")
+        for value in values[1:]:
+            if not -2**63 <= value < 2**63:
+                raise DatasetFormatError(path, line_no, f"value {value} outside the int64 range "
+                                                        f"[{-2**63}, {2**63 - 1}]")
         rows.append(values[1:])
     if not rows:
         raise DatasetFormatError(path, 1, "no documents")
-    return {f: [row[k] for row in rows] for k, f in enumerate(header[1:])}
+    return {f: array("q", [row[k] for row in rows]) for k, f in enumerate(header[1:])}
 
 
 def load_outcome(loader, path):
@@ -422,6 +436,9 @@ FAULTS = {
     # forms int() rejects as well
     "minus-alone": with_field(lambda a: "-"),
     "minus-inside": with_field(lambda a: a + "-1"),
+    # integers outside the int64 range
+    "above-int64": with_field(lambda a: str(2**63)),
+    "below-int64": with_field(lambda a: str(-2**63 - 1)),
 }
 
 
@@ -499,6 +516,95 @@ def test_load_checks_saved_files_block_by_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(engine, "_parse_lines", refuse)
     assert load_dataset(path).columns == reference_load(path)
+
+
+@pytest.mark.parametrize("value,valid", [
+    (str(2**63 - 1), True),
+    (str(-2**63), True),
+    (str(2**63), False),
+    (str(-2**63 - 1), False),
+])
+@pytest.mark.parametrize("rid", ["1", "01"], ids=["in-form", "line-by-line"])
+def test_load_takes_values_in_the_int64_range(tmp_path, monkeypatch, value, valid, rid):
+    # a zero-padded record id sends its block to the line-by-line check
+    path = tmp_path / "data.csv"
+    path.write_text(f"record_id,A,B\n0,1,2\n{rid},{value},3\n")
+    if not valid:
+        with pytest.raises(DatasetFormatError, match="outside the int64 range") as err:
+            load_dataset(path)
+        assert err.value.line_no == 3
+        return
+    if rid == "1":
+        monkeypatch.setattr(engine, "_parse_lines", None)
+    assert load_dataset(path).columns == {"A": array("q", [1, int(value)]),
+                                          "B": array("q", [2, 3])}
+
+
+def test_block_columns_leave_values_outside_int64_to_the_line_check():
+    assert engine._block_columns([f"0,{2**63 - 1},{-2**63}"], 0, 3) == [
+        array("q", [2**63 - 1]), array("q", [-2**63])]
+    for value in (2**63, -2**63 - 1):
+        assert engine._block_columns(["0,1\n", f"1,{value}"], 0, 2) is None
+
+
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1])
+def test_collection_rejects_values_outside_int64(value):
+    with pytest.raises(PlanraceError, match="field 'B' holds a value outside the int64 range"):
+        make_collection([0, 1], [value, 0])
+
+
+# --- storage footprint ---------------------------------------------------
+
+def is_int64_array(values):
+    return isinstance(values, array) and values.typecode == "q"
+
+
+def saved_and_loaded(tmp_path, collection):
+    save_dataset(collection, tmp_path / "data.csv")
+    return load_dataset(tmp_path / "data.csv")
+
+
+COLLECTIONS = {
+    "hand-built": lambda tmp_path: make_collection(range(5), [4, 4, 0, 1, 1]),
+    "generated": lambda tmp_path: generate_dataset(300, "uniform-with-repeats", seed=2),
+    "loaded": lambda tmp_path: saved_and_loaded(
+        tmp_path, generate_dataset(300, "zipfian", seed=2)),
+}
+
+
+@pytest.mark.parametrize("source", sorted(COLLECTIONS))
+def test_columns_sorted_values_and_index_orders_are_int64_arrays(tmp_path, source):
+    c = COLLECTIONS[source](tmp_path)
+    assert all(map(is_int64_array, c.columns.values()))
+    catalog = get_scenario("covering").build_catalog(c)
+    for ix in catalog.indexes:
+        lead = ix.key_fields[0]
+        # the leading column is the field's one sorted copy
+        assert ix.columns[lead] is c.sorted_values(lead)
+        assert is_int64_array(ix.columns[lead]) and is_int64_array(ix.rids)
+        assert all(is_int64_array(ix.columns[f]) for f in c.field_list)
+
+
+def test_storage_retains_under_64_bytes_per_document(tmp_path):
+    # columns and sorted copies take 8 bytes per value; with lists of int
+    # objects the same steps retained about 148 bytes per document
+    n = 20_000
+    path = tmp_path / "data.csv"
+    save_dataset(generate_dataset(n, "uniform-distinct", seed=3), path)
+    scenario = get_scenario("covering")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        c = load_dataset(path)
+        catalog = scenario.build_catalog(c)
+        query = scenario.make_query(RangePredicate("A", 0, n // 3), RangePredicate("B", 0, n // 2))
+        optimize(query, c, catalog, OptimizerVariant.MOD)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / n < 64
 
 
 # --- query shape ---------------------------------------------------------

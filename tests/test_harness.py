@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
 import random
 import signal
 import statistics
+import sys
 import threading
 import time
+from array import array
 from bisect import bisect_left
 from contextlib import contextmanager
 
 import pytest
 
-from planrace import harness
+from planrace import harness, scenarios, workers
 from planrace.engine import (
     DISTRIBUTIONS,
     Collection,
@@ -434,28 +437,47 @@ def test_sweep_cache_primed_matches_reference(small_world):
 
 # --- the sweep's draw worker ---------------------------------------------------
 
+class Forks:
+    """The pids of the workers forked during a test: draw workers (by
+    sweep) and sort workers (by Scenario.build_catalog)."""
+
+    def __init__(self):
+        self.draws = []
+        self.sorts = []
+
+
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the processes forked during the test, with the draw
-    worker used whatever the number of CPUs."""
-    pids = []
+    """The workers forked during the test, with a worker used whatever the
+    number of CPUs and, for the catalog's sort, whatever the collection's
+    size."""
+    forked = Forks()
     fork = os.fork
 
     def recorded():
+        # the frames above: workers.forked, then the function it forks for
+        caller = sys._getframe(2).f_code.co_name
         pid = fork()
         if pid:
-            pids.append(pid)
+            {"sweep": forked.draws, "build_catalog": forked.sorts}[caller].append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", recorded)
-    monkeypatch.setattr(harness, "_overlap_draws", lambda: True)
-    return pids
+    monkeypatch.setattr(workers, "can_overlap", lambda: True)
+    monkeypatch.setattr(scenarios, "SORT_WORKER_MIN", 0)
+    return forked
 
 
 def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+def assert_one_draw_worker(forks):
+    """The sweep forked one draw worker, and every worker is reaped."""
+    assert len(forks.draws) == 1
+    assert_reaped(forks.draws + forks.sorts)
 
 
 def drawn_cells(grid, n):
@@ -493,14 +515,14 @@ def test_sweep_through_the_worker_equals_in_process_draws(monkeypatch, forks, di
     collection = generate_dataset(2000, dist, seed=19)
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)
+    assert len(forks.sorts) == (scenario_name != "single-index")
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
-    assert len(forks) == 1
-    assert_reaped(forks)
+    assert_one_draw_worker(forks)
     drawn = list(harness.draw_cells(collection, catalog, 8, 5))
     assert drawn_cells(grid, len(collection)) == drawn
-    monkeypatch.setattr(harness, "_overlap_draws", lambda: False)
+    monkeypatch.setattr(workers, "can_overlap", lambda: False)
     in_process = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
-    assert len(forks) == 1
+    assert len(forks.draws) == 1
     assert cell_facts(grid) == cell_facts(in_process)
 
 
@@ -521,8 +543,8 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
     assert grid.filled_directly == 19
     assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, tiny_catalog, 10, 7))
     assert_positions_are_scan_ranges(grid, tiny, tiny_catalog, both, OptimizerVariant.VANILLA)
-    assert len(forks) == 2
-    assert_reaped(forks)
+    assert len(forks.draws) == 2 and len(forks.sorts) == 1
+    assert_reaped(forks.draws + forks.sorts)
 
 
 def test_sweep_without_a_process_draws_in_process(monkeypatch, small_world):
@@ -531,7 +553,7 @@ def test_sweep_without_a_process_draws_in_process(monkeypatch, small_world):
     def no_fork():
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(harness, "_overlap_draws", lambda: True)
+    monkeypatch.setattr(workers, "can_overlap", lambda: True)
     monkeypatch.setattr(os, "fork", no_fork)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 6, seed=8)
     assert drawn_cells(grid, len(collection)) == list(
@@ -546,7 +568,7 @@ def test_worker_positions_are_every_plans_scan_range(monkeypatch, forks, dist, s
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 7, seed=6)
-    assert len(forks) == 1
+    assert_one_draw_worker(forks)
     assert_positions_are_scan_ranges(grid, collection, catalog, scenario, OptimizerVariant.MOD)
 
 
@@ -571,7 +593,7 @@ def test_draws_and_direct_fill_scan_no_column_for_its_bounds(monkeypatch):
 
 def test_threads_keep_the_draws_in_process(monkeypatch):
     monkeypatch.setattr(threading, "active_count", lambda: 2)
-    assert not harness._overlap_draws()
+    assert not workers.can_overlap()
 
 
 def cells_then(stop):
@@ -598,6 +620,72 @@ def hang():
         time.sleep(1)
 
 
+def sorted_in_process(collection):
+    return {f: array("q", sorted(column)) for f, column in collection.columns.items()}
+
+
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_catalog_sorts_its_second_field_in_a_worker(forks, dist, scenario_name):
+    collection = generate_dataset(3000, dist, seed=23)
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    # single-index has one single-field index, so nothing to sort alongside
+    assert len(forks.sorts) == (scenario_name != "single-index")
+    assert forks.draws == []
+    assert_reaped(forks.sorts)
+    expected = sorted_in_process(collection)
+    for ix in catalog.indexes:
+        lead = ix.key_fields[0]
+        assert ix.columns[lead] is collection.sorted_values(lead)
+        assert collection.sorted_values(lead) == expected[lead]
+
+
+@pytest.mark.parametrize("unavailable", ["fork", "pipe"])
+def test_catalog_without_a_worker_sorts_in_process(monkeypatch, forks, unavailable):
+    def fail():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, unavailable, fail)
+    collection = generate_dataset(2000, "zipfian", seed=3)
+    catalog = get_scenario("covering").build_catalog(collection)
+    expected = sorted_in_process(collection)
+    assert [ix.columns[ix.key_fields[0]] for ix in catalog.indexes] == [
+        expected["A"], expected["B"], expected["A"]]
+
+
+def test_catalog_of_a_small_collection_sorts_in_process(monkeypatch, forks):
+    monkeypatch.setattr(scenarios, "SORT_WORKER_MIN", 2001)
+    get_scenario("covering").build_catalog(generate_dataset(2000, "zipfian", seed=3))
+    assert forks.sorts == []
+
+
+def dead_sort(stop):
+    """A sort worker's item producer that calls stop() instead."""
+
+    def produce(collection, field_name):
+        stop()
+        yield b""
+
+    return produce
+
+
+@pytest.mark.parametrize("stop,message", [
+    (boom, "the catalog's sort worker failed: RuntimeError: boom"),
+    (killed, "the catalog's sort worker stopped before its sorted values (killed by signal 9)"),
+    (lambda: None, "0 sorted values for field 'B' of 2000 documents"),
+])
+def test_sort_worker_failure_fails_the_catalog_and_reaps_the_worker(monkeypatch, forks,
+                                                                     stop, message):
+    monkeypatch.setattr(scenarios, "_sorted_bytes", dead_sort(stop))
+    collection = generate_dataset(2000, "uniform-distinct", seed=3)
+    with pytest.raises(PlanraceError) as err:
+        get_scenario("covering").build_catalog(collection)
+    assert str(err.value) == message
+    assert len(forks.sorts) == 1
+    assert_reaped(forks.sorts)
+
+
 @pytest.mark.parametrize("stop,message", [
     (boom, "the sweep's draw worker failed: RuntimeError: boom"),
     (killed, "the sweep's draw worker stopped before its last cell (killed by signal 9)"),
@@ -610,8 +698,7 @@ def test_worker_failure_fails_the_sweep_and_reaps_the_worker(monkeypatch, forks,
     with pytest.raises(PlanraceError) as err:
         sweep(scenario, collection, catalog, OptimizerVariant.MOD, 10, seed=1)
     assert str(err.value) == message
-    assert len(forks) == 1
-    assert_reaped(forks)
+    assert_one_draw_worker(forks)
 
 
 def test_sweep_that_stops_reading_reaps_the_worker(monkeypatch, forks, small_world):
@@ -629,7 +716,7 @@ def test_sweep_that_stops_reading_reaps_the_worker(monkeypatch, forks, small_wor
     monkeypatch.setattr(harness, "optimize", failing_optimize)
     with deadline(10), pytest.raises(PlanraceError, match="optimize failed"):
         sweep(scenario, collection, catalog, OptimizerVariant.MOD, 10, seed=1)
-    assert_reaped(forks)
+    assert_one_draw_worker(forks)
 
 
 @contextmanager
@@ -656,8 +743,7 @@ def test_deadline_bounds_a_hung_worker(monkeypatch, forks, small_world):
     monkeypatch.setattr(harness, "draw_cells", lambda *args: hang() or iter(()))
     with deadline(1), pytest.raises(TimeoutError):
         sweep(scenario, collection, catalog, OptimizerVariant.MOD, 4, seed=1)
-    assert len(forks) == 1
-    assert_reaped(forks)
+    assert_one_draw_worker(forks)
 
 
 def test_draws_in_a_full_row_skip_b_counts(monkeypatch):

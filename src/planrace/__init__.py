@@ -24,10 +24,8 @@ from .engine import (
 from .errors import PlanraceError
 from .executor import CostModel, PlanExecution, WorkState, run_to_completion
 from .optimizer import (
-    CacheMode,
     OptimizeResult,
     PlanCache,
-    PlanCacheEntry,
     RaceKnobs,
     Score,
     TrialStats,

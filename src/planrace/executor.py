@@ -17,17 +17,10 @@ from __future__ import annotations
 import enum
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .engine import (
-    Collection,
-    Index,
-    IndexCatalog,
-    Query,
-    bucket_column,
-    rank_buckets,
-)
-from .plans import CandidatePlan, FilterStage, PlanKind, ShapePlan
+from .engine import Collection, IndexCatalog, Query
+from .plans import CandidatePlan, PlanKind, ShapePlan
 
 
 class WorkState(enum.Enum):
@@ -58,61 +51,6 @@ class CostModel:
         return CostModel(self.c_seq * factor, self.c_idx * factor, self.c_fetch * factor)
 
 
-@dataclass
-class PlanScan:
-    """One plan's scan, described in closed form.
-
-    The plan visits positions start..end-1 of an access order: index order
-    for index plans, record_id order for COLLSCAN (index is None there, as a
-    position is its own record id). A position matches when each filter
-    (field, low, high) holds low <= value < high for its record's value of
-    that field. Stepping reads a plan's scan from here and compares each
-    position's value (filter_columns); mask gives the same matches for a
-    chunk of positions through match_mask, the closed-form race's kernel.
-    """
-
-    start: int
-    end: int
-    index: Index | None
-    filters: tuple[tuple[str, int, int], ...]
-    collection: Collection = field(repr=False, compare=False)
-    catalog: IndexCatalog = field(repr=False, compare=False)
-    _masking: list | None = field(default=None, init=False, repr=False, compare=False)
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start
-
-    @property
-    def rids(self) -> array | None:
-        """The record id at each position, or None for COLLSCAN."""
-        return None if self.index is None else self.index.rids
-
-    def filter_columns(self) -> tuple[tuple[array, int, int], ...]:
-        """(column in the access order, low, high) of each filter."""
-        if self.index is None:
-            columns = self.collection.columns
-        else:
-            # IXSCAN's residual reads the fetched document, a covered plan's
-            # reads the index key; both values sit in the index-order column
-            columns = self.index.columns
-        return tuple((columns[f], low, high) for f, low, high in self.filters)
-
-    def _mask_filters(self) -> list[tuple[bytes, bytes, array, int, int]]:
-        """(bucket column, translate table, record_id-order column, low, high)
-        of each filter, built on the first call."""
-        if self._masking is None:
-            self._masking = [(bucket_column(self.collection, f, self.index, self.catalog),
-                              rank_buckets(self.collection, f, self.catalog).table(low, high),
-                              self.collection.columns[f], low, high)
-                             for f, low, high in self.filters]
-        return self._masking
-
-    def mask(self, lo: int, hi: int) -> bytes:
-        """match_mask of the scan's positions lo..hi-1 (counted from 0)."""
-        return match_mask(self._mask_filters(), self.rids, self.start + lo, self.start + hi)
-
-
 def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
     """1 for each position a..b-1 of an access order that matches every
     filter, 0 for the others.
@@ -141,28 +79,6 @@ def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
             out = (int.from_bytes(out, "little") & int.from_bytes(m, "little")).to_bytes(
                 b - a, "little")
     return b"\1" * (b - a) if out is None else out
-
-
-def _scan_bounds(plan: CandidatePlan, collection: Collection,
-                 catalog: IndexCatalog) -> tuple[int, int, Index | None]:
-    """(start, end, index) of a plan's scan; index is None for COLLSCAN."""
-    if plan.id.kind is PlanKind.COLLSCAN:
-        return 0, len(collection), None
-    scan = plan.stages[0]
-    index = catalog.by_name(scan.index_name)
-    start, end = index.range_positions(scan.low, scan.high)
-    return start, end, index
-
-
-def plan_scan(plan: CandidatePlan, collection: Collection, catalog: IndexCatalog) -> PlanScan:
-    """The positions a plan scans and the filters it applies to each."""
-    start, end, index = _scan_bounds(plan, collection, catalog)
-    if index is None:
-        predicates = plan.stages[0].predicates
-    else:
-        predicates = [s.predicate for s in plan.stages if isinstance(s, FilterStage)]
-    filters = tuple((p.field, p.low, p.high) for p in predicates)
-    return PlanScan(start, end, index, filters, collection, catalog)
 
 
 def shape_ranges(plans: tuple[ShapePlan, ...], query: Query, n_records: int,
@@ -203,7 +119,14 @@ def step_time(kind: PlanKind, cost: CostModel) -> float:
 
 
 class PlanExecution:
-    """Single-owner mutable cursor state for one plan over one collection."""
+    """Single-owner mutable cursor state for one plan over one collection.
+
+    The plan visits positions start..end-1 of its access order: its index's
+    entries within the query's range on the leading field, or every record
+    in record_id order for COLLSCAN. A position matches when its value of
+    each filtered field lies in the query's range on that field. The plan
+    carries its index, so the catalog is not read.
+    """
 
     def __init__(self, plan: CandidatePlan, collection: Collection,
                  catalog: IndexCatalog, cost: CostModel):
@@ -215,11 +138,21 @@ class PlanExecution:
         self.eof = False
         self.emitted: list[int] = []
 
-        scan = plan_scan(plan, collection, catalog)
-        self._start = self._pos = scan.start
-        self._end = scan.end
-        self._rids = scan.rids
-        self._filters = scan.filter_columns()
+        shape, query = plan.plan, plan.query
+        index = shape.index
+        if index is None:
+            start, end = 0, len(collection)
+            self._rids, columns = None, collection.columns
+        else:
+            pred = query.predicate_on(shape.leading)
+            start, end = index.range_positions(pred.low, pred.high)
+            # IXSCAN's filter reads the fetched document, a covered plan's
+            # reads the index key; both values sit in the index-order column
+            self._rids, columns = index.rids, index.columns
+        self._start = self._pos = start
+        self._end = end
+        self._filters = tuple((columns[p.field], p.low, p.high)
+                              for p in map(query.predicate_on, shape.filters))
         self._step_time = step_time(plan.id.kind, cost)
 
     @property
@@ -269,6 +202,6 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
     measure_grid's scan length x step_time from each cell's positions,
     and explain prints it. It reads only the index's leading column.
     """
-    start, end, _ = _scan_bounds(plan, collection, catalog)
+    ((start, end),) = shape_ranges((plan.plan,), plan.query, len(collection))
     k = end - start
     return k * step_time(plan.id.kind, cost), k + 1

@@ -4,11 +4,14 @@ The harness drives the optimizer over a D x D grid of (e_A, e_B)
 selectivities. Random range queries are drawn until every cell has been
 visited once; each visited cell records the optimizer's choice. The sweep
 is two stages: a forked worker draws the cells (draw_cells) while the main
-process races each one as it arrives (sweep). Every plan
-in the scenario's forced set (collection scan included, whether or not the
-optimizer would consider it) is then timed over repeated runs, outliers are
-dropped with the 1.5 IQR rule, and each cell's chosen plan is compared
-against the true argmin to yield an accuracy fraction and a mean slowdown.
+process races each one as it arrives (sweep). Every plan in the scenario's
+forced set (collection scan included, whether or not the optimizer would
+consider it) is then timed (measure_grid). The simulated clock makes every
+repeated run of a plan identical, so forced measurement takes one
+closed-form time per plan and a run drops no outliers; filter_outliers (the
+1.5 IQR rule) stays only as the reference acceptance criterion 11 checks.
+Each cell's chosen plan is then compared against the true argmin to yield
+an accuracy fraction and a mean slowdown.
 """
 
 from __future__ import annotations
@@ -33,14 +36,9 @@ from .engine import (
 )
 from .errors import PlanraceError, UnknownPlanError
 from .executor import CostModel, plan_cost_totals, step_time
-from .optimizer import (
-    CacheMode,
-    PlanCache,
-    PlanCacheEntry,
-    RaceKnobs,
-    optimize,
-)
+from .optimizer import PlanCache, RaceKnobs, optimize
 from .plans import (
+    CandidatePlan,
     OptimizerVariant,
     PlanId,
     hinted_plan,
@@ -163,9 +161,9 @@ def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalo
         raise ValueError("need at least one sample")
     # the plans hint forcing selects from, enumerated once for all forced plans
     producible = producible_plans(query, catalog)
-    return {str(plan_id): _mean_of_reps(
-                plan_cost_totals(hinted_plan(producible, plan_id), collection, catalog, cost)[0],
-                reps)
+    return {str(plan_id): _mean_of_reps(plan_cost_totals(
+                CandidatePlan(hinted_plan(producible, plan_id), query),
+                collection, catalog, cost)[0], reps)
             for plan_id in forced_plans}
 
 
@@ -290,8 +288,7 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
 
 def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
           variant: OptimizerVariant, d: int, seed: int,
-          knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None,
-          cache_mode: CacheMode = CacheMode.OFF) -> ExperimentGrid:
+          knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None) -> ExperimentGrid:
     """Fill every grid cell with a random query and the optimizer's choice.
 
     Two stages: a forked worker process draws the cells (draw_cells) and
@@ -321,7 +318,7 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
             query = make_query(RangePredicate("A", low_a, high_a),
                                RangePredicate("B", low_b, high_b))
             result = optimize(query, collection, catalog, variant, knobs,
-                              cache=cache, cache_mode=cache_mode, positions=positions)
+                              cache=cache, positions=positions)
             cells[(i, j)] = GridCell(i=i, j=j, e_a=(end_a - start_a) / n,
                                      e_b=(end_b - start_b) / n, query=query,
                                      chosen=str(result.chosen), positions=positions)
@@ -413,9 +410,7 @@ def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
     lo_a = RangePredicate("A", 0, 1)
     lo_b = RangePredicate("B", 0, 1)
     shape = query_shape(scenario.make_query(lo_a, lo_b))
-    cache = PlanCache()
-    cache.put(PlanCacheEntry(shape=shape, plan_id=primed))
-    return cache
+    return PlanCache({shape: primed})
 
 
 def run_experiment(scenario: Scenario, collection: Collection, variant: OptimizerVariant,
@@ -432,17 +427,12 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
     (gc.freeze) until the run returns, unless the caller froze objects first.
     """
     catalog = scenario.build_catalog(collection)
-    cache = None
-    cache_mode = CacheMode.OFF
-    if primed is not None:
-        cache = primed_cache_for(scenario, primed)
-        cache_mode = CacheMode.ON_NO_REPLAN
+    cache = None if primed is None else primed_cache_for(scenario, primed)
     freeze = gc.get_freeze_count() == 0
     if freeze:
         gc.freeze()
     try:
-        grid = sweep(scenario, collection, catalog, variant, d, seed, knobs,
-                     cache=cache, cache_mode=cache_mode)
+        grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cache=cache)
         measure_grid(grid, collection, catalog, scenario, cost, reps=reps)
         grid, metrics = finalize(grid)
     finally:

@@ -20,18 +20,18 @@ min(R, s_p) positions. Tests hold the two paths equal.
 Each plan is then scored
     total = 1 + productivity + tie_breakers + eof_bonus
 with productivity = results / works, a tie-break unit of
-min(1 / (10 * works), 1e-4) granted once per absent penalty flag (fetch,
-blocking sort, index intersection), and an EOF bonus of 1. The "mod"
-variant halves productivity for any plan containing a fetch, compensating
-for the fetch cost hidden inside its single work unit. optimize() picks
-the winner from R, the results and the scan lengths with that arithmetic
-(race_winner) and keeps them as its OptimizeResult, from which the bound
-candidates, their TrialStats and Scores are derived when read.
+min(1 / (10 * works), 1e-4) granted once per absent penalty (a fetch, a
+blocking sort, an index intersection; no plan here has the last two), and
+an EOF bonus of 1. The "mod" variant halves productivity for any plan
+containing a fetch, compensating for the fetch cost hidden inside its
+single work unit. optimize() picks the winner from R, the results and the
+scan lengths with that arithmetic (race_winner) and keeps them as its
+OptimizeResult, from which the bound candidates, their TrialStats and
+Scores are derived when read.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from array import array
 from dataclasses import dataclass, field
@@ -87,8 +87,6 @@ class TrialStats:
     results: int
     reached_eof: bool
     has_fetch: bool
-    has_blocking_sort: bool = False
-    has_ixisect: bool = False
 
 
 @dataclass(frozen=True)
@@ -299,8 +297,8 @@ def score_plan(stats: TrialStats, variant: OptimizerVariant) -> Score:
         productivity=productivity,
         tie_break_unit=unit,
         no_fetch_bonus=no_fetch,
-        no_sort_bonus=0.0 if stats.has_blocking_sort else unit,
-        no_ixisect_bonus=0.0 if stats.has_ixisect else unit,
+        no_sort_bonus=unit,
+        no_ixisect_bonus=unit,
         eof_bonus=eof,
     )
 
@@ -314,26 +312,9 @@ def pick_best(scores: list[Score], candidates: list[CandidatePlan]) -> PlanId:
 # ---------------------------------------------------------------------------
 # Plan cache keyed by query shape.
 
-@dataclass
-class PlanCacheEntry:
-    shape: str
-    plan_id: PlanId
-
-
-@dataclass
-class PlanCache:
-    entries: dict[str, PlanCacheEntry] = field(default_factory=dict)
-
-    def get(self, shape: str) -> PlanCacheEntry | None:
-        return self.entries.get(shape)
-
-    def put(self, entry: PlanCacheEntry) -> None:
-        self.entries[entry.shape] = entry
-
-
-class CacheMode(enum.Enum):
-    OFF = "off"
-    ON_NO_REPLAN = "on-no-replan"
+class PlanCache(dict):
+    """A query shape string (engine.query_shape) to the PlanId that every
+    query of that shape reuses."""
 
 
 @dataclass
@@ -375,28 +356,26 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
              variant: OptimizerVariant = OptimizerVariant.VANILLA,
              knobs: RaceKnobs = RaceKnobs(),
              cache: PlanCache | None = None,
-             cache_mode: CacheMode = CacheMode.OFF,
              positions: tuple[int, ...] | None = None) -> OptimizeResult:
     """Choose a plan: race the shape's candidates, score, pick; or reuse a
     cached plan.
 
-    With the cache on (ON_NO_REPLAN), a shape hit skips the race and reuses
-    the cached plan unconditionally; a miss races and caches the winner.
+    With a cache, a shape hit skips the race and reuses the cached plan
+    unconditionally; a miss races and caches the winner.
     `positions`, when the caller has them, are the (start, end) of each of
     the query's predicates in its field's count_column, in predicate order;
     the race then takes its scan ranges from them instead of bisecting
     (shape_ranges).
     """
-    use_cache = cache is not None and cache_mode is not CacheMode.OFF
-    if use_cache:
+    if cache is not None:
         # the shape string, built once per shape and kept with its plans
         key = ("shape", shape_key(query))
         shape = catalog.shape_plans.get(key)
         if shape is None:
             shape = catalog.shape_plans[key] = query_shape(query)
-        entry = cache.get(shape)
-        if entry is not None:
-            return OptimizeResult(entry.plan_id, from_cache=True)
+        cached = cache.get(shape)
+        if cached is not None:
+            return OptimizeResult(cached, from_cache=True)
 
     layout = race_layout(query, collection, catalog, variant)
     scans = bind_layout(layout, query, len(collection), positions)
@@ -405,6 +384,6 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     lengths = [scans[k][1] - scans[k][0] for k in layout.slots]
     plans = layout.plans
     chosen = plans[race_winner(plans, rounds, results, lengths, variant)].id
-    if use_cache:
-        cache.put(PlanCacheEntry(shape=shape, plan_id=chosen))
+    if cache is not None:
+        cache[shape] = chosen
     return OptimizeResult(chosen, False, query, plans, variant, rounds, results, lengths)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Index, IndexCatalog, Query, RangePredicate, index_name_for, shape_key
+from .engine import Index, IndexCatalog, Query, index_name_for, shape_key
 from .errors import NoCandidatesError, UnknownPlanError
 
 
@@ -68,161 +68,6 @@ def plan_order_key(plan_name: str) -> tuple[int, str]:
 
 
 # ---------------------------------------------------------------------------
-# Stage tree. Plans here are straight pipelines, stored leaf-first in
-# execution order.
-
-@dataclass(frozen=True)
-class CollScanStage:
-    predicates: tuple[RangePredicate, ...]
-
-
-@dataclass(frozen=True)
-class IxScanStage:
-    index_name: str
-    field: str  # the bounded (leading) field
-    low: int
-    high: int
-
-
-@dataclass(frozen=True)
-class FetchStage:
-    pass
-
-
-@dataclass(frozen=True)
-class FilterStage:
-    predicate: RangePredicate
-
-
-@dataclass(frozen=True)
-class CandidatePlan:
-    id: PlanId
-    stages: tuple
-
-    @property
-    def has_fetch(self) -> bool:
-        return any(isinstance(s, FetchStage) for s in self.stages)
-
-    def __str__(self) -> str:
-        return str(self.id)
-
-
-def _ixscan_plan(query: Query, plan_id: PlanId) -> CandidatePlan:
-    (field,) = plan_id.key_fields
-    pred = query.predicate_on(field)
-    other = next(p for p in query.predicates if p.field != field)
-    stages = (
-        IxScanStage(plan_id.index_name, field, pred.low, pred.high),
-        FetchStage(),
-        FilterStage(other),
-    )
-    return CandidatePlan(plan_id, stages)
-
-
-def _cover_plan(query: Query, plan_id: PlanId) -> CandidatePlan:
-    key_fields = plan_id.key_fields
-    leading = key_fields[0]
-    pred = query.predicate_on(leading)
-    residuals = tuple(
-        FilterStage(query.predicate_on(f))
-        for f in key_fields[1:]
-        if query.predicate_on(f) is not None
-    )
-    stages = (
-        IxScanStage(plan_id.index_name, leading, pred.low, pred.high),
-        *residuals,
-    )
-    return CandidatePlan(plan_id, stages)
-
-
-def _collscan_plan(query: Query) -> CandidatePlan:
-    return CandidatePlan(COLLSCAN_ID, (CollScanStage(tuple(query.predicates)),))
-
-
-def _covers(query: Query, key_fields: tuple[str, ...]) -> bool:
-    if query.projection is None or not query.projection.suppress_record_id:
-        return False
-    return set(query.projection.fields) <= set(key_fields)
-
-
-def plan_for(query: Query, plan_id: PlanId) -> CandidatePlan:
-    """The plan `plan_id` names, with the query's bounds."""
-    if plan_id.kind is PlanKind.COLLSCAN:
-        return _collscan_plan(query)
-    if plan_id.kind is PlanKind.IXSCAN:
-        return _ixscan_plan(query, plan_id)
-    return _cover_plan(query, plan_id)
-
-
-def _index_plans(query: Query, catalog: IndexCatalog) -> list[CandidatePlan]:
-    """One plan per usable index, in catalog order."""
-    query_fields = query.fields()
-    index_plans: list[CandidatePlan] = []
-    for ix in catalog.indexes:
-        if ix.key_fields[0] not in query_fields:
-            continue
-        if len(ix.key_fields) == 1:
-            index_plans.append(_ixscan_plan(query, PlanId(PlanKind.IXSCAN, ix.key_fields)))
-        elif _covers(query, ix.key_fields):
-            index_plans.append(_cover_plan(query, PlanId(PlanKind.IXSCAN_COVER, ix.key_fields)))
-    return index_plans
-
-
-def producible_plans(query: Query, catalog: IndexCatalog,
-                     collscan_allowed: bool = True) -> dict[str, CandidatePlan]:
-    """Every plan a hint can force on this query, by its stable string form.
-
-    The plans do not depend on the query's hint, so one call serves every
-    plan forced on the same predicates and projection.
-    """
-    producible = {str(p.id): p for p in _index_plans(query, catalog)}
-    if collscan_allowed:
-        producible["COLLSCAN"] = _collscan_plan(query)
-    return producible
-
-
-def hinted_plan(producible: dict[str, CandidatePlan], hint: PlanId) -> CandidatePlan:
-    """The plan `hint` names among `producible`, or an UnknownPlanError."""
-    chosen = producible.get(str(hint))
-    if chosen is None:
-        raise UnknownPlanError(
-            f"hint {hint} names no producible plan; available: {sorted(producible)}")
-    return chosen
-
-
-def enumerate_candidates(query: Query, catalog: IndexCatalog,
-                         variant: OptimizerVariant = OptimizerVariant.VANILLA,
-                         collscan_allowed: bool = True) -> list[CandidatePlan]:
-    """All plans the optimizer will race for this query, in catalog order.
-
-    One plan per usable index (single-field indexes on a queried field;
-    compound indexes whose leading field is queried and whose keys cover the
-    projection), then COLLSCAN last when the gating rule lets it in. A hinted
-    query yields exactly the hinted plan or an UnknownPlanError.
-    """
-    if query.hint is not None:
-        return [hinted_plan(producible_plans(query, catalog, collscan_allowed), query.hint)]
-    candidates = _index_plans(query, catalog)
-    collscan_required = not candidates
-    if collscan_allowed and (
-        variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD) or collscan_required
-    ):
-        candidates.append(_collscan_plan(query))
-    if not candidates:
-        raise NoCandidatesError("no viable plan: no usable index and collection scan disallowed")
-    return candidates
-
-
-def parse_plan_hint(text: str) -> PlanId:
-    """Map a stable plan string ("COLLSCAN", "IXSCAN_A", ...) to its PlanId."""
-    try:
-        return KNOWN_PLAN_IDS[text]
-    except KeyError:
-        valid = ", ".join(PLAN_ID_ORDER)
-        raise UnknownPlanError(f"unknown plan {text!r}; valid forms: {valid}") from None
-
-
-# ---------------------------------------------------------------------------
 # Plans per query shape. Candidates and producible plans depend on a query's
 # fields, projection and hint, never on its bounds, so every query of a
 # sweep (one shape) has the same plans; only their ranges change.
@@ -231,32 +76,100 @@ def parse_plan_hint(text: str) -> PlanId:
 class ShapePlan:
     """One plan of a query shape, without the query's bounds.
 
-    Bound to a query, its index scan takes its range from the query's
-    predicate on `leading`, and each filter its bounds from the query's
-    predicate on that field (see optimizer.bind_layout and bind_plans).
+    The plan scans `index` in order (record_id order for COLLSCAN, whose
+    index is None) over the range of the query's predicate on `leading`
+    (every record for COLLSCAN), and keeps the positions whose values of
+    each of `filters` lie in the query's range on that field.
     """
 
     id: PlanId
-    has_fetch: bool
-    index: Index | None  # the access order; None is record_id order (COLLSCAN)
-    leading: str | None  # the field the index scan's range is on
-    filters: tuple[str, ...]  # the fields filtered, in stage order
+    index: Index | None
+    leading: str | None
+    filters: tuple[str, ...]
+
+    @property
+    def has_fetch(self) -> bool:
+        """Only a single-field index scan fetches each entry's document for
+        its filter; a covered scan filters on the index key."""
+        return self.id.kind is PlanKind.IXSCAN
 
 
-def _shape_plan(plan: CandidatePlan, catalog: IndexCatalog) -> ShapePlan:
-    first = plan.stages[0]
-    if isinstance(first, CollScanStage):
-        return ShapePlan(plan.id, plan.has_fetch, None, None,
-                         tuple(p.field for p in first.predicates))
-    return ShapePlan(plan.id, plan.has_fetch, catalog.by_name(first.index_name), first.field,
-                     tuple(s.predicate.field for s in plan.stages if isinstance(s, FilterStage)))
+@dataclass(frozen=True)
+class CandidatePlan:
+    """A shape plan bound to a query, whose predicates give its bounds."""
+
+    plan: ShapePlan
+    query: Query
+
+    @property
+    def id(self) -> PlanId:
+        return self.plan.id
+
+    @property
+    def has_fetch(self) -> bool:
+        return self.plan.has_fetch
+
+    def __str__(self) -> str:
+        return str(self.id)
+
+
+def _covers(query: Query, key_fields: tuple[str, ...]) -> bool:
+    if query.projection is None or not query.projection.suppress_record_id:
+        return False
+    return set(query.projection.fields) <= set(key_fields)
+
+
+def _index_plans(query: Query, catalog: IndexCatalog) -> list[ShapePlan]:
+    """One plan per usable index, in catalog order."""
+    fields = [p.field for p in query.predicates]
+    index_plans: list[ShapePlan] = []
+    for ix in catalog.indexes:
+        leading = ix.key_fields[0]
+        if leading not in fields:
+            continue
+        if len(ix.key_fields) == 1:
+            index_plans.append(ShapePlan(PlanId(PlanKind.IXSCAN, ix.key_fields), ix, leading,
+                                         tuple(f for f in fields if f != leading)))
+        elif _covers(query, ix.key_fields):
+            index_plans.append(ShapePlan(PlanId(PlanKind.IXSCAN_COVER, ix.key_fields), ix,
+                                         leading, tuple(f for f in ix.key_fields[1:]
+                                                        if f in fields)))
+    return index_plans
+
+
+def producible_plans(query: Query, catalog: IndexCatalog,
+                     collscan_allowed: bool = True) -> dict[str, ShapePlan]:
+    """Every plan a hint can force on this query, by its stable string form.
+
+    The plans do not depend on the query's hint, so one call serves every
+    plan forced on the same predicates and projection.
+    """
+    producible = {str(p.id): p for p in _index_plans(query, catalog)}
+    if collscan_allowed:
+        producible["COLLSCAN"] = ShapePlan(COLLSCAN_ID, None, None,
+                                           tuple(p.field for p in query.predicates))
+    return producible
+
+
+def hinted_plan(producible: dict[str, ShapePlan], hint: PlanId) -> ShapePlan:
+    """The plan `hint` names among `producible`, or an UnknownPlanError."""
+    chosen = producible.get(str(hint))
+    if chosen is None:
+        raise UnknownPlanError(
+            f"hint {hint} names no producible plan; available: {sorted(producible)}")
+    return chosen
 
 
 def shape_candidates(query: Query, catalog: IndexCatalog,
                      variant: OptimizerVariant = OptimizerVariant.VANILLA,
                      collscan_allowed: bool = True) -> tuple[ShapePlan, ...]:
-    """enumerate_candidates(query, catalog, variant, collscan_allowed),
-    without the bounds.
+    """All plans the optimizer will race for queries of this one's shape,
+    in catalog order.
+
+    One plan per usable index (single-field indexes on a queried field;
+    compound indexes whose leading field is queried and whose keys cover the
+    projection), then COLLSCAN last when the gating rule lets it in. A hinted
+    query yields exactly the hinted plan or an UnknownPlanError.
 
     Enumerated for the first query of each shape, hint, variant and gate,
     and kept in catalog.shape_plans. A failed enumeration is not kept, so
@@ -265,8 +178,21 @@ def shape_candidates(query: Query, catalog: IndexCatalog,
     key = ("candidates", shape_key(query), query.hint, variant, collscan_allowed)
     plans = catalog.shape_plans.get(key)
     if plans is None:
-        plans = tuple(_shape_plan(p, catalog) for p in
-                      enumerate_candidates(query, catalog, variant, collscan_allowed))
+        producible = producible_plans(query, catalog, collscan_allowed)
+        if query.hint is not None:
+            plans = (hinted_plan(producible, query.hint),)
+        else:
+            collscan = producible.pop("COLLSCAN", None)
+            candidates = list(producible.values())
+            if collscan is not None and (
+                variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD)
+                or not candidates
+            ):
+                candidates.append(collscan)
+            if not candidates:
+                raise NoCandidatesError(
+                    "no viable plan: no usable index and collection scan disallowed")
+            plans = tuple(candidates)
         catalog.shape_plans[key] = plans
     return plans
 
@@ -282,12 +208,28 @@ def shape_forced(query: Query, catalog: IndexCatalog,
     plans = catalog.shape_plans.get(key)
     if plans is None:
         producible = producible_plans(query, catalog)
-        plans = tuple(_shape_plan(hinted_plan(producible, plan_id), catalog)
-                      for plan_id in forced)
+        plans = tuple(hinted_plan(producible, plan_id) for plan_id in forced)
         catalog.shape_plans[key] = plans
     return plans
 
 
 def bind_plans(plans: tuple[ShapePlan, ...], query: Query) -> list[CandidatePlan]:
     """The shape plans with the query's bounds."""
-    return [plan_for(query, p.id) for p in plans]
+    return [CandidatePlan(p, query) for p in plans]
+
+
+def enumerate_candidates(query: Query, catalog: IndexCatalog,
+                         variant: OptimizerVariant = OptimizerVariant.VANILLA,
+                         collscan_allowed: bool = True) -> list[CandidatePlan]:
+    """shape_candidates(query, catalog, variant, collscan_allowed), bound to
+    the query."""
+    return bind_plans(shape_candidates(query, catalog, variant, collscan_allowed), query)
+
+
+def parse_plan_hint(text: str) -> PlanId:
+    """Map a stable plan string ("COLLSCAN", "IXSCAN_A", ...) to its PlanId."""
+    try:
+        return KNOWN_PLAN_IDS[text]
+    except KeyError:
+        valid = ", ".join(PLAN_ID_ORDER)
+        raise UnknownPlanError(f"unknown plan {text!r}; valid forms: {valid}") from None

@@ -22,8 +22,8 @@ from planrace.engine import (
 from planrace.executor import (
     CostModel,
     PlanExecution,
-    PlanScan,
     WorkState,
+    match_mask,
     plan_cost_totals,
     run_to_completion,
 )
@@ -226,12 +226,10 @@ def test_cost_model_rejects_non_finite(value):
 
 # --- byte masks -----------------------------------------------------------------
 
-def list_mask(scan, lo, hi):
-    """The list-comprehension mask: every position's values compared, in the
-    access order's own columns."""
-    a, b = scan.start + lo, scan.start + hi
-    columns = scan.filter_columns()
-    return [int(all(low <= column[k] < high for column, low, high in columns))
+def list_mask(columns, filters, a, b):
+    """The list-comprehension mask of positions a..b-1: every position's
+    values compared, in the access order's own columns."""
+    return [int(all(low <= columns[f][k] < high for f, low, high in filters))
             for k in range(a, b)]
 
 
@@ -271,13 +269,20 @@ def check_byte_masks(collection, rng):
             filters.append((f, min(low, high), max(low, high)))
         start = rng.randrange(n + 1)
         end = rng.randrange(start, n + 1)
-        scan = PlanScan(start, end, index, tuple(filters), collection, catalog)
+        rids = None if index is None else index.rids
+        columns = collection.columns if index is None else index.columns
+        masking = [(bucket_column(collection, f, index, catalog),
+                    rank_buckets(collection, f, catalog).table(low, high),
+                    collection.columns[f], low, high)
+                   for f, low, high in filters]
         for _ in range(3):
-            lo = rng.randrange(scan.length + 1)
-            hi = rng.randrange(lo, scan.length + 1)
-            assert list(scan.mask(lo, hi)) == list_mask(scan, lo, hi)
+            lo = rng.randrange(end - start + 1)
+            hi = rng.randrange(lo, end - start + 1)
+            assert (list(match_mask(masking, rids, start + lo, start + hi))
+                    == list_mask(columns, filters, start + lo, start + hi))
             checked += 1
-        assert list(scan.mask(0, scan.length)) == list_mask(scan, 0, scan.length)
+        assert list(match_mask(masking, rids, start, end)) == list_mask(
+            columns, filters, start, end)
     assert checked == 450
 
 

@@ -46,7 +46,7 @@ from planrace.harness import (
     run_experiment,
     sweep,
 )
-from planrace.optimizer import CacheMode, RaceKnobs, optimize
+from planrace.optimizer import RaceKnobs, optimize
 from planrace.plans import (
     OptimizerVariant,
     enumerate_candidates,
@@ -272,8 +272,7 @@ def test_sweep_deterministic_per_seed(small_world):
            {k: v.chosen for k, v in g2.cells.items()}
 
 
-def reference_sweep(scenario, collection, catalog, variant, d, seed,
-                    cache=None, cache_mode=CacheMode.OFF):
+def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None):
     """The sweep loop built from the public per-draw functions, with its counters."""
     rng = random.Random(seed)
     n = len(collection)
@@ -282,8 +281,7 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed,
     b_lo, b_hi = collection.value_bounds("B")
 
     def record(i, j, query):
-        result = optimize(query, collection, catalog, variant, RaceKnobs(),
-                          cache=cache, cache_mode=cache_mode)
+        result = optimize(query, collection, catalog, variant, RaceKnobs(), cache=cache)
         count_a, count_b = (match_count(collection, p, catalog) for p in query.predicates)
         grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
                                       query=query, chosen=str(result.chosen),
@@ -354,22 +352,18 @@ def assert_sweep_matches_reference(scenario, collection, d, seed,
                                    variant=OptimizerVariant.VANILLA, primed=None):
     catalog = scenario.build_catalog(collection)
     caches = [None, None]
-    cache_mode = CacheMode.OFF
     if primed is not None:
         caches = [primed_cache_for(scenario, parse_plan_hint(primed)) for _ in range(2)]
-        cache_mode = CacheMode.ON_NO_REPLAN
     # a draw whose retry accepts r == n leaves an empty range for the low
     # bound, and getrandbits(0) == 0 retries forever: fail instead of hanging
     handler = signal.signal(signal.SIGALRM, sweep_timed_out)
     signal.alarm(SWEEP_SECONDS)
     try:
-        grid = sweep(scenario, collection, catalog, variant, d, seed,
-                     cache=caches[0], cache_mode=cache_mode)
+        grid = sweep(scenario, collection, catalog, variant, d, seed, cache=caches[0])
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, handler)
-    ref = reference_sweep(scenario, collection, catalog, variant, d, seed,
-                          cache=caches[1], cache_mode=cache_mode)
+    ref = reference_sweep(scenario, collection, catalog, variant, d, seed, cache=caches[1])
     assert cell_facts(grid) == cell_facts(ref)
     assert grid.complete and grid.draws == grid.rejections + d * d - grid.filled_directly
     return grid
@@ -529,8 +523,7 @@ def test_sweep_through_the_worker_equals_in_process_draws(monkeypatch, forks, di
 def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, small_world):
     collection, scenario, catalog = small_world
     cache = primed_cache_for(scenario, parse_plan_hint("IXSCAN_AB"))
-    grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 8, 3,
-                 cache=cache, cache_mode=CacheMode.ON_NO_REPLAN)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 8, 3, cache=cache)
     assert drawn_cells(grid, len(collection)) == list(
         harness.draw_cells(collection, catalog, 8, 3))
     assert_positions_are_scan_ranges(grid, collection, catalog, scenario,

@@ -11,7 +11,6 @@ from planrace.engine import RangePredicate, count_column, generate_dataset
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
-    CacheMode,
     PlanCache,
     RaceKnobs,
     Score,
@@ -26,6 +25,7 @@ from planrace.plans import (
     OptimizerVariant,
     PlanId,
     PlanKind,
+    ShapePlan,
     enumerate_candidates,
     parse_plan_hint,
 )
@@ -244,7 +244,7 @@ def test_score_zero_works_rejected():
 # --- pick_best ------------------------------------------------------------
 
 def fake_plan(name):
-    return CandidatePlan(parse_plan_hint(name), ())
+    return CandidatePlan(ShapePlan(parse_plan_hint(name), None, None, ()), None)
 
 
 def make_score(total):
@@ -331,22 +331,13 @@ def test_optimize_cache_hit_skips_race(collection):
     catalog = scenario.build_catalog(collection)
     cache = PlanCache()
     q1 = make_query("both-indexed", 0.1, 0.5, collection)
-    r1 = optimize(q1, collection, catalog, cache=cache, cache_mode=CacheMode.ON_NO_REPLAN)
+    r1 = optimize(q1, collection, catalog, cache=cache)
     assert not r1.from_cache
     q2 = make_query("both-indexed", 0.6, 0.05, collection)  # same shape, different constants
-    r2 = optimize(q2, collection, catalog, cache=cache, cache_mode=CacheMode.ON_NO_REPLAN)
+    r2 = optimize(q2, collection, catalog, cache=cache)
     assert r2.from_cache
     assert r2.chosen == r1.chosen  # primed plan reused even though B would now win
     assert r2.stats == [] and r2.candidates == [] and r2.scores == []
-
-
-def test_optimize_cache_off_always_races(collection):
-    scenario = get_scenario("both-indexed")
-    catalog = scenario.build_catalog(collection)
-    cache = PlanCache()
-    q = make_query("both-indexed", 0.1, 0.5, collection)
-    optimize(q, collection, catalog, cache=cache, cache_mode=CacheMode.OFF)
-    assert cache.entries == {}
 
 
 def test_optimize_hinted_query_races_single_candidate(collection):

@@ -11,15 +11,17 @@ from planrace.engine import (
     Projection,
     Query,
     RangePredicate,
+    bucket_column,
     build_index,
     generate_dataset,
+    rank_buckets,
 )
 from planrace.errors import NoCandidatesError, UnknownPlanError
-from planrace.executor import CostModel, PlanExecution, plan_scan, run_to_completion
+from planrace.executor import CostModel, PlanExecution, run_to_completion
 from planrace.optimizer import _build_layout, bind_layout
 from planrace.plans import (
     PLAN_ID_ORDER,
-    FetchStage,
+    CandidatePlan,
     OptimizerVariant,
     PlanKind,
     bind_plans,
@@ -103,9 +105,10 @@ def test_cover_plan_has_no_fetch(dataset):
                                  OptimizerVariant.VANILLA)
     cover = next(p for p in cands if p.id.kind is PlanKind.IXSCAN_COVER)
     assert not cover.has_fetch
-    assert not any(isinstance(s, FetchStage) for s in cover.stages)
+    assert (cover.plan.leading, cover.plan.filters) == ("A", ("B",))
     ixscan = next(p for p in cands if str(p.id) == "IXSCAN_A")
     assert ixscan.has_fetch
+    assert (ixscan.plan.leading, ixscan.plan.filters) == ("A", ("B",))
 
 
 def test_single_index_scenario(dataset):
@@ -144,8 +147,9 @@ def test_producible_plans_are_the_hinted_candidates(dataset, name):
     producible = producible_plans(query_for(name), catalog)
     assert sorted(producible) == sorted(str(p) for p in forced)
     for plan_id in forced:
-        hinted = enumerate_candidates(query_for(name, hint=plan_id), catalog)
-        assert [hinted_plan(producible, plan_id)] == hinted
+        q = query_for(name, hint=plan_id)
+        assert [CandidatePlan(hinted_plan(producible, plan_id), q)] == enumerate_candidates(
+            q, catalog)
 
 
 def test_hinted_plan_rejects_unproducible_plan(dataset):
@@ -224,24 +228,31 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name, collsc
                     q = Query((RangePredicate("A", a0, rng.randrange(a0, 410)),
                                RangePredicate("B", b0, rng.randrange(b0, 410))),
                               projection, hint)
-                    want = outcome(enumerate_candidates, q, catalog, variant, collscan_allowed)
+                    # the plans kept for the shape are those a catalog with
+                    # nothing kept enumerates for this query
+                    fresh = IndexCatalog(list(catalog.indexes))
+                    want = outcome(shape_candidates, q, fresh, variant, collscan_allowed)
                     got = outcome(shape_candidates, q, catalog, variant, collscan_allowed)
+                    assert got == want
                     if want[0] == "error":
-                        assert got == want
                         errors += 1
                         continue
-                    plans = got[1]
-                    assert bind_plans(plans, q) == want[1]
-                    assert [p.has_fetch for p in plans] == [p.has_fetch for p in want[1]]
-                    # the race layout bound to q scans what plan_scan gives
-                    layout = _build_layout(plans, dataset, catalog)
+                    bound = enumerate_candidates(q, catalog, variant, collscan_allowed)
+                    assert bound == bind_plans(got[1], q)
+                    # the race layout bound to q scans what PlanExecution steps
+                    layout = _build_layout(got[1], dataset, catalog)
                     scans = bind_layout(layout, q, len(dataset))
                     assert sorted(set(layout.slots)) == list(range(len(scans)))
-                    for slot, plan in zip(layout.slots, want[1]):
+                    for slot, plan in zip(layout.slots, bound):
                         start, end, rids, filters = scans[slot]
-                        scan = plan_scan(plan, dataset, catalog)
-                        assert (start, end) == (scan.start, scan.end) and rids is scan.rids
-                        assert filters == scan._mask_filters()
+                        ex = PlanExecution(plan, dataset, catalog, COST)
+                        assert (start, end) == (ex._start, ex._end) and rids is ex._rids
+                        index = plan.plan.index
+                        assert filters == [
+                            (bucket_column(dataset, f, index, catalog),
+                             rank_buckets(dataset, f, catalog).table(low, high),
+                             dataset.columns[f], low, high)
+                            for f, (_, low, high) in zip(plan.plan.filters, ex._filters)]
     # hints the catalog cannot produce; no plan at all without indexes and collscan
     assert errors > 0
 
@@ -258,10 +269,10 @@ def test_shape_forced_bound_equal_hinted_producible_plans(dataset, name):
         producible = producible_plans(q, catalog)
         plans = shape_forced(q, catalog, forced)
         assert plans is shape_forced(q, catalog, forced)  # kept per shape
-        assert bind_plans(plans, q) == [hinted_plan(producible, p) for p in forced]
+        assert plans == tuple(hinted_plan(producible, p) for p in forced)
         # every known plan: UnknownPlanError where the scenario lacks an index
-        assert outcome(lambda: bind_plans(shape_forced(q, catalog, every), q)) == outcome(
-            lambda: [hinted_plan(producible, p) for p in every])
+        assert outcome(shape_forced, q, catalog, every) == outcome(
+            lambda: tuple(hinted_plan(producible, p) for p in every))
 
 
 def test_adding_an_index_drops_shape_plans(dataset):

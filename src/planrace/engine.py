@@ -2,13 +2,14 @@
 
 A collection is an immutable, in-memory set of documents with dense record
 ids (0..N-1), stored as one int64 array per field in record_id order; that
-order models on-disk sequential scan order. An index is the same columns
-permuted into (key tuple, record_id) order, plus the record ids in that
+order models on-disk sequential scan order. An index holds only its leading
+key's values in sorted order and the record ids in (key tuple, record_id)
 order, so a range scan is a contiguous slice found by binary search on the
-leading key's column. An index builds that sorted column up front and
-everything else on first use, so a run that only counts ranges never
-pays for the rest. Every column, sorted copy and record id order is an
-array('q'): 8 bytes per value, where a list of ints holds an 8-byte
+sorted values, and each entry's field values are read from the collection's
+columns through its record id. An index builds its sorted values up front
+and its record id order on first use, so a run that only counts ranges
+never pays for the rest. Every column, sorted copy and record id order is
+an array('q'): 8 bytes per value, where a list of ints holds an 8-byte
 reference and a 32-byte int object.
 
 Each field's values fall into at most BUCKETS rank buckets (RankBuckets).
@@ -30,7 +31,6 @@ import random
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import compress, islice, repeat
@@ -115,33 +115,32 @@ class Collection:
 
 
 class Index:
-    """Sorted secondary index stored as columns in index order.
+    """Sorted secondary index: key_values and rids in index order.
 
-    rids[k] is the record id of the k-th entry and columns[f][k] its value of
-    field f, for every field of the collection (not only the key fields), so
-    a scan reads any field of an entry without a fetch by record id. Entries
-    are ordered by the key fields, then by record id.
+    Entries are ordered by the key fields, then by record id. rids[k] is
+    the record id of the k-th entry and key_values[k] its value of the
+    leading key field; key_values is what range counts and range_positions
+    bisect. Any field of an entry, the other key fields included, is read
+    from the collection's column at its record id.
 
-    Only the leading key's column, which is sorted and is what range counts
-    and range_positions bisect, is built with the index. rids and the other
-    columns are built the first time they are read, and kept: a run that
-    never scans an index, such as one that reuses a primed plan, never
-    builds them. Indexes are never modified, so two indexes in the same
-    order may share these arrays. The closed-form race reads rids and the
-    fields' bucket columns in index order (bucket_column), never the other
-    columns; stepping a plan (PlanExecution) reads those.
+    key_values is built with the index. rids is built the first time it is
+    read, and kept: a run that never scans an index, such as one that
+    reuses a primed plan, never builds it. Indexes are never modified, so
+    two indexes in the same order may share these arrays. The closed-form
+    race reads rids and the fields' bucket columns in index order
+    (bucket_column); stepping a plan (PlanExecution) reads rids and the
+    collection's columns.
     """
 
     def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection,
-                 leading: array, base: Index | None = None):
+                 key_values: array, base: Index | None = None):
         self.name = name
         self.key_fields = key_fields
+        self.key_values = key_values
         self._collection = collection
         # the single-field index on key_fields[0] this one extends, if any
         self._base = base
-        self._leading = leading
         self._rids: array | None = None
-        self.columns = _IndexColumns(self, {key_fields[0]: leading})
         # bucket columns in index order by field (see bucket_column)
         self._bucket_columns: dict[str, bytes] = {}
 
@@ -163,10 +162,10 @@ class Index:
         order, only re-sorts each run of equal leading keys by the other
         keys, stably, which keeps record_id as the last tie-break. Without
         such a run the order is already final, and the index shares the
-        base's record ids and columns.
+        base's record ids.
         """
         columns = self._collection.columns
-        lead = self._leading
+        lead = self.key_values
         if self._base is None:
             rids = list(range(len(lead)))
             for f in reversed(self.key_fields):
@@ -186,59 +185,30 @@ class Index:
                 rids[a:b] = array("q", run)
         return rids
 
-    def _gather(self, field_name: str) -> array:
-        """The field's column in index order."""
-        rids = self.rids
-        if self._base is not None and rids is self._base.rids:
-            return self._base.columns[field_name]
-        return array("q", map(self._collection.columns[field_name].__getitem__, rids))
-
     def range_positions(self, low: int, high: int) -> tuple[int, int]:
         """Entry positions [lo, hi) whose leading key lies in [low, high)."""
-        return bisect_left(self._leading, low), bisect_left(self._leading, high)
+        return bisect_left(self.key_values, low), bisect_left(self.key_values, high)
 
 
-class _IndexColumns(Mapping):
-    """An index's columns by field, in the collection's field order.
-
-    A column is gathered the first time it is read, then kept.
-    """
-
-    def __init__(self, index: Index, built: dict[str, array]):
-        self._index = index
-        self._built = built
-
-    def __getitem__(self, field_name: str) -> array:
-        column = self._built.get(field_name)
-        if column is None:
-            if field_name not in self._index._collection.columns:
-                raise KeyError(field_name)
-            column = self._built[field_name] = self._index._gather(field_name)
-        return column
-
-    def __iter__(self):
-        return iter(self._index._collection.columns)
-
-    def __len__(self) -> int:
-        return len(self._index._collection.columns)
-
-
-@dataclass
+@dataclass(frozen=True)
 class IndexCatalog:
-    """Indexes in creation order; order is the downstream tie-break.
+    """Indexes in creation order, fixed when the catalog is built; order is
+    the downstream tie-break.
 
-    shape_plans holds the plans of each query shape in this catalog (see
-    plans.shape_candidates), keyed by shape_key; adding an index drops them.
+    shape_plans holds what each query shape's races read in this catalog
+    (see plans.shape_candidates), keyed by query_shape. The indexes are a
+    tuple, so those plans never go stale.
     """
 
-    indexes: list[Index] = field(default_factory=list)
+    indexes: tuple[Index, ...] = ()
     shape_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def add(self, index: Index) -> None:
-        if any(ix.name == index.name for ix in self.indexes):
-            raise ValueError(f"duplicate index name {index.name!r}")
-        self.indexes.append(index)
-        self.shape_plans.clear()
+    def __post_init__(self):
+        object.__setattr__(self, "indexes", tuple(self.indexes))
+        names = [ix.name for ix in self.indexes]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise ValueError(f"duplicate index name {name!r}")
 
     def by_name(self, name: str) -> Index:
         for ix in self.indexes:
@@ -297,34 +267,16 @@ class Query:
                 return p
         return None
 
-    def fields(self) -> set[str]:
-        return {p.field for p in self.predicates}
 
+def query_shape(query: Query) -> tuple:
+    """The plan-cache key: the query's predicate fields, sorted, and its
+    projection.
 
-def query_shape(query: Query) -> str:
-    """Canonical shape string: structure only, constants elided.
-
-    Two queries differing only in range bounds share a shape; this is the
-    plan-cache key.
+    Two queries differing only in range bounds, or in the order of their
+    predicates, share a shape; the plans of a shape look each range up by
+    its field, and its filters are ANDed.
     """
-    preds = ",".join(f"{p.field}:range" for p in sorted(query.predicates, key=lambda p: p.field))
-    if query.projection is None:
-        proj = "-"
-    else:
-        rid = "no_rid" if query.projection.suppress_record_id else "rid"
-        proj = ",".join(query.projection.fields) + ";" + rid
-    return f"find({preds})|proj({proj})|sort()"
-
-
-def shape_key(query: Query) -> tuple:
-    """A key that two queries share only if they share query_shape: their
-    predicates' fields, in query order, and their projection.
-
-    Cheaper than the shape string, so the per-shape caches use it. Two
-    queries of one shape whose predicates come in different orders have
-    different keys.
-    """
-    return (*[p.field for p in query.predicates], query.projection)
+    return (*sorted([p.field for p in query.predicates]), query.projection)
 
 
 def generate_dataset(n: int, distribution: str = "uniform-distinct", seed: int = 0) -> Collection:
@@ -358,25 +310,23 @@ def index_name_for(key_fields: tuple[str, ...]) -> str:
     return "_".join(f"{f}_1" for f in key_fields)
 
 
-def build_index(collection: Collection, key_fields,
-                catalog: IndexCatalog | None = None) -> Index:
+def build_index(collection: Collection, key_fields, base: Index | None = None) -> Index:
     """The index on key_fields, named like "A_1_B_1".
 
-    Only the leading key's sorted column is built here (see Index): it is
-    the collection's sorted_values of the field, shared by every index
-    leading on it. When `catalog` holds the single-field index on a
-    compound key's leading field, the compound index later derives its
-    order from that index's (see Index._order).
+    Only the leading key's sorted values are built here (see Index): they
+    are the collection's sorted_values of the field, shared by every index
+    leading on it. `base`, the single-field index on a compound key's
+    leading field, lets the compound index derive its order from base's
+    (see Index._order); without it the order is sorted from scratch.
     """
     key_fields = tuple(key_fields)
     for f in key_fields:
         if f not in collection.columns:
             raise UnknownFieldError(f"cannot index unknown field {f!r}")
-    name = index_name_for(key_fields)
-    base = None
-    if catalog is not None and len(key_fields) > 1:
-        base = catalog.single_field_index(key_fields[0])
-    return Index(name, key_fields, collection, collection.sorted_values(key_fields[0]), base)
+    if base is not None and base.key_fields != key_fields[:1]:
+        raise ValueError(f"index {base.name} is not the single-field index on {key_fields[0]!r}")
+    return Index(index_name_for(key_fields), key_fields, collection,
+                 collection.sorted_values(key_fields[0]), base)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate,
@@ -394,7 +344,7 @@ def count_column(collection: Collection, field_name: str,
                  catalog: IndexCatalog | None = None) -> array:
     """The sorted values of one field that range counts bisect.
 
-    That is the leading column of the catalog's single-field index on the
+    That is the key_values of the catalog's single-field index on the
     field when there is one, otherwise the collection's sorted copy; an
     index built by build_index holds that same array.
     """
@@ -403,7 +353,7 @@ def count_column(collection: Collection, field_name: str,
     if catalog is not None:
         ix = catalog.single_field_index(field_name)
         if ix is not None:
-            return ix.columns[field_name]
+            return ix.key_values
     return collection.sorted_values(field_name)
 
 
@@ -519,7 +469,7 @@ def bucket_column(collection: Collection, field_name: str, index: Index | None =
             if ix is None:
                 column = buckets.numbers(collection.columns[field_name])
             else:
-                column = buckets.numbers_from_order(ix.columns[field_name], ix.rids)
+                column = buckets.numbers_from_order(ix.key_values, ix.rids)
             collection._bucket_columns[field_name] = column
         return column
     column = index._bucket_columns.get(field_name)

@@ -86,7 +86,7 @@ def shape_ranges(plans: tuple[ShapePlan, ...], query: Query, n_records: int,
     """(start, end) of each shape plan's scan for the query's bounds.
 
     Two bisects per leading field serve every plan whose index leads on
-    it, as such indexes share their sorted leading column's values.
+    it, as such indexes share their key_values.
     `positions`, when given, are those bisects' results already: the
     (start, end) of each of the query's predicates in that column, in the
     query's predicate order (count_column gives the same positions).
@@ -123,8 +123,9 @@ class PlanExecution:
 
     The plan visits positions start..end-1 of its access order: its index's
     entries within the query's range on the leading field, or every record
-    in record_id order for COLLSCAN. A position matches when its value of
-    each filtered field lies in the query's range on that field. The plan
+    in record_id order for COLLSCAN. A position matches when its record's
+    value of each filtered field, read from the collection's column at the
+    position's record id, lies in the query's range on that field. The plan
     carries its index, so the catalog is not read.
     """
 
@@ -142,16 +143,16 @@ class PlanExecution:
         index = shape.index
         if index is None:
             start, end = 0, len(collection)
-            self._rids, columns = None, collection.columns
+            self._rids = None
         else:
             pred = query.predicate_on(shape.leading)
             start, end = index.range_positions(pred.low, pred.high)
             # IXSCAN's filter reads the fetched document, a covered plan's
-            # reads the index key; both values sit in the index-order column
-            self._rids, columns = index.rids, index.columns
+            # reads the index key; both hold the record's own value
+            self._rids = index.rids
         self._start = self._pos = start
         self._end = end
-        self._filters = tuple((columns[p.field], p.low, p.high)
+        self._filters = tuple((collection.columns[p.field], p.low, p.high)
                               for p in map(query.predicate_on, shape.filters))
         self._step_time = step_time(plan.id.kind, cost)
 
@@ -173,11 +174,12 @@ class PlanExecution:
             self.eof = True
             return WorkState.EOF
         self._pos = pos + 1
+        rid = pos if self._rids is None else self._rids[pos]
         for column, low, high in self._filters:
-            if not (low <= column[pos] < high):
+            if not (low <= column[rid] < high):
                 return WorkState.NEED_TIME
         self.results += 1
-        self.emitted.append(pos if self._rids is None else self._rids[pos])
+        self.emitted.append(rid)
         return WorkState.ADVANCED
 
 
@@ -200,7 +202,7 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
     entries inside its bounds, plus one terminal step each. Equality with the
     stepped protocol is enforced by tests. It is the reference for
     measure_grid's scan length x step_time from each cell's positions,
-    and explain prints it. It reads only the index's leading column.
+    and explain prints it. It reads only the index's key_values.
     """
     ((start, end),) = shape_ranges((plan.plan,), plan.query, len(collection))
     k = end - start

@@ -32,7 +32,6 @@ from .engine import (
     count_column,
     match_count,
     query_shape,
-    shape_key,
 )
 from .errors import PlanraceError, UnknownPlanError
 from .executor import CostModel, plan_cost_totals, step_time
@@ -348,7 +347,7 @@ def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCat
              for plan_id in forced]
     checked = set()
     for cell in grid.sorted_cells():
-        key = shape_key(cell.query)
+        key = query_shape(cell.query)
         if key not in checked:
             shape_forced(cell.query, catalog, forced)
             checked.add(key)

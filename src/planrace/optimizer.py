@@ -45,7 +45,6 @@ from .engine import (
     bucket_column,
     query_shape,
     rank_buckets,
-    shape_key,
 )
 from .errors import NoCandidatesError, UndefinedProductivityError
 from .executor import PlanExecution, WorkState, match_mask, shape_ranges
@@ -190,7 +189,7 @@ def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
                 variant: OptimizerVariant) -> RaceLayout:
     """The race layout of the query's shape, hint and variant, kept in
     catalog.shape_plans next to the shape's plans."""
-    key = ("race", shape_key(query), query.hint, variant)
+    key = ("race", query_shape(query), query.hint, variant)
     layout = catalog.shape_plans.get(key)
     if layout is None:
         plans = shape_candidates(query, catalog, variant)
@@ -313,8 +312,8 @@ def pick_best(scores: list[Score], candidates: list[CandidatePlan]) -> PlanId:
 # Plan cache keyed by query shape.
 
 class PlanCache(dict):
-    """A query shape string (engine.query_shape) to the PlanId that every
-    query of that shape reuses."""
+    """A query shape (engine.query_shape) to the PlanId that every query of
+    that shape reuses."""
 
 
 @dataclass
@@ -368,11 +367,7 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     (shape_ranges).
     """
     if cache is not None:
-        # the shape string, built once per shape and kept with its plans
-        key = ("shape", shape_key(query))
-        shape = catalog.shape_plans.get(key)
-        if shape is None:
-            shape = catalog.shape_plans[key] = query_shape(query)
+        shape = query_shape(query)
         cached = cache.get(shape)
         if cached is not None:
             return OptimizeResult(cached, from_cache=True)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Index, IndexCatalog, Query, index_name_for, shape_key
-from .errors import NoCandidatesError, UnknownPlanError
+from .engine import Index, IndexCatalog, Query, index_name_for, query_shape
+from .errors import UnknownPlanError
 
 
 class OptimizerVariant(enum.Enum):
@@ -69,8 +69,9 @@ def plan_order_key(plan_name: str) -> tuple[int, str]:
 
 # ---------------------------------------------------------------------------
 # Plans per query shape. Candidates and producible plans depend on a query's
-# fields, projection and hint, never on its bounds, so every query of a
-# sweep (one shape) has the same plans; only their ranges change.
+# shape (query_shape) and hint, never on its bounds or the order of its
+# predicates, so every query of a sweep (one shape) has the same plans; only
+# their ranges change.
 
 @dataclass(frozen=True)
 class ShapePlan:
@@ -119,35 +120,30 @@ def _covers(query: Query, key_fields: tuple[str, ...]) -> bool:
     return set(query.projection.fields) <= set(key_fields)
 
 
-def _index_plans(query: Query, catalog: IndexCatalog) -> list[ShapePlan]:
-    """One plan per usable index, in catalog order."""
-    fields = [p.field for p in query.predicates]
-    index_plans: list[ShapePlan] = []
+def producible_plans(query: Query, catalog: IndexCatalog) -> dict[str, ShapePlan]:
+    """Every plan a hint can force on this query, by its stable string form:
+    one per usable index, in catalog order, then COLLSCAN.
+
+    The filter fields come in sorted order, so the plans depend only on the
+    query's shape (query_shape), not on its hint or the order of its
+    predicates; one call serves every plan forced on that shape.
+    """
+    fields = sorted([p.field for p in query.predicates])
+    producible = {}
     for ix in catalog.indexes:
         leading = ix.key_fields[0]
         if leading not in fields:
             continue
         if len(ix.key_fields) == 1:
-            index_plans.append(ShapePlan(PlanId(PlanKind.IXSCAN, ix.key_fields), ix, leading,
-                                         tuple(f for f in fields if f != leading)))
+            plan = ShapePlan(PlanId(PlanKind.IXSCAN, ix.key_fields), ix, leading,
+                             tuple(f for f in fields if f != leading))
         elif _covers(query, ix.key_fields):
-            index_plans.append(ShapePlan(PlanId(PlanKind.IXSCAN_COVER, ix.key_fields), ix,
-                                         leading, tuple(f for f in ix.key_fields[1:]
-                                                        if f in fields)))
-    return index_plans
-
-
-def producible_plans(query: Query, catalog: IndexCatalog,
-                     collscan_allowed: bool = True) -> dict[str, ShapePlan]:
-    """Every plan a hint can force on this query, by its stable string form.
-
-    The plans do not depend on the query's hint, so one call serves every
-    plan forced on the same predicates and projection.
-    """
-    producible = {str(p.id): p for p in _index_plans(query, catalog)}
-    if collscan_allowed:
-        producible["COLLSCAN"] = ShapePlan(COLLSCAN_ID, None, None,
-                                           tuple(p.field for p in query.predicates))
+            plan = ShapePlan(PlanId(PlanKind.IXSCAN_COVER, ix.key_fields), ix, leading,
+                             tuple(f for f in ix.key_fields[1:] if f in fields))
+        else:
+            continue
+        producible[str(plan.id)] = plan
+    producible["COLLSCAN"] = ShapePlan(COLLSCAN_ID, None, None, tuple(fields))
     return producible
 
 
@@ -161,8 +157,8 @@ def hinted_plan(producible: dict[str, ShapePlan], hint: PlanId) -> ShapePlan:
 
 
 def shape_candidates(query: Query, catalog: IndexCatalog,
-                     variant: OptimizerVariant = OptimizerVariant.VANILLA,
-                     collscan_allowed: bool = True) -> tuple[ShapePlan, ...]:
+                     variant: OptimizerVariant = OptimizerVariant.VANILLA
+                     ) -> tuple[ShapePlan, ...]:
     """All plans the optimizer will race for queries of this one's shape,
     in catalog order.
 
@@ -171,27 +167,22 @@ def shape_candidates(query: Query, catalog: IndexCatalog,
     projection), then COLLSCAN last when the gating rule lets it in. A hinted
     query yields exactly the hinted plan or an UnknownPlanError.
 
-    Enumerated for the first query of each shape, hint, variant and gate,
-    and kept in catalog.shape_plans. A failed enumeration is not kept, so
-    it fails again, with the same error, for every query of its shape.
+    Enumerated for the first query of each shape (query_shape), hint and
+    variant, and kept in catalog.shape_plans. A failed enumeration is not
+    kept, so it fails again, with the same error, for every query of its
+    shape.
     """
-    key = ("candidates", shape_key(query), query.hint, variant, collscan_allowed)
+    key = ("candidates", query_shape(query), query.hint, variant)
     plans = catalog.shape_plans.get(key)
     if plans is None:
-        producible = producible_plans(query, catalog, collscan_allowed)
+        producible = producible_plans(query, catalog)
         if query.hint is not None:
             plans = (hinted_plan(producible, query.hint),)
         else:
-            collscan = producible.pop("COLLSCAN", None)
+            collscan = producible.pop("COLLSCAN")
             candidates = list(producible.values())
-            if collscan is not None and (
-                variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD)
-                or not candidates
-            ):
+            if variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD) or not candidates:
                 candidates.append(collscan)
-            if not candidates:
-                raise NoCandidatesError(
-                    "no viable plan: no usable index and collection scan disallowed")
             plans = tuple(candidates)
         catalog.shape_plans[key] = plans
     return plans
@@ -202,15 +193,10 @@ def shape_forced(query: Query, catalog: IndexCatalog,
     """The plan hint forcing selects for each of `forced`, without the bounds.
 
     As hinted_plan on producible_plans(query, catalog): an UnknownPlanError
-    for a plan the query's shape cannot produce. Kept like shape_candidates.
+    for a plan the query's shape cannot produce.
     """
-    key = ("forced", shape_key(query), tuple(forced))
-    plans = catalog.shape_plans.get(key)
-    if plans is None:
-        producible = producible_plans(query, catalog)
-        plans = tuple(hinted_plan(producible, plan_id) for plan_id in forced)
-        catalog.shape_plans[key] = plans
-    return plans
+    producible = producible_plans(query, catalog)
+    return tuple(hinted_plan(producible, plan_id) for plan_id in forced)
 
 
 def bind_plans(plans: tuple[ShapePlan, ...], query: Query) -> list[CandidatePlan]:
@@ -219,11 +205,10 @@ def bind_plans(plans: tuple[ShapePlan, ...], query: Query) -> list[CandidatePlan
 
 
 def enumerate_candidates(query: Query, catalog: IndexCatalog,
-                         variant: OptimizerVariant = OptimizerVariant.VANILLA,
-                         collscan_allowed: bool = True) -> list[CandidatePlan]:
-    """shape_candidates(query, catalog, variant, collscan_allowed), bound to
-    the query."""
-    return bind_plans(shape_candidates(query, catalog, variant, collscan_allowed), query)
+                         variant: OptimizerVariant = OptimizerVariant.VANILLA
+                         ) -> list[CandidatePlan]:
+    """shape_candidates(query, catalog, variant), bound to the query."""
+    return bind_plans(shape_candidates(query, catalog, variant), query)
 
 
 def parse_plan_hint(text: str) -> PlanId:

@@ -56,6 +56,10 @@ class HeatmapScale:
         )
 
 
+PALETTE = Palette()
+HEATMAP_SCALE = HeatmapScale()
+
+
 class Image:
     """Minimal RGB raster with PPM and SVG emitters."""
 
@@ -96,28 +100,27 @@ def _pixel_position(i: int, j: int, d: int) -> tuple[int, int]:
     return i, d - 1 - j
 
 
-def plan_diagram(grid: ExperimentGrid, which: str = "chosen",
-                 palette: Palette = Palette()) -> Image:
+def plan_diagram(grid: ExperimentGrid, which: str = "chosen") -> Image:
     """Color each cell by its chosen (or optimal) plan; unvisited cells stay gray."""
     if which not in ("chosen", "optimal"):
         raise ValueError(f"which must be 'chosen' or 'optimal', not {which!r}")
-    img = Image(grid.d, grid.d, fill=palette.unvisited)
+    img = Image(grid.d, grid.d, fill=PALETTE.unvisited)
     for (i, j), cell in grid.cells.items():
         plan_name = getattr(cell, which)
         if plan_name is None:
             continue
         x, y = _pixel_position(i, j, grid.d)
-        img.set(x, y, palette.color_for(plan_name))
+        img.set(x, y, PALETTE.color_for(plan_name))
     return img
 
 
-def impact_heatmap(grid: ExperimentGrid, scale: HeatmapScale = HeatmapScale()) -> Image:
+def impact_heatmap(grid: ExperimentGrid) -> Image:
     img = Image(grid.d, grid.d, fill=UNVISITED_GRAY)
     for (i, j), cell in grid.cells.items():
         if cell.ratio is None:
             continue
         x, y = _pixel_position(i, j, grid.d)
-        img.set(x, y, scale.color_for(cell.ratio))
+        img.set(x, y, HEATMAP_SCALE.color_for(cell.ratio))
     return img
 
 
@@ -158,7 +161,6 @@ def summary_filename(metrics: SummaryMetrics) -> str:
 
 
 def write_report(grid: ExperimentGrid, metrics: SummaryMetrics, out_dir,
-                 palette: Palette = Palette(), scale: HeatmapScale = HeatmapScale(),
                  svg: bool = False) -> list[Path]:
     """Write chosen/optimal/impact images, results.csv and the summary JSON.
 
@@ -167,9 +169,9 @@ def write_report(grid: ExperimentGrid, metrics: SummaryMetrics, out_dir,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     images = {
-        "chosen": plan_diagram(grid, "chosen", palette),
-        "optimal": plan_diagram(grid, "optimal", palette),
-        "impact": impact_heatmap(grid, scale),
+        "chosen": plan_diagram(grid, "chosen"),
+        "optimal": plan_diagram(grid, "optimal"),
+        "impact": impact_heatmap(grid),
     }
     written = []
     try:

@@ -18,6 +18,7 @@ from planrace.engine import (
     Projection,
     Query,
     RangePredicate,
+    bucket_column,
     build_index,
     generate_dataset,
     load_dataset,
@@ -40,15 +41,19 @@ def make_collection(a_values, b_values):
     return Collection("test", {"A": list(a_values), "B": list(b_values)})
 
 
-def index_entries(ix):
+def index_column(c, ix, f):
+    """Field f's column in the index's order, gathered through its rids."""
+    return array("q", [c.columns[f][rid] for rid in ix.rids])
+
+
+def index_entries(c, ix):
     """The index as (key tuple, record_id) pairs in index order."""
-    keys = zip(*(ix.columns[f] for f in ix.key_fields))
+    keys = zip(*(index_column(c, ix, f) for f in ix.key_fields))
     return list(zip(keys, ix.rids))
 
 
 def assert_index_columns_follow_rids(c, ix):
-    for f in c.field_list:
-        assert ix.columns[f] == array("q", [c.columns[f][rid] for rid in ix.rids])
+    assert ix.key_values == index_column(c, ix, ix.key_fields[0])
 
 
 # --- generate_dataset ---------------------------------------------------
@@ -69,7 +74,7 @@ def test_large_uniform_distinct_spans_domain():
     c = generate_dataset(100_000, "uniform-distinct", seed=7)
     assert len(c) == 100_000
     ix = build_index(c, ["A"])
-    entries = index_entries(ix)
+    entries = index_entries(c, ix)
     assert entries[0][0] == (0,)
     assert entries[-1][0] == (99_999,)
 
@@ -102,7 +107,7 @@ def test_index_sorts_single_field():
     c = make_collection([5, 1, 3], [0, 0, 0])
     ix = build_index(c, ["A"])
     assert ix.name == "A_1"
-    assert index_entries(ix) == [((1,), 1), ((3,), 2), ((5,), 0)]
+    assert index_entries(c, ix) == [((1,), 1), ((3,), 2), ((5,), 0)]
     assert_index_columns_follow_rids(c, ix)
 
 
@@ -110,7 +115,7 @@ def test_compound_index_sorts_lexicographically():
     c = make_collection([1, 1], [9, 2])
     ix = build_index(c, ["A", "B"])
     assert ix.name == "A_1_B_1"
-    assert [e[0] for e in index_entries(ix)] == [(1, 2), (1, 9)]
+    assert [e[0] for e in index_entries(c, ix)] == [(1, 2), (1, 9)]
     assert_index_columns_follow_rids(c, ix)
 
 
@@ -120,8 +125,8 @@ def test_index_entry_count_matches_documents():
                         [rng.randrange(50) for _ in range(120)])
     for keys in (["A"], ["B"], ["A", "B"]):
         ix = build_index(c, keys)
-        assert len(index_entries(ix)) == len(c)
-        assert all(len(column) == len(c) for column in ix.columns.values())
+        assert len(index_entries(c, ix)) == len(c)
+        assert len(ix.key_values) == len(c)
 
 
 @pytest.mark.parametrize("dist", ["uniform-with-repeats", "zipfian"])
@@ -132,7 +137,7 @@ def test_index_order_matches_sorted_key_rid_pairs(dist):
         ix = build_index(c, keys)
         expected = sorted(
             (tuple(c.columns[f][rid] for f in keys), rid) for rid in range(len(c)))
-        assert index_entries(ix) == expected
+        assert index_entries(c, ix) == expected
         assert_index_columns_follow_rids(c, ix)
 
 
@@ -150,13 +155,11 @@ DERIVATION_CASES = {
 @pytest.mark.parametrize("case", sorted(DERIVATION_CASES))
 def test_compound_index_from_leading_index_equals_full_sort(case, keys):
     c = DERIVATION_CASES[case]()
-    catalog = IndexCatalog()
-    catalog.add(build_index(c, keys[:1]))
-    derived = build_index(c, keys, catalog)
+    derived = build_index(c, keys, build_index(c, keys[:1]))
     scratch = build_index(c, keys)
     assert (derived.name, derived.key_fields) == (scratch.name, scratch.key_fields)
     assert derived.rids == scratch.rids
-    assert derived.columns == scratch.columns
+    assert derived.key_values == scratch.key_values
     assert_index_columns_follow_rids(c, derived)
 
 
@@ -180,7 +183,9 @@ def test_compound_index_shares_leading_index_lists_without_ties():
     catalog = get_scenario("covering").build_catalog(c)
     a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
     assert ab.rids is a.rids
-    assert all(ab.columns[f] is a.columns[f] for f in c.field_list)
+    assert ab.key_values is a.key_values
+    assert all(bucket_column(c, f, ab, catalog) is bucket_column(c, f, a, catalog)
+               for f in c.field_list)
 
 
 def test_compound_index_with_ties_copies_all_but_leading_column():
@@ -188,9 +193,30 @@ def test_compound_index_with_ties_copies_all_but_leading_column():
     catalog = get_scenario("covering").build_catalog(c)
     a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
     assert ab.rids is not a.rids and ab.rids != a.rids
-    assert ab.columns["A"] is a.columns["A"]
-    assert ab.columns["B"] is not a.columns["B"]
-    assert index_entries(ab) == index_entries(build_index(c, ["A", "B"]))
+    assert ab.key_values is a.key_values
+    assert bucket_column(c, "B", ab, catalog) is not bucket_column(c, "B", a, catalog)
+    assert index_entries(c, ab) == index_entries(c, build_index(c, ["A", "B"]))
+
+
+def test_compound_index_rejects_a_base_on_another_key():
+    c = generate_dataset(50, "uniform-distinct", seed=3)
+    for base in (build_index(c, ["B"]), build_index(c, ["A", "B"])):
+        with pytest.raises(ValueError, match="not the single-field index on 'A'"):
+            build_index(c, ["A", "B"], base)
+
+
+def test_catalog_indexes_are_fixed_when_it_is_built():
+    c = generate_dataset(50, "uniform-distinct", seed=3)
+    a, b = build_index(c, ["A"]), build_index(c, ["B"])
+    catalog = IndexCatalog([a, b])
+    assert catalog.indexes == (a, b)
+    with pytest.raises(AttributeError):
+        catalog.indexes.append(build_index(c, ["A", "B"]))
+    with pytest.raises(AttributeError):
+        catalog.indexes = (a,)
+    assert catalog.indexes == (a, b)
+    with pytest.raises(ValueError, match="duplicate index name 'A_1'"):
+        IndexCatalog([a, b, build_index(c, ["A"])])
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
@@ -214,7 +240,7 @@ def test_range_positions():
     c = make_collection([5, 1, 3, 8], [0, 0, 0, 0])
     ix = build_index(c, ["A"])
     lo, hi = ix.range_positions(3, 8)
-    assert [e[0][0] for e in index_entries(ix)[lo:hi]] == [3, 5]
+    assert [e[0][0] for e in index_entries(c, ix)[lo:hi]] == [3, 5]
     assert ix.range_positions(0, 100) == (0, 4)
     assert ix.range_positions(4, 4) == (2, 2)
 
@@ -229,10 +255,8 @@ def test_selectivity_exact_on_permutation():
 
 
 def test_selectivity_uses_index_and_scan_agree():
-    from planrace.engine import IndexCatalog
     c = generate_dataset(500, "uniform-with-repeats", seed=2)
-    catalog = IndexCatalog()
-    catalog.add(build_index(c, ["A"]))
+    catalog = IndexCatalog([build_index(c, ["A"])])
     pred = RangePredicate("A", 100, 300)
     assert selectivity(c, pred, catalog) == selectivity(c, pred, None)
 
@@ -579,10 +603,9 @@ def test_columns_sorted_values_and_index_orders_are_int64_arrays(tmp_path, sourc
     catalog = get_scenario("covering").build_catalog(c)
     for ix in catalog.indexes:
         lead = ix.key_fields[0]
-        # the leading column is the field's one sorted copy
-        assert ix.columns[lead] is c.sorted_values(lead)
-        assert is_int64_array(ix.columns[lead]) and is_int64_array(ix.rids)
-        assert all(is_int64_array(ix.columns[f]) for f in c.field_list)
+        # the leading values are the field's one sorted copy
+        assert ix.key_values is c.sorted_values(lead)
+        assert is_int64_array(ix.key_values) and is_int64_array(ix.rids)
 
 
 def test_storage_retains_under_64_bytes_per_document(tmp_path):
@@ -620,6 +643,14 @@ def test_shape_reflects_projection():
     bare = Query(preds)
     projected = Query(preds, projection=Projection(("A", "B")))
     assert query_shape(bare) != query_shape(projected)
+
+
+def test_shape_ignores_predicate_order():
+    ab = Query((RangePredicate("A", 0, 10), RangePredicate("B", 5, 6)), Projection(("A", "B")))
+    ba = Query((RangePredicate("B", 1, 2), RangePredicate("A", 3, 4)), Projection(("B", "A")))
+    assert query_shape(ab) == query_shape(ba)
+    assert hash(query_shape(ab)) == hash(query_shape(ba))
+    assert query_shape(Query(ab.predicates)) == query_shape(Query(ba.predicates))
 
 
 def test_query_rejects_duplicate_fields():

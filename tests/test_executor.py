@@ -254,7 +254,7 @@ MASK_SIZES = [1, 2, 7, 100, 255, 256, 257, 3000]
 def check_byte_masks(collection, rng):
     n = len(collection)
     catalog = get_scenario("covering").build_catalog(collection)
-    orders = [None] + catalog.indexes
+    orders = [None, *catalog.indexes]
     pools = {f: bound_candidates(collection.columns[f], rng) for f in ("A", "B")}
     checked = 0
     for _ in range(150):
@@ -270,7 +270,9 @@ def check_byte_masks(collection, rng):
         start = rng.randrange(n + 1)
         end = rng.randrange(start, n + 1)
         rids = None if index is None else index.rids
-        columns = collection.columns if index is None else index.columns
+        # each field's column in the access order, gathered through its rids
+        columns = collection.columns if index is None else {
+            f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}
         masking = [(bucket_column(collection, f, index, catalog),
                     rank_buckets(collection, f, catalog).table(low, high),
                     collection.columns[f], low, high)
@@ -359,7 +361,7 @@ def test_scattered_bucket_columns_equal_numbers(monkeypatch, dist, scenario_name
         # every access order of the field's sorted values gives the same column
         for ix in catalog.indexes:
             if ix.key_fields[0] == f:
-                assert buckets.numbers_from_order(ix.columns[f], ix.rids) == want
+                assert buckets.numbers_from_order(ix.key_values, ix.rids) == want
         read = []
         monkeypatch.setattr(RankBuckets, "numbers",
                             lambda self, values: read.append(1) or bytes(map(self.number, values)))

@@ -630,7 +630,7 @@ def test_catalog_sorts_its_second_field_in_a_worker(forks, dist, scenario_name):
     expected = sorted_in_process(collection)
     for ix in catalog.indexes:
         lead = ix.key_fields[0]
-        assert ix.columns[lead] is collection.sorted_values(lead)
+        assert ix.key_values is collection.sorted_values(lead)
         assert collection.sorted_values(lead) == expected[lead]
 
 
@@ -643,7 +643,7 @@ def test_catalog_without_a_worker_sorts_in_process(monkeypatch, forks, unavailab
     collection = generate_dataset(2000, "zipfian", seed=3)
     catalog = get_scenario("covering").build_catalog(collection)
     expected = sorted_in_process(collection)
-    assert [ix.columns[ix.key_fields[0]] for ix in catalog.indexes] == [
+    assert [ix.key_values for ix in catalog.indexes] == [
         expected["A"], expected["B"], expected["A"]]
 
 
@@ -762,7 +762,7 @@ def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
 def test_match_count_bisects_the_count_column(dist):
     collection = generate_dataset(400, dist, seed=23)
     catalog = get_scenario("single-index").build_catalog(collection)  # indexes B only
-    assert count_column(collection, "B", catalog) is catalog.indexes[0].columns["B"]
+    assert count_column(collection, "B", catalog) is catalog.indexes[0].key_values
     assert count_column(collection, "A", catalog) is collection.sorted_values("A")
     rng = random.Random(4)
     for _ in range(200):
@@ -1002,11 +1002,6 @@ def built_catalogs(monkeypatch):
     return catalogs
 
 
-def built_parts(index):
-    """Whether an index has built its rids, and the columns it has built."""
-    return index._rids is not None, sorted(index.columns._built)
-
-
 @pytest.mark.parametrize("primed", ["IXSCAN_AB", "IXSCAN_A", "IXSCAN_B", "COLLSCAN"])
 def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
     collection = generate_dataset(2000, "uniform-with-repeats", seed=5)
@@ -1014,7 +1009,7 @@ def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
                    d=5, seed=3, primed=parse_plan_hint(primed))
     (catalog,) = built_catalogs
     for ix in catalog.indexes:
-        assert built_parts(ix) == (False, [ix.key_fields[0]])
+        assert ix._rids is None
         assert ix._bucket_columns == {}
     assert collection._rank_buckets == {} and collection._bucket_columns == {}
 
@@ -1032,12 +1027,12 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
     (catalog,) = built_catalogs
     for ix in catalog.indexes:
         # every plan races; each index plan filters on its non-leading field
-        # through that field's bucket column, not its index-order column; a
-        # compound index in its leading index's order is masked as that one
-        assert built_parts(ix) == (True, [ix.key_fields[0]])
+        # through that field's bucket column; a compound index in its
+        # leading index's order is masked as that one
+        assert ix._rids is not None
         other = "B" if ix.key_fields[0] == "A" else "A"
         shared = ix._base is not None and ix.rids is ix._base.rids
         assert sorted(ix._bucket_columns) == ([] if shared else [other])
         scratch = build_index(collection, ix.key_fields)
         assert ix.rids == scratch.rids
-        assert ix.columns == scratch.columns
+        assert ix.key_values == scratch.key_values

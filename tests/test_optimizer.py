@@ -7,7 +7,7 @@ from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import RangePredicate, count_column, generate_dataset
+from planrace.engine import Query, RangePredicate, count_column, generate_dataset
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
@@ -348,3 +348,35 @@ def test_optimize_hinted_query_races_single_candidate(collection):
     r = optimize(q, collection, catalog)
     assert [str(p.id) for p in r.candidates] == ["COLLSCAN"]
     assert str(r.chosen) == "COLLSCAN"
+
+
+@pytest.mark.parametrize("scenario_name", ["both-indexed", "covering", "single-index"])
+def test_reordered_query_races_as_on_a_fresh_catalog(collection, scenario_name):
+    # (A, B) and (B, A) queries share a shape, so after an (A, B) query the
+    # (B, A) one races the plans and layout kept for the (A, B) one
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    fresh = scenario.build_catalog(collection)  # only ever sees (B, A) queries
+    rng = random.Random(scenario_name)
+    n = len(collection)
+    chosen = set()
+    for variant in OptimizerVariant:
+        for _ in range(12):
+            a0, b0 = rng.randrange(n), rng.randrange(n)
+            pred_a = RangePredicate("A", a0, rng.randrange(a0, n + 1))
+            pred_b = RangePredicate("B", b0, rng.randrange(b0, n + 1))
+            optimize(scenario.make_query(pred_a, pred_b), collection, catalog, variant)
+            reordered = Query((pred_b, pred_a), scenario.projection)
+            got = optimize(reordered, collection, catalog, variant)
+            want = optimize(reordered, collection, fresh, variant)
+            assert (got.chosen, got.rounds, got.results, got.lengths) == (
+                want.chosen, want.rounds, want.results, want.lengths)
+            # positions come in the query's own predicate order
+            positions = tuple(bisect_left(count_column(collection, p.field, catalog), bound)
+                              for p in reordered.predicates for bound in (p.low, p.high))
+            assert optimize(reordered, collection, catalog, variant,
+                            positions=positions) == got
+            chosen.add(str(got.chosen))
+    # single-index's IXSCAN_B filters the same matches out of fewer entries
+    # than COLLSCAN, so it always wins
+    assert (len(chosen) > 1) == (scenario_name != "single-index")

@@ -84,12 +84,19 @@ def test_child_reads_what_optimize_returns(world):
     assert counts["works"] > 0
 
 
-def test_race_oracle_choice_equals_optimize(world):
-    data, collection, scenario, catalog = world
-    oracle = load("oracle").RaceOracle(data, "covering", "mod")
-    grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 6, 3)
+# the benchmark's raced configurations: race-covering, sparse-sweep, and
+# primed-300k's scenario and variant without the primed cache
+@pytest.mark.parametrize("scenario_name,variant", [("covering", "mod"),
+                                                   ("both-indexed", "vanilla"),
+                                                   ("covering", "vanilla")])
+def test_race_oracle_choice_equals_optimize(world, scenario_name, variant):
+    data, collection, _, _ = world
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    oracle = load("oracle").RaceOracle(data, scenario_name, variant)
+    grid = sweep(scenario, collection, catalog, OptimizerVariant(variant), 6, 3)
     assert grid.complete
     for cell in grid.sorted_cells():
         bounds = {p.field: (p.low, p.high) for p in cell.query.predicates}
-        chosen = optimize(cell.query, collection, catalog, OptimizerVariant.MOD).chosen
+        chosen = optimize(cell.query, collection, catalog, OptimizerVariant(variant)).chosen
         assert oracle.choice(*bounds["A"], *bounds["B"]) == str(chosen) == cell.chosen

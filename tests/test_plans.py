@@ -16,7 +16,7 @@ from planrace.engine import (
     generate_dataset,
     rank_buckets,
 )
-from planrace.errors import NoCandidatesError, UnknownPlanError
+from planrace.errors import UnknownPlanError
 from planrace.executor import CostModel, PlanExecution, run_to_completion
 from planrace.optimizer import _build_layout, bind_layout
 from planrace.plans import (
@@ -74,19 +74,6 @@ def test_no_indexes_forces_collscan(dataset):
     assert plan_names(cands) == ["COLLSCAN"]
 
 
-def test_no_indexes_and_collscan_disallowed_errors(dataset):
-    with pytest.raises(NoCandidatesError):
-        enumerate_candidates(query_for("both-indexed"), IndexCatalog(),
-                             OptimizerVariant.VANILLA, collscan_allowed=False)
-
-
-def test_collscan_disallowed_suppresses_variant_collscan(dataset):
-    cands = enumerate_candidates(query_for("both-indexed"),
-                                 catalog_for("both-indexed", dataset),
-                                 OptimizerVariant.WITH_COLLSCAN, collscan_allowed=False)
-    assert plan_names(cands) == ["IXSCAN_A", "IXSCAN_B"]
-
-
 def test_covering_scenario_enumerates_cover_plan(dataset):
     cands = enumerate_candidates(query_for("covering"), catalog_for("covering", dataset),
                                  OptimizerVariant.VANILLA)
@@ -130,13 +117,6 @@ def test_hint_for_missing_index_errors(dataset):
     q = query_for("single-index", hint=parse_plan_hint("IXSCAN_A"))
     with pytest.raises(UnknownPlanError):
         enumerate_candidates(q, catalog_for("single-index", dataset), OptimizerVariant.VANILLA)
-
-
-def test_hinted_collscan_respects_collscan_allowed(dataset):
-    q = query_for("both-indexed", hint=parse_plan_hint("COLLSCAN"))
-    with pytest.raises(UnknownPlanError):
-        enumerate_candidates(q, catalog_for("both-indexed", dataset),
-                             OptimizerVariant.VANILLA, collscan_allowed=False)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -204,7 +184,7 @@ def outcome(fn, *args):
     """fn's result, or the type and message of the PlanraceError it raises."""
     try:
         return "plans", fn(*args)
-    except (NoCandidatesError, UnknownPlanError) as exc:
+    except UnknownPlanError as exc:
         return "error", type(exc), str(exc)
 
 
@@ -212,9 +192,8 @@ SHAPE_CATALOGS = [*sorted(SCENARIOS), "no-indexes"]
 HINTS = [None, *(parse_plan_hint(name) for name in PLAN_ID_ORDER)]
 
 
-@pytest.mark.parametrize("collscan_allowed", [True, False])
 @pytest.mark.parametrize("name", SHAPE_CATALOGS)
-def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name, collscan_allowed):
+def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
     rng = random.Random(name)
     catalog = IndexCatalog() if name == "no-indexes" else catalog_for(name, dataset)
     projections = [None, Projection(("A", "B")), Projection(("A", "B"), suppress_record_id=False),
@@ -225,19 +204,20 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name, collsc
             for projection in projections:
                 for _ in range(4):  # the first query builds the shape's plans
                     a0, b0 = rng.randrange(-5, 405), rng.randrange(-5, 405)
-                    q = Query((RangePredicate("A", a0, rng.randrange(a0, 410)),
-                               RangePredicate("B", b0, rng.randrange(b0, 410))),
-                              projection, hint)
+                    predicates = [RangePredicate("A", a0, rng.randrange(a0, 410)),
+                                  RangePredicate("B", b0, rng.randrange(b0, 410))]
+                    rng.shuffle(predicates)  # one shape, either predicate order
+                    q = Query(tuple(predicates), projection, hint)
                     # the plans kept for the shape are those a catalog with
                     # nothing kept enumerates for this query
-                    fresh = IndexCatalog(list(catalog.indexes))
-                    want = outcome(shape_candidates, q, fresh, variant, collscan_allowed)
-                    got = outcome(shape_candidates, q, catalog, variant, collscan_allowed)
+                    fresh = IndexCatalog(catalog.indexes)
+                    want = outcome(shape_candidates, q, fresh, variant)
+                    got = outcome(shape_candidates, q, catalog, variant)
                     assert got == want
                     if want[0] == "error":
                         errors += 1
                         continue
-                    bound = enumerate_candidates(q, catalog, variant, collscan_allowed)
+                    bound = enumerate_candidates(q, catalog, variant)
                     assert bound == bind_plans(got[1], q)
                     # the race layout bound to q scans what PlanExecution steps
                     layout = _build_layout(got[1], dataset, catalog)
@@ -253,7 +233,7 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name, collsc
                              rank_buckets(dataset, f, catalog).table(low, high),
                              dataset.columns[f], low, high)
                             for f, (_, low, high) in zip(plan.plan.filters, ex._filters)]
-    # hints the catalog cannot produce; no plan at all without indexes and collscan
+    # hints the catalog cannot produce
     assert errors > 0
 
 
@@ -268,18 +248,24 @@ def test_shape_forced_bound_equal_hinted_producible_plans(dataset, name):
         q = query_for(name, a0, rng.randrange(a0, 401), b0, rng.randrange(b0, 401))
         producible = producible_plans(q, catalog)
         plans = shape_forced(q, catalog, forced)
-        assert plans is shape_forced(q, catalog, forced)  # kept per shape
         assert plans == tuple(hinted_plan(producible, p) for p in forced)
         # every known plan: UnknownPlanError where the scenario lacks an index
         assert outcome(shape_forced, q, catalog, every) == outcome(
             lambda: tuple(hinted_plan(producible, p) for p in every))
 
 
-def test_adding_an_index_drops_shape_plans(dataset):
+def test_a_catalog_rebuilt_with_a_compound_index_serves_its_cover_plan(dataset):
     catalog = catalog_for("both-indexed", dataset)
     q = query_for("covering")
-    assert [str(p.id) for p in shape_candidates(q, catalog)] == ["IXSCAN_A", "IXSCAN_B"]
-    catalog.add(build_index(dataset, ("A", "B"), catalog))
-    assert catalog.shape_plans == {}
-    assert [str(p.id) for p in shape_candidates(q, catalog)] == [
-        "IXSCAN_A", "IXSCAN_B", "IXSCAN_AB"]
+    assert plan_names(enumerate_candidates(q, catalog)) == ["IXSCAN_A", "IXSCAN_B"]
+    compound = build_index(dataset, ("A", "B"), catalog.by_name("A_1"))
+    with pytest.raises(AttributeError):
+        catalog.indexes.append(compound)
+    # the catalog and the plans it keeps stay as they were built
+    assert plan_names(enumerate_candidates(q, catalog)) == ["IXSCAN_A", "IXSCAN_B"]
+    hinted = query_for("covering", hint=parse_plan_hint("IXSCAN_AB"))
+    with pytest.raises(UnknownPlanError):
+        enumerate_candidates(hinted, catalog)
+    rebuilt = IndexCatalog([*catalog.indexes, compound])
+    assert plan_names(enumerate_candidates(q, rebuilt)) == ["IXSCAN_A", "IXSCAN_B", "IXSCAN_AB"]
+    assert plan_names(enumerate_candidates(hinted, rebuilt)) == ["IXSCAN_AB"]

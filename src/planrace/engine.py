@@ -2,21 +2,23 @@
 
 A collection is an immutable, in-memory set of documents with dense record
 ids (0..N-1), stored as one int64 array per field in record_id order; that
-order models on-disk sequential scan order. An index holds only its leading
-key's values in sorted order and the record ids in (key tuple, record_id)
-order, so a range scan is a contiguous slice found by binary search on the
-sorted values, and each entry's field values are read from the collection's
-columns through its record id. An index builds its sorted values up front
-and its record id order on first use, so a run that only counts ranges
-never pays for the rest. Every column, sorted copy and record id order is
-an array('q'): 8 bytes per value, where a list of ints holds an 8-byte
-reference and a 32-byte int object.
+order models on-disk sequential scan order. The collection also keeps, per
+field and built on first use, the field's values in sorted order
+(sorted_values), which range counts bisect, and the record ids in (value,
+record_id) order (order). An index is a view on them: its leading key's
+sorted values and its record ids in (key tuple, record_id) order, so a
+range scan is a contiguous slice found by binary search on the sorted
+values, and each entry's field values are read from the collection's
+columns through its record id. A run that only counts ranges never builds
+an order. Every column, sorted copy and record id order is an array('q'):
+8 bytes per value, where a list of ints holds an 8-byte reference and a
+32-byte int object.
 
 Each field's values fall into at most BUCKETS rank buckets (RankBuckets).
 An access order, record_id order or an index's order, holds a bytes column
 of each field's bucket numbers in that order, built on first use; the
-record_id order one is scattered from the order of the field's index when
-it has one. A range filter over a slice of it is one bytes.translate, and
+record_id order one is scattered from the field's order when that is
+built. A range filter over a slice of it is one bytes.translate, and
 only the positions in the range's (at most two) boundary buckets need
 their values compared.
 
@@ -67,16 +69,20 @@ class Collection:
     """One int64 column per field, each in record_id order; dict order is field order.
 
     Columns given as other sequences of ints are converted to array('q').
+    What is derived from a field's column (sorted values, order, rank
+    buckets, bucket columns) is built on first use and kept: collections
+    are immutable.
     """
 
     name: str
     columns: dict[str, array]
     _sorted_values: dict[str, array] = field(default_factory=dict, repr=False)
-    # rank buckets and record_id-order bucket columns by field, built on first use
+    _orders: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
     _rank_buckets: dict[str, RankBuckets] = field(default_factory=dict, repr=False,
                                                   compare=False)
-    _bucket_columns: dict[str, bytes] = field(default_factory=dict, repr=False,
-                                              compare=False)
+    # bucket columns by (access order, field): see bucket_column
+    _bucket_columns: dict[tuple, bytes] = field(default_factory=dict, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         self.columns = {f: _int64_column(f, values) for f, values in self.columns.items()}
@@ -88,13 +94,18 @@ class Collection:
     def field_list(self) -> list[str]:
         return list(self.columns)
 
+    def column(self, field_name: str) -> array:
+        """One field's column, or an UnknownFieldError."""
+        try:
+            return self.columns[field_name]
+        except KeyError:
+            raise UnknownFieldError(f"collection has no field {field_name!r}") from None
+
     def sorted_values(self, field_name: str) -> array:
-        """Sorted copy of one field's column, built once (collections are immutable)."""
-        if field_name not in self.columns:
-            raise UnknownFieldError(f"collection has no field {field_name!r}")
+        """Sorted copy of one field's column."""
         cached = self._sorted_values.get(field_name)
         if cached is None:
-            cached = self._sorted_values[field_name] = array("q", sorted(self.columns[field_name]))
+            cached = self._sorted_values[field_name] = array("q", sorted(self.column(field_name)))
         return cached
 
     def keep_sorted_values(self, field_name: str, data: bytes) -> None:
@@ -106,16 +117,28 @@ class Collection:
                                 f"of {len(self)} documents")
         self._sorted_values[field_name] = values
 
+    def order(self, field_name: str) -> array:
+        """Record ids in (value, record_id) order: order[k] is the record id
+        of sorted_values(field_name)[k].
+
+        A stable sort of the record ids by the field's values, so equal
+        values keep record_id order.
+        """
+        cached = self._orders.get(field_name)
+        if cached is None:
+            rids = list(range(len(self)))
+            rids.sort(key=self.column(field_name).__getitem__)
+            cached = self._orders[field_name] = array("q", rids)
+        return cached
+
     def value_bounds(self, field_name: str) -> tuple[int, int]:
         """Smallest and largest value stored for a field."""
-        if field_name not in self.columns:
-            raise UnknownFieldError(f"collection has no field {field_name!r}")
-        column = self.columns[field_name]
+        column = self.column(field_name)
         return min(column), max(column)
 
 
 class Index:
-    """Sorted secondary index: key_values and rids in index order.
+    """Sorted secondary index: a view on its collection's key_values and rids.
 
     Entries are ordered by the key fields, then by record id. rids[k] is
     the record id of the k-th entry and key_values[k] its value of the
@@ -123,26 +146,20 @@ class Index:
     bisect. Any field of an entry, the other key fields included, is read
     from the collection's column at its record id.
 
-    key_values is built with the index. rids is built the first time it is
-    read, and kept: a run that never scans an index, such as one that
-    reuses a primed plan, never builds it. Indexes are never modified, so
-    two indexes in the same order may share these arrays. The closed-form
-    race reads rids and the fields' bucket columns in index order
+    key_values is the leading field's Collection.sorted_values. rids is
+    built the first time it is read: a run that never scans an index, such
+    as one that reuses a primed plan, never builds it. The closed-form race
+    reads rids and the fields' bucket columns in index order
     (bucket_column); stepping a plan (PlanExecution) reads rids and the
     collection's columns.
     """
 
-    def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection,
-                 key_values: array, base: Index | None = None):
+    def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection):
         self.name = name
         self.key_fields = key_fields
-        self.key_values = key_values
+        self.key_values = collection.sorted_values(key_fields[0])
         self._collection = collection
-        # the single-field index on key_fields[0] this one extends, if any
-        self._base = base
         self._rids: array | None = None
-        # bucket columns in index order by field (see bucket_column)
-        self._bucket_columns: dict[str, bytes] = {}
 
     def __repr__(self) -> str:
         return f"Index(name={self.name!r}, key_fields={self.key_fields!r})"
@@ -156,26 +173,20 @@ class Index:
     def _order(self) -> array:
         """Record ids in (key tuple, record_id) order.
 
-        Stable sorts by the last key first give exactly the order of sorting
-        (key tuple, record_id) pairs, without building a tuple per document.
-        An index extending `base`, which is in (leading key, record_id)
-        order, only re-sorts each run of equal leading keys by the other
-        keys, stably, which keeps record_id as the last tie-break. Without
-        such a run the order is already final, and the index shares the
-        base's record ids.
+        That is the leading field's order (Collection.order), with each run
+        of equal leading keys re-sorted by the other keys, last key first;
+        the sorts are stable, which keeps record_id as the last tie-break.
+        Without other keys or such a run, the index shares the field's
+        order.
         """
-        columns = self._collection.columns
         lead = self.key_values
-        if self._base is None:
-            rids = list(range(len(lead)))
-            for f in reversed(self.key_fields):
-                rids.sort(key=columns[f].__getitem__)
-            return array("q", rids)
-        if not any(map(eq, lead, islice(lead, 1, None))):
-            return self._base.rids
+        order = self._collection.order(self.key_fields[0])
+        if len(self.key_fields) == 1 or not any(map(eq, lead, islice(lead, 1, None))):
+            return order
         # positions k >= 1 that start a new leading key
         starts = list(compress(range(1, len(lead)), map(ne, lead, islice(lead, 1, None))))
-        rids = array("q", self._base.rids)
+        rids = array("q", order)
+        columns = self._collection.columns
         rest = [columns[f].__getitem__ for f in reversed(self.key_fields[1:])]
         for a, b in zip([0] + starts, starts + [len(lead)]):
             if b - a > 1:
@@ -195,9 +206,9 @@ class IndexCatalog:
     """Indexes in creation order, fixed when the catalog is built; order is
     the downstream tie-break.
 
-    shape_plans holds what each query shape's races read in this catalog
-    (see plans.shape_candidates), keyed by query_shape. The indexes are a
-    tuple, so those plans never go stale.
+    shape_plans holds the race layout of each query shape raced in this
+    catalog (optimizer.race_layout). The indexes are a tuple, so those
+    layouts never go stale.
     """
 
     indexes: tuple[Index, ...] = ()
@@ -215,12 +226,6 @@ class IndexCatalog:
             if ix.name == name:
                 return ix
         raise KeyError(name)
-
-    def single_field_index(self, field_name: str) -> Index | None:
-        for ix in self.indexes:
-            if ix.key_fields == (field_name,):
-                return ix
-        return None
 
 
 @dataclass(frozen=True)
@@ -310,56 +315,23 @@ def index_name_for(key_fields: tuple[str, ...]) -> str:
     return "_".join(f"{f}_1" for f in key_fields)
 
 
-def build_index(collection: Collection, key_fields, base: Index | None = None) -> Index:
-    """The index on key_fields, named like "A_1_B_1".
-
-    Only the leading key's sorted values are built here (see Index): they
-    are the collection's sorted_values of the field, shared by every index
-    leading on it. `base`, the single-field index on a compound key's
-    leading field, lets the compound index derive its order from base's
-    (see Index._order); without it the order is sorted from scratch.
-    """
+def build_index(collection: Collection, key_fields) -> Index:
+    """The index on key_fields, named like "A_1_B_1" (see Index)."""
     key_fields = tuple(key_fields)
     for f in key_fields:
         if f not in collection.columns:
             raise UnknownFieldError(f"cannot index unknown field {f!r}")
-    if base is not None and base.key_fields != key_fields[:1]:
-        raise ValueError(f"index {base.name} is not the single-field index on {key_fields[0]!r}")
-    return Index(index_name_for(key_fields), key_fields, collection,
-                 collection.sorted_values(key_fields[0]), base)
+    return Index(index_name_for(key_fields), key_fields, collection)
 
 
-def selectivity(collection: Collection, predicate: RangePredicate,
-                catalog: IndexCatalog | None = None) -> float:
-    """Exact fraction of documents matching the predicate.
-
-    Counts through a single-field index on the predicate's field when one is
-    available, otherwise scans.
-    """
-    count = match_count(collection, predicate, catalog)
-    return count / len(collection)
+def selectivity(collection: Collection, predicate: RangePredicate) -> float:
+    """Exact fraction of documents matching the predicate (match_count)."""
+    return match_count(collection, predicate) / len(collection)
 
 
-def count_column(collection: Collection, field_name: str,
-                 catalog: IndexCatalog | None = None) -> array:
-    """The sorted values of one field that range counts bisect.
-
-    That is the key_values of the catalog's single-field index on the
-    field when there is one, otherwise the collection's sorted copy; an
-    index built by build_index holds that same array.
-    """
-    if field_name not in collection.columns:
-        raise UnknownFieldError(f"collection has no field {field_name!r}")
-    if catalog is not None:
-        ix = catalog.single_field_index(field_name)
-        if ix is not None:
-            return ix.key_values
-    return collection.sorted_values(field_name)
-
-
-def match_count(collection: Collection, predicate: RangePredicate,
-                catalog: IndexCatalog | None = None) -> int:
-    values = count_column(collection, predicate.field, catalog)
+def match_count(collection: Collection, predicate: RangePredicate) -> int:
+    """Documents matching the predicate: two bisects of the field's sorted values."""
+    values = collection.sorted_values(predicate.field)
     return bisect_left(values, predicate.high) - bisect_left(values, predicate.low)
 
 
@@ -434,54 +406,55 @@ def _take(data: bytes, positions: array) -> bytes:
     return bytes(itemgetter(*positions)(data))
 
 
-def rank_buckets(collection: Collection, field_name: str,
-                 catalog: IndexCatalog | None = None) -> RankBuckets:
-    """The field's rank buckets, built from its count_column on first use.
-
-    Kept on the collection: they depend only on the field's values, not on
-    which sorted copy of them the catalog offers.
-    """
+def rank_buckets(collection: Collection, field_name: str) -> RankBuckets:
+    """The field's rank buckets, built from its sorted values on first use
+    and kept on the collection."""
     buckets = collection._rank_buckets.get(field_name)
     if buckets is None:
-        buckets = RankBuckets(count_column(collection, field_name, catalog))
+        buckets = RankBuckets(collection.sorted_values(field_name))
         collection._rank_buckets[field_name] = buckets
     return buckets
 
 
-def bucket_column(collection: Collection, field_name: str, index: Index | None = None,
-                  catalog: IndexCatalog | None = None) -> bytes:
-    """The field's bucket numbers in an access order, built on first use.
+def bucket_column(collection: Collection, field_name: str, index: Index | None = None) -> bytes:
+    """The field's bucket numbers in an access order, built on first use and
+    kept on the collection.
 
-    That is record_id order when `index` is None, else the index's order;
-    the column is kept on the collection or on the index. The record_id
-    order column is scattered from the order of the catalog's single-field
-    index on the field (RankBuckets.numbers_from_order), or, for a field
-    without one, read value by value (RankBuckets.numbers). A column in an
-    index's order is gathered from it through the index's record ids. An
-    index that shares its leading index's record ids shares its bucket
-    columns too.
+    That is record_id order when `index` is None, else the index's order.
+    The record_id order column is scattered from the field's order when
+    that is built (RankBuckets.numbers_from_order; scan_columns builds the
+    orders first), else read value by value (RankBuckets.numbers). A column
+    in an index's order is gathered from it through the index's record ids.
+    It is kept by the order's key fields, only the leading one when the
+    index shares that field's order (Collection.order), so A_1_B_1 over an
+    A without repeats shares A_1's columns.
     """
     if index is None:
-        column = collection._bucket_columns.get(field_name)
-        if column is None:
-            buckets = rank_buckets(collection, field_name, catalog)
-            ix = None if catalog is None else catalog.single_field_index(field_name)
-            if ix is None:
-                column = buckets.numbers(collection.columns[field_name])
-            else:
-                column = buckets.numbers_from_order(ix.key_values, ix.rids)
-            collection._bucket_columns[field_name] = column
-        return column
-    column = index._bucket_columns.get(field_name)
+        key = None
+    else:
+        lead = index.key_fields[0]
+        key = index.key_fields[:1] if index.rids is collection.order(lead) else index.key_fields
+    column = collection._bucket_columns.get((key, field_name))
     if column is None:
-        base = index._base
-        if base is not None and index.rids is base.rids:
-            column = bucket_column(collection, field_name, base, catalog)
+        if index is not None:
+            column = _take(bucket_column(collection, field_name), index.rids)
+        elif field_name in collection._orders:
+            column = rank_buckets(collection, field_name).numbers_from_order(
+                collection.sorted_values(field_name), collection.order(field_name))
         else:
-            in_rid_order = bucket_column(collection, field_name, None, catalog)
-            column = _take(in_rid_order, index.rids)
-        index._bucket_columns[field_name] = column
+            column = rank_buckets(collection, field_name).numbers(collection.column(field_name))
+        collection._bucket_columns[(key, field_name)] = column
     return column
+
+
+def scan_columns(collection: Collection, scans: list[tuple[Index | None, tuple[str, ...]]]
+                 ) -> list[tuple[array | None, tuple[bytes, ...]]]:
+    """Each (index or None, fields) scan's rids (None: record_id order) and
+    its fields' bucket columns in that order. All orders are read first, so
+    no order is sorted only to scatter a record_id-order bucket column."""
+    orders = [None if index is None else index.rids for index, _ in scans]
+    return [(rids, tuple(bucket_column(collection, f, index) for f in fields))
+            for rids, (index, fields) in zip(orders, scans)]
 
 
 def save_dataset(collection: Collection, path) -> None:

@@ -86,10 +86,10 @@ def shape_ranges(plans: tuple[ShapePlan, ...], query: Query, n_records: int,
     """(start, end) of each shape plan's scan for the query's bounds.
 
     Two bisects per leading field serve every plan whose index leads on
-    it, as such indexes share their key_values.
-    `positions`, when given, are those bisects' results already: the
-    (start, end) of each of the query's predicates in that column, in the
-    query's predicate order (count_column gives the same positions).
+    it, as such indexes share their key_values, the field's
+    Collection.sorted_values. `positions`, when given, are those bisects'
+    results already: the (start, end) of each of the query's predicates in
+    those values, in the query's predicate order.
     """
     spans: dict[str, tuple[int, int]] = {}
     if positions is not None:

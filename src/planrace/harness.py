@@ -29,7 +29,6 @@ from .engine import (
     IndexCatalog,
     Query,
     RangePredicate,
-    count_column,
     match_count,
     query_shape,
 )
@@ -58,12 +57,13 @@ class GridCell:
     measured and finalized, every forced plan's time and the verdict.
 
     positions are (start_a, end_a, start_b, end_b): where the query's A and
-    B ranges start and end in the fields' sorted values (count_column), so
-    end - start is a range's match count. Every index leading on a field
-    holds those same sorted values, so they are also the scan range of
-    every plan on that field. The sweep gets them from its draws; a cell
-    built otherwise can take them from Index.range_positions, and one
-    without them (None) cannot be measured (measure_grid).
+    B ranges start and end in the fields' sorted values
+    (Collection.sorted_values), so end - start is a range's match count.
+    Every index leading on a field holds those same sorted values, so they
+    are also the scan range of every plan on that field. The sweep gets
+    them from its draws; a cell built otherwise can take them from
+    Index.range_positions, and one without them (None) cannot be measured
+    (measure_grid).
     """
 
     i: int
@@ -172,15 +172,14 @@ def _mean_of_reps(t: float, reps: int) -> float:
     return sum([t] * reps) / reps
 
 
-def _direct_fill_cells(collection: Collection, catalog: IndexCatalog,
-                       missing: list[tuple[int, int]], d: int) -> list[tuple[int, ...]]:
+def _direct_fill_cells(collection: Collection, missing: list[tuple[int, int]],
+                       d: int) -> list[tuple[int, ...]]:
     # Construct a query per unvisited cell targeting the cell's center
     # selectivity; exact for distinct uniform values, best effort otherwise.
     # Each range starts at its field's smallest value, the first of its
     # sorted values, so its positions there are (0, its match count).
     n = len(collection)
-    lows = {field_name: count_column(collection, field_name, catalog)[0]
-            for field_name in ("A", "B")}
+    lows = {field_name: collection.sorted_values(field_name)[0] for field_name in ("A", "B")}
     out = []
     for (i, j) in missing:
         bounds, positions = [], []
@@ -188,18 +187,17 @@ def _direct_fill_cells(collection: Collection, catalog: IndexCatalog,
             target = max(1, ((2 * cell_idx + 1) * n) // (2 * d))
             lo = lows[field_name]
             bounds += [lo, lo + target]
-            positions += [0, match_count(collection, RangePredicate(field_name, lo, lo + target),
-                                         catalog)]
+            positions += [0, match_count(collection, RangePredicate(field_name, lo, lo + target))]
         out.append((i, j, *bounds, *positions))
     return out
 
 
-def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int):
+def draw_cells(collection: Collection, d: int, seed: int):
     """Yield the cells the sweep fills, in fill order, then its counters.
 
     A cell is (i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b,
     end_b): the cell's coordinates, the bounds of its query's A and B ranges
-    and those ranges' bisect_left positions in the fields' count_column,
+    and those ranges' bisect_left positions in the fields' sorted values,
     whose differences are their match counts (GridCell.positions). The last
     item is (draws, rejections, filled_directly).
 
@@ -216,8 +214,8 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
     """
     rng = random.Random(seed)
     n = len(collection)
-    a_values = count_column(collection, "A", catalog)
-    b_values = count_column(collection, "B", catalog)
+    a_values = collection.sorted_values("A")
+    b_values = collection.sorted_values("B")
     # the ends of the sorted values are the fields' value_bounds, without
     # a scan of the columns
     a_lo, a_hi = a_values[0], a_values[-1]
@@ -279,7 +277,7 @@ def draw_cells(collection: Collection, catalog: IndexCatalog, d: int, seed: int)
         misses += 1
         if misses >= cap:
             missing = [divmod(k, d) for k in range(d * d) if not filled[k]]
-            yield from _direct_fill_cells(collection, catalog, missing, d)
+            yield from _direct_fill_cells(collection, missing, d)
             yield draws, rejections, len(missing)
             return
     yield draws, rejections, 0
@@ -302,7 +300,7 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
     grid = ExperimentGrid(d=d)
     cells = grid.cells
     make_query = scenario.make_query
-    args = (collection, catalog, d, seed)
+    args = (collection, d, seed)
     if workers.can_overlap():
         draws = workers.forked(draw_cells, args, "the sweep's draw worker", "its last cell")
     else:

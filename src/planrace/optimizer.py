@@ -9,8 +9,7 @@ race with the same number of work units.
 race() steps that protocol through PlanExecution.work() and is the
 reference. optimize() computes the same outcome in closed form
 (_race_scans) over the distinct scans of the query's shape (RaceLayout,
-kept per shape next to plans.shape_candidates) bound to its bounds: the
-race runs
+kept per shape in the catalog) bound to its bounds: the race runs
     R = min(ceil(max_rounds), min_p(s_p + 1), min_p(q_p))
 rounds, where s_p is plan p's scan length and q_p the scan position of its
 max_results-th match; every plan then has R works, reached EOF iff
@@ -42,9 +41,9 @@ from .engine import (
     IndexCatalog,
     Query,
     RankBuckets,
-    bucket_column,
     query_shape,
     rank_buckets,
+    scan_columns,
 )
 from .errors import NoCandidatesError, UndefinedProductivityError
 from .executor import PlanExecution, WorkState, match_mask, shape_ranges
@@ -163,37 +162,36 @@ class RaceLayout:
     buckets: dict[str, RankBuckets]
 
 
-def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection,
-                  catalog: IndexCatalog) -> RaceLayout:
+def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceLayout:
+    read = scan_columns(collection, [(plan.index, plan.filters) for plan in plans])
     distinct: dict[tuple, int] = {}
     slots = []
     scans = []
-    buckets: dict[str, RankBuckets] = {}
-    for p, plan in enumerate(plans):
-        rids = None if plan.index is None else plan.index.rids
+    for p, (plan, (rids, columns)) in enumerate(zip(plans, read)):
         key = (plan.leading, None if rids is None else id(rids), plan.filters)
         slot = distinct.get(key)
         if slot is None:
             slot = distinct[key] = len(scans)
-            for f in plan.filters:
-                if f not in buckets:
-                    buckets[f] = rank_buckets(collection, f, catalog)
-            scans.append((p, rids, tuple(
-                (f, bucket_column(collection, f, plan.index, catalog), collection.columns[f])
-                for f in plan.filters)))
+            scans.append((p, rids, tuple(zip(plan.filters, columns,
+                                             map(collection.columns.get, plan.filters)))))
         slots.append(slot)
+    buckets = {f: rank_buckets(collection, f) for plan in plans for f in plan.filters}
     return RaceLayout(plans, tuple(slots), tuple(scans), buckets)
 
 
 def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
                 variant: OptimizerVariant) -> RaceLayout:
-    """The race layout of the query's shape, hint and variant, kept in
-    catalog.shape_plans next to the shape's plans."""
-    key = ("race", query_shape(query), query.hint, variant)
+    """The race layout of the query's shape, hint and variant, built at its
+    first race and kept in catalog.shape_plans.
+
+    A failed enumeration (plans.shape_candidates) keeps nothing, so it fails
+    again, with the same error, for every query of its shape.
+    """
+    key = (query_shape(query), query.hint, variant)
     layout = catalog.shape_plans.get(key)
     if layout is None:
         plans = shape_candidates(query, catalog, variant)
-        layout = catalog.shape_plans[key] = _build_layout(plans, collection, catalog)
+        layout = catalog.shape_plans[key] = _build_layout(plans, collection)
     return layout
 
 
@@ -362,7 +360,7 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     With a cache, a shape hit skips the race and reuses the cached plan
     unconditionally; a miss races and caches the winner.
     `positions`, when the caller has them, are the (start, end) of each of
-    the query's predicates in its field's count_column, in predicate order;
+    the query's predicates in its field's sorted values, in predicate order;
     the race then takes its scan ranges from them instead of bisecting
     (shape_ranges).
     """

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Index, IndexCatalog, Query, index_name_for, query_shape
+from .engine import Index, IndexCatalog, Query, index_name_for
 from .errors import UnknownPlanError
 
 
@@ -166,26 +166,15 @@ def shape_candidates(query: Query, catalog: IndexCatalog,
     compound indexes whose leading field is queried and whose keys cover the
     projection), then COLLSCAN last when the gating rule lets it in. A hinted
     query yields exactly the hinted plan or an UnknownPlanError.
-
-    Enumerated for the first query of each shape (query_shape), hint and
-    variant, and kept in catalog.shape_plans. A failed enumeration is not
-    kept, so it fails again, with the same error, for every query of its
-    shape.
     """
-    key = ("candidates", query_shape(query), query.hint, variant)
-    plans = catalog.shape_plans.get(key)
-    if plans is None:
-        producible = producible_plans(query, catalog)
-        if query.hint is not None:
-            plans = (hinted_plan(producible, query.hint),)
-        else:
-            collscan = producible.pop("COLLSCAN")
-            candidates = list(producible.values())
-            if variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD) or not candidates:
-                candidates.append(collscan)
-            plans = tuple(candidates)
-        catalog.shape_plans[key] = plans
-    return plans
+    producible = producible_plans(query, catalog)
+    if query.hint is not None:
+        return (hinted_plan(producible, query.hint),)
+    collscan = producible.pop("COLLSCAN")
+    candidates = list(producible.values())
+    if variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD) or not candidates:
+        candidates.append(collscan)
+    return tuple(candidates)
 
 
 def shape_forced(query: Query, catalog: IndexCatalog,

@@ -53,13 +53,7 @@ class Scenario:
             with closing(second):
                 collection.sorted_values(fields[0])
                 collection.keep_sorted_values(fields[1], next(iter(second)))
-        indexes = []
-        for keys in self.index_keys:
-            # a compound index is derived from its leading field's index when
-            # that is built first
-            base = next((ix for ix in indexes if ix.key_fields == keys[:1]), None)
-            indexes.append(build_index(collection, keys, base))
-        return IndexCatalog(indexes)
+        return IndexCatalog([build_index(collection, keys) for keys in self.index_keys])
 
     def make_query(self, pred_a: RangePredicate, pred_b: RangePredicate,
                    hint: PlanId | None = None) -> Query:

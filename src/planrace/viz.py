@@ -9,7 +9,6 @@ cell colors exists for humans.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import PlanraceError
@@ -20,53 +19,46 @@ RGB = tuple[int, int, int]
 
 UNVISITED_GRAY: RGB = (128, 128, 128)
 
+PLAN_COLORS: dict[str, RGB] = {
+    "IXSCAN_A": (230, 126, 34),   # orange
+    "IXSCAN_B": (39, 174, 96),    # green
+    "COLLSCAN": (241, 196, 15),   # yellow
+    "IXSCAN_AB": (41, 128, 185),  # blue
+}
 
-@dataclass(frozen=True)
-class Palette:
-    colors: dict[str, RGB] = field(default_factory=lambda: {
-        "IXSCAN_A": (230, 126, 34),   # orange
-        "IXSCAN_B": (39, 174, 96),    # green
-        "COLLSCAN": (241, 196, 15),   # yellow
-        "IXSCAN_AB": (41, 128, 185),  # blue
-    })
-    unvisited: RGB = UNVISITED_GRAY
+# The impact heatmap's scale: ratio 1.0 is white, ratios >= HEATMAP_R_MAX
+# full red, linear in between.
+HEATMAP_R_MAX = 4.0
+HEATMAP_WHITE: RGB = (255, 255, 255)
+HEATMAP_RED: RGB = (200, 0, 0)
 
-    def color_for(self, plan_name: str) -> RGB:
-        try:
-            return self.colors[plan_name]
-        except KeyError:
-            raise PlanraceError(
-                f"no palette color for plan {plan_name!r}; known: {sorted(self.colors)}"
-            ) from None
+# The side of one cell's square in an SVG image, in pixels.
+SVG_CELL_PX = 10
 
 
-@dataclass(frozen=True)
-class HeatmapScale:
-    """ratio 1.0 -> white, ratios >= r_max -> full red, linear in between."""
-
-    r_max: float = 4.0
-    white: RGB = (255, 255, 255)
-    full: RGB = (200, 0, 0)
-
-    def color_for(self, ratio: float) -> RGB:
-        t = (ratio - 1.0) / (self.r_max - 1.0)
-        t = min(max(t, 0.0), 1.0)
-        return tuple(
-            round(w + t * (f - w)) for w, f in zip(self.white, self.full)
-        )
+def plan_color(plan_name: str) -> RGB:
+    try:
+        return PLAN_COLORS[plan_name]
+    except KeyError:
+        raise PlanraceError(
+            f"no palette color for plan {plan_name!r}; known: {sorted(PLAN_COLORS)}"
+        ) from None
 
 
-PALETTE = Palette()
-HEATMAP_SCALE = HeatmapScale()
+def heatmap_color(ratio: float) -> RGB:
+    t = (ratio - 1.0) / (HEATMAP_R_MAX - 1.0)
+    t = min(max(t, 0.0), 1.0)
+    return tuple(round(w + t * (f - w)) for w, f in zip(HEATMAP_WHITE, HEATMAP_RED))
 
 
 class Image:
-    """Minimal RGB raster with PPM and SVG emitters."""
+    """Minimal RGB raster with PPM and SVG emitters; every pixel starts
+    unvisited gray."""
 
-    def __init__(self, width: int, height: int, fill: RGB = UNVISITED_GRAY):
+    def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
-        self.rows: list[list[RGB]] = [[fill] * width for _ in range(height)]
+        self.rows: list[list[RGB]] = [[UNVISITED_GRAY] * width for _ in range(height)]
 
     def set(self, x: int, y: int, color: RGB) -> None:
         self.rows[y][x] = color
@@ -79,8 +71,9 @@ class Image:
                 body.extend((r, g, b))
         return header + bytes(body)
 
-    def to_svg(self, cell_px: int = 10) -> str:
-        w, h = self.width * cell_px, self.height * cell_px
+    def to_svg(self) -> str:
+        px = SVG_CELL_PX
+        w, h = self.width * px, self.height * px
         parts = [
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
             f'width="{w}" height="{h}" viewBox="0 0 {w} {h}">'
@@ -88,8 +81,8 @@ class Image:
         for y, row in enumerate(self.rows):
             for x, (r, g, b) in enumerate(row):
                 parts.append(
-                    f'<rect x="{x * cell_px}" y="{y * cell_px}" '
-                    f'width="{cell_px}" height="{cell_px}" fill="rgb({r},{g},{b})"/>'
+                    f'<rect x="{x * px}" y="{y * px}" '
+                    f'width="{px}" height="{px}" fill="rgb({r},{g},{b})"/>'
                 )
         parts.append("</svg>")
         return "\n".join(parts)
@@ -104,23 +97,23 @@ def plan_diagram(grid: ExperimentGrid, which: str = "chosen") -> Image:
     """Color each cell by its chosen (or optimal) plan; unvisited cells stay gray."""
     if which not in ("chosen", "optimal"):
         raise ValueError(f"which must be 'chosen' or 'optimal', not {which!r}")
-    img = Image(grid.d, grid.d, fill=PALETTE.unvisited)
+    img = Image(grid.d, grid.d)
     for (i, j), cell in grid.cells.items():
         plan_name = getattr(cell, which)
         if plan_name is None:
             continue
         x, y = _pixel_position(i, j, grid.d)
-        img.set(x, y, PALETTE.color_for(plan_name))
+        img.set(x, y, plan_color(plan_name))
     return img
 
 
 def impact_heatmap(grid: ExperimentGrid) -> Image:
-    img = Image(grid.d, grid.d, fill=UNVISITED_GRAY)
+    img = Image(grid.d, grid.d)
     for (i, j), cell in grid.cells.items():
         if cell.ratio is None:
             continue
         x, y = _pixel_position(i, j, grid.d)
-        img.set(x, y, HEATMAP_SCALE.color_for(cell.ratio))
+        img.set(x, y, heatmap_color(cell.ratio))
     return img
 
 

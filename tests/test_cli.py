@@ -394,7 +394,7 @@ def killed():
 ])
 def test_failed_draw_worker_is_one_error_line(tmp_path, data_file, capsys, monkeypatch,
                                               stop, message):
-    def failing(collection, catalog, d, seed):
+    def failing(collection, d, seed):
         yield 0, 0, 0, 1, 0, 1, 0, 1, 0, 1
         stop()
 

@@ -273,8 +273,8 @@ def check_byte_masks(collection, rng):
         # each field's column in the access order, gathered through its rids
         columns = collection.columns if index is None else {
             f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}
-        masking = [(bucket_column(collection, f, index, catalog),
-                    rank_buckets(collection, f, catalog).table(low, high),
+        masking = [(bucket_column(collection, f, index),
+                    rank_buckets(collection, f).table(low, high),
                     collection.columns[f], low, high)
                    for f, low, high in filters]
         for _ in range(3):
@@ -340,33 +340,35 @@ def test_bucket_columns_follow_each_access_order(dist, values):
         collection = spread(collection)
     catalog = get_scenario("covering").build_catalog(collection)
     for f in ("A", "B"):
-        number = rank_buckets(collection, f, catalog).number
+        number = rank_buckets(collection, f).number
         column = collection.columns[f]
-        assert list(bucket_column(collection, f, None, catalog)) == list(map(number, column))
+        assert list(bucket_column(collection, f)) == list(map(number, column))
         for ix in catalog.indexes:
-            assert list(bucket_column(collection, f, ix, catalog)) == [
+            assert list(bucket_column(collection, f, ix)) == [
                 number(column[rid]) for rid in ix.rids]
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 def test_scattered_bucket_columns_equal_numbers(monkeypatch, dist, scenario_name):
-    # numbers() reads each value; with the field's single-field index the
-    # record_id order column is scattered from the index's order instead
+    # numbers() reads each value; once the field's order is built (here by
+    # reading the rids of the indexes leading on the field) the record_id
+    # order column is scattered from that order instead
     collection = generate_dataset(2000, dist, seed=13)
     catalog = get_scenario(scenario_name).build_catalog(collection)
     for f in ("A", "B"):
-        buckets = rank_buckets(collection, f, catalog)
+        buckets = rank_buckets(collection, f)
         want = buckets.numbers(collection.columns[f])
         # every access order of the field's sorted values gives the same column
-        for ix in catalog.indexes:
-            if ix.key_fields[0] == f:
-                assert buckets.numbers_from_order(ix.key_values, ix.rids) == want
+        leading = [ix for ix in catalog.indexes if ix.key_fields[0] == f]
+        for ix in leading:
+            assert buckets.numbers_from_order(ix.key_values, ix.rids) == want
+        assert (f in collection._orders) == bool(leading)
         read = []
         monkeypatch.setattr(RankBuckets, "numbers",
                             lambda self, values: read.append(1) or bytes(map(self.number, values)))
-        assert bucket_column(collection, f, None, catalog) == want
-        assert read == ([] if catalog.single_field_index(f) else [1])
+        assert bucket_column(collection, f) == want
+        assert read == ([] if leading else [1])
         monkeypatch.undo()
         for ix in catalog.indexes:
-            assert bucket_column(collection, f, ix, catalog) == bytes(want[r] for r in ix.rids)
+            assert bucket_column(collection, f, ix) == bytes(want[r] for r in ix.rids)

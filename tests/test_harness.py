@@ -24,10 +24,10 @@ from planrace.engine import (
     Projection,
     Query,
     RangePredicate,
-    build_index,
-    count_column,
+    RankBuckets,
     generate_dataset,
     match_count,
+    selectivity,
 )
 from planrace.errors import PlanraceError, UnknownPlanError
 from planrace.executor import CostModel, plan_cost_totals, shape_ranges
@@ -282,7 +282,7 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None)
 
     def record(i, j, query):
         result = optimize(query, collection, catalog, variant, RaceKnobs(), cache=cache)
-        count_a, count_b = (match_count(collection, p, catalog) for p in query.predicates)
+        count_a, count_b = (match_count(collection, p) for p in query.predicates)
         grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
                                       query=query, chosen=str(result.chosen),
                                       positions=reference_positions(query, collection, catalog))
@@ -292,8 +292,8 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None)
         pred_a = rand_range_predicate("A", a_lo, a_hi, rng)
         pred_b = rand_range_predicate("B", b_lo, b_hi, rng)
         grid.draws += 1
-        count_a = match_count(collection, pred_a, catalog)
-        count_b = match_count(collection, pred_b, catalog)
+        count_a = match_count(collection, pred_a)
+        count_b = match_count(collection, pred_b)
         i = harness._cell_from_count(count_a, n, d)
         j = harness._cell_from_count(count_b, n, d)
         if (i, j) in grid.cells:
@@ -303,7 +303,7 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None)
                 missing = [(x, y) for x in range(d) for y in range(d)
                            if (x, y) not in grid.cells]
                 for fi, fj, la, ha, lb, hb, *_ in harness._direct_fill_cells(
-                        collection, catalog, missing, d):
+                        collection, missing, d):
                     query = scenario.make_query(RangePredicate("A", la, ha),
                                                 RangePredicate("B", lb, hb))
                     record(fi, fj, query)
@@ -512,7 +512,7 @@ def test_sweep_through_the_worker_equals_in_process_draws(monkeypatch, forks, di
     assert len(forks.sorts) == (scenario_name != "single-index")
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
     assert_one_draw_worker(forks)
-    drawn = list(harness.draw_cells(collection, catalog, 8, 5))
+    drawn = list(harness.draw_cells(collection, 8, 5))
     assert drawn_cells(grid, len(collection)) == drawn
     monkeypatch.setattr(workers, "can_overlap", lambda: False)
     in_process = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
@@ -525,7 +525,7 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
     cache = primed_cache_for(scenario, parse_plan_hint("IXSCAN_AB"))
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 8, 3, cache=cache)
     assert drawn_cells(grid, len(collection)) == list(
-        harness.draw_cells(collection, catalog, 8, 3))
+        harness.draw_cells(collection, 8, 3))
     assert_positions_are_scan_ranges(grid, collection, catalog, scenario,
                                      OptimizerVariant.VANILLA)
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
@@ -534,7 +534,7 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
     tiny_catalog = both.build_catalog(tiny)
     grid = sweep(both, tiny, tiny_catalog, OptimizerVariant.VANILLA, 10, 7)
     assert grid.filled_directly == 19
-    assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, tiny_catalog, 10, 7))
+    assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, 10, 7))
     assert_positions_are_scan_ranges(grid, tiny, tiny_catalog, both, OptimizerVariant.VANILLA)
     assert len(forks.draws) == 2 and len(forks.sorts) == 1
     assert_reaped(forks.draws + forks.sorts)
@@ -550,7 +550,7 @@ def test_sweep_without_a_process_draws_in_process(monkeypatch, small_world):
     monkeypatch.setattr(os, "fork", no_fork)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 6, seed=8)
     assert drawn_cells(grid, len(collection)) == list(
-        harness.draw_cells(collection, catalog, 6, 8))
+        harness.draw_cells(collection, 6, 8))
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
@@ -579,7 +579,7 @@ def test_draws_and_direct_fill_scan_no_column_for_its_bounds(monkeypatch):
         return bounds(self, field_name)
 
     monkeypatch.setattr(Collection, "value_bounds", counted)
-    *cells, (_, _, filled_directly) = harness.draw_cells(collection, catalog, 10, 7)
+    *cells, (_, _, filled_directly) = harness.draw_cells(collection, 10, 7)
     assert len(cells) == 100 and filled_directly == 19
     assert calls == []
 
@@ -592,7 +592,7 @@ def test_threads_keep_the_draws_in_process(monkeypatch):
 def cells_then(stop):
     """A draw_cells that yields 40 cells (more than one batch), then calls stop()."""
 
-    def draw(collection, catalog, d, seed):
+    def draw(collection, d, seed):
         for k in range(40):
             yield k // d, k % d, 0, 1, 0, 1, 0, 1, 0, 1
         stop()
@@ -744,7 +744,7 @@ def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
     # here B's range is counted only for draws whose A row has an open cell
     collection = generate_dataset(300, "uniform-distinct", seed=17)
     catalog = get_scenario("both-indexed").build_catalog(collection)
-    b_values = count_column(collection, "B", catalog)
+    b_values = collection.sorted_values("B")
     bisects = {"A": 0, "B": 0}
 
     def counted(values, x):
@@ -752,28 +752,27 @@ def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
         return bisect_left(values, x)
 
     monkeypatch.setattr(harness, "bisect_left", counted)
-    *cells, (draws, rejections, filled_directly) = harness.draw_cells(collection, catalog, 6, 2)
+    *cells, (draws, rejections, filled_directly) = harness.draw_cells(collection, 6, 2)
     assert len(cells) == 36 and filled_directly == 0
     assert bisects["A"] == 2 * draws
     assert 2 * len(cells) <= bisects["B"] < bisects["A"]
 
 
 @pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
-def test_match_count_bisects_the_count_column(dist):
+def test_match_count_bisects_the_sorted_values(dist):
     collection = generate_dataset(400, dist, seed=23)
     catalog = get_scenario("single-index").build_catalog(collection)  # indexes B only
-    assert count_column(collection, "B", catalog) is catalog.indexes[0].key_values
-    assert count_column(collection, "A", catalog) is collection.sorted_values("A")
+    assert catalog.indexes[0].key_values is collection.sorted_values("B")
     rng = random.Random(4)
     for _ in range(200):
         field_name = rng.choice("AB")
         low = rng.randint(-5, 400)
         pred = RangePredicate(field_name, low, low + rng.randint(0, 200))
         scan = sum(pred.matches(v) for v in collection.columns[field_name])
-        for cat in (None, catalog):
-            values = count_column(collection, field_name, cat)
-            bisected = bisect_left(values, pred.high) - bisect_left(values, pred.low)
-            assert match_count(collection, pred, cat) == bisected == scan
+        values = collection.sorted_values(field_name)
+        bisected = bisect_left(values, pred.high) - bisect_left(values, pred.low)
+        assert match_count(collection, pred) == bisected == scan
+        assert selectivity(collection, pred) == scan / len(collection)
 
 
 # --- finalize ----------------------------------------------------------------
@@ -1010,7 +1009,7 @@ def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
     (catalog,) = built_catalogs
     for ix in catalog.indexes:
         assert ix._rids is None
-        assert ix._bucket_columns == {}
+    assert collection._orders == {}
     assert collection._rank_buckets == {} and collection._bucket_columns == {}
 
 
@@ -1025,14 +1024,41 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
     collection = generate_dataset(2000, dist, seed=5)
     run_experiment(scenario, collection, OptimizerVariant.MOD, d=5, seed=3)
     (catalog,) = built_catalogs
+    n = len(collection)
+    expected = set()
     for ix in catalog.indexes:
         # every plan races; each index plan filters on its non-leading field
-        # through that field's bucket column; a compound index in its
-        # leading index's order is masked as that one
+        # through that field's bucket column, kept by the index's order; a
+        # compound index in its leading field's order is masked as that one
         assert ix._rids is not None
-        other = "B" if ix.key_fields[0] == "A" else "A"
-        shared = ix._base is not None and ix.rids is ix._base.rids
-        assert sorted(ix._bucket_columns) == ([] if shared else [other])
-        scratch = build_index(collection, ix.key_fields)
-        assert ix.rids == scratch.rids
-        assert ix.key_values == scratch.key_values
+        lead = ix.key_fields[0]
+        other = "B" if lead == "A" else "A"
+        order_keys = ix.key_fields[:1] if ix.rids is collection.order(lead) else ix.key_fields
+        expected.add((order_keys, other))
+        columns = [collection.columns[f] for f in ix.key_fields]
+        assert ix.rids == array("q", sorted(
+            range(n), key=lambda rid: (*(column[rid] for column in columns), rid)))
+        assert ix.key_values == array("q", sorted(collection.columns[lead]))
+    # no index-order bucket column beyond those the plans filter through
+    assert {k for k in collection._bucket_columns if k[0] is not None} == expected
+
+
+@pytest.mark.parametrize("variant", list(OptimizerVariant))
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+def test_first_race_builds_the_orders_its_indexes_scan(monkeypatch, scenario_name, variant):
+    # every order a race scans is built before any bucket column, so only a
+    # field no index leads on (A in single-index) has its record_id-order
+    # bucket column read value by value, and no order is sorted for it
+    collection = generate_dataset(2000, "uniform-distinct", seed=5)
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    assert collection._orders == {}
+    read = []
+    numbers = RankBuckets.numbers
+    monkeypatch.setattr(RankBuckets, "numbers",
+                        lambda self, values: read.append(values) or numbers(self, values))
+    query = scenario.make_query(RangePredicate("A", 100, 900), RangePredicate("B", 300, 1500))
+    optimize(query, collection, catalog, variant)
+    single = scenario_name == "single-index"
+    assert set(collection._orders) == ({"B"} if single else {"A", "B"})
+    assert read == ([collection.columns["A"]] if single else [])

@@ -7,7 +7,7 @@ from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import Query, RangePredicate, count_column, generate_dataset
+from planrace.engine import Query, RangePredicate, generate_dataset
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
@@ -163,7 +163,7 @@ def test_closed_form_race_equals_stepped_race(n, dist):
                     mismatches += closed.stats != stepped or closed.candidates != plans
                     # the same race from the ranges' positions in the count columns
                     positions = tuple(
-                        bisect_left(count_column(collection, p.field, catalog), bound)
+                        bisect_left(collection.sorted_values(p.field), bound)
                         for p in q.predicates for bound in (p.low, p.high))
                     mismatches += optimize(q, collection, catalog, variant, knobs,
                                            positions=positions) != closed
@@ -372,7 +372,7 @@ def test_reordered_query_races_as_on_a_fresh_catalog(collection, scenario_name):
             assert (got.chosen, got.rounds, got.results, got.lengths) == (
                 want.chosen, want.rounds, want.results, want.lengths)
             # positions come in the query's own predicate order
-            positions = tuple(bisect_left(count_column(collection, p.field, catalog), bound)
+            positions = tuple(bisect_left(collection.sorted_values(p.field), bound)
                               for p in reordered.predicates for bound in (p.low, p.high))
             assert optimize(reordered, collection, catalog, variant,
                             positions=positions) == got

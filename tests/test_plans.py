@@ -18,7 +18,7 @@ from planrace.engine import (
 )
 from planrace.errors import UnknownPlanError
 from planrace.executor import CostModel, PlanExecution, run_to_completion
-from planrace.optimizer import _build_layout, bind_layout
+from planrace.optimizer import bind_layout, race_layout
 from planrace.plans import (
     PLAN_ID_ORDER,
     CandidatePlan,
@@ -208,11 +208,12 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                                   RangePredicate("B", b0, rng.randrange(b0, 410))]
                     rng.shuffle(predicates)  # one shape, either predicate order
                     q = Query(tuple(predicates), projection, hint)
-                    # the plans kept for the shape are those a catalog with
-                    # nothing kept enumerates for this query
+                    # the plans of the layout kept for the shape are those a
+                    # catalog with nothing kept enumerates for this query,
+                    # and a failed enumeration fails again
                     fresh = IndexCatalog(catalog.indexes)
                     want = outcome(shape_candidates, q, fresh, variant)
-                    got = outcome(shape_candidates, q, catalog, variant)
+                    got = outcome(lambda: race_layout(q, dataset, catalog, variant).plans)
                     assert got == want
                     if want[0] == "error":
                         errors += 1
@@ -220,7 +221,7 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                     bound = enumerate_candidates(q, catalog, variant)
                     assert bound == bind_plans(got[1], q)
                     # the race layout bound to q scans what PlanExecution steps
-                    layout = _build_layout(got[1], dataset, catalog)
+                    layout = race_layout(q, dataset, catalog, variant)
                     scans = bind_layout(layout, q, len(dataset))
                     assert sorted(set(layout.slots)) == list(range(len(scans)))
                     for slot, plan in zip(layout.slots, bound):
@@ -229,8 +230,8 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                         assert (start, end) == (ex._start, ex._end) and rids is ex._rids
                         index = plan.plan.index
                         assert filters == [
-                            (bucket_column(dataset, f, index, catalog),
-                             rank_buckets(dataset, f, catalog).table(low, high),
+                            (bucket_column(dataset, f, index),
+                             rank_buckets(dataset, f).table(low, high),
                              dataset.columns[f], low, high)
                             for f, (_, low, high) in zip(plan.plan.filters, ex._filters)]
     # hints the catalog cannot produce
@@ -258,7 +259,7 @@ def test_a_catalog_rebuilt_with_a_compound_index_serves_its_cover_plan(dataset):
     catalog = catalog_for("both-indexed", dataset)
     q = query_for("covering")
     assert plan_names(enumerate_candidates(q, catalog)) == ["IXSCAN_A", "IXSCAN_B"]
-    compound = build_index(dataset, ("A", "B"), catalog.by_name("A_1"))
+    compound = build_index(dataset, ("A", "B"))
     with pytest.raises(AttributeError):
         catalog.indexes.append(compound)
     # the catalog and the plans it keeps stay as they were built

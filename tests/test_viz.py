@@ -14,12 +14,15 @@ from planrace.harness import (
     SummaryMetrics,
     run_experiment,
 )
-from planrace.plans import OptimizerVariant
+from planrace.plans import PLAN_ID_ORDER, OptimizerVariant
 from planrace.scenarios import get_scenario
 from planrace.viz import (
-    HeatmapScale,
-    Palette,
+    PLAN_COLORS,
+    SVG_CELL_PX,
+    UNVISITED_GRAY,
+    heatmap_color,
     impact_heatmap,
+    plan_color,
     plan_diagram,
     results_csv,
     summary_filename,
@@ -44,18 +47,18 @@ def tiny_grid(d=2):
     return grid
 
 
-def test_palette_defaults():
-    p = Palette()
-    assert p.color_for("IXSCAN_A") == (230, 126, 34)
-    assert p.color_for("IXSCAN_B") == (39, 174, 96)
-    assert p.color_for("COLLSCAN") == (241, 196, 15)
-    assert p.color_for("IXSCAN_AB") == (41, 128, 185)
-    assert p.unvisited == (128, 128, 128)
+def test_palette_colors():
+    assert plan_color("IXSCAN_A") == (230, 126, 34)
+    assert plan_color("IXSCAN_B") == (39, 174, 96)
+    assert plan_color("COLLSCAN") == (241, 196, 15)
+    assert plan_color("IXSCAN_AB") == (41, 128, 185)
+    assert sorted(PLAN_COLORS) == sorted(PLAN_ID_ORDER)
+    assert UNVISITED_GRAY == (128, 128, 128)
 
 
 def test_palette_unknown_plan_errors():
-    with pytest.raises(PlanraceError):
-        Palette().color_for("IXSCAN_Z")
+    with pytest.raises(PlanraceError, match="no palette color for plan 'IXSCAN_Z'"):
+        plan_color("IXSCAN_Z")
 
 
 def test_plan_diagram_orientation_bottom_left_origin():
@@ -88,13 +91,12 @@ def test_plan_diagram_rejects_bad_field():
 
 
 def test_heatmap_scale_endpoints_and_monotonicity():
-    scale = HeatmapScale()
-    assert scale.color_for(1.0) == (255, 255, 255)
-    assert scale.color_for(4.0) == (200, 0, 0)
-    assert scale.color_for(99.0) == (200, 0, 0)
-    last = scale.color_for(1.0)
+    assert heatmap_color(1.0) == (255, 255, 255)
+    assert heatmap_color(4.0) == (200, 0, 0)
+    assert heatmap_color(99.0) == (200, 0, 0)
+    last = heatmap_color(1.0)
     for step in range(1, 200):
-        now = scale.color_for(1.0 + step * 0.05)
+        now = heatmap_color(1.0 + step * 0.05)
         assert all(n <= l for n, l in zip(now, last))
         last = now
 
@@ -137,6 +139,8 @@ def test_svg_has_one_rect_per_cell():
     svg = plan_diagram(tiny_grid(), "chosen").to_svg()
     assert svg.count("<rect") == 4
     assert 'fill="rgb(230,126,34)"' in svg
+    side = 2 * SVG_CELL_PX
+    assert f'width="{side}" height="{side}" viewBox="0 0 {side} {side}"' in svg
 
 
 def test_summary_filename_format():

@@ -12,15 +12,8 @@ values, and each entry's field values are read from the collection's
 columns through its record id. A run that only counts ranges never builds
 an order. Every column, sorted copy and record id order is an array('q'):
 8 bytes per value, where a list of ints holds an 8-byte reference and a
-32-byte int object.
-
-Each field's values fall into at most BUCKETS rank buckets (RankBuckets).
-An access order, record_id order or an index's order, holds a bytes column
-of each field's bucket numbers in that order, built on first use; the
-record_id order one is scattered from the field's order when that is
-built. A range filter over a slice of it is one bytes.translate, and
-only the positions in the range's (at most two) boundary buckets need
-their values compared.
+32-byte int object. The race masks each access order through columns of
+rank-bucket numbers, which its layout builds (optimizer.RaceLayout).
 
 Dataset files are read in blocks of whole lines; a block in save_dataset's
 own form is checked and converted by a few passes in C, any other block
@@ -32,11 +25,10 @@ from __future__ import annotations
 import random
 import re
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import compress, islice, repeat
-from operator import eq, itemgetter, ne
+from operator import eq, ne
 from pathlib import Path
 
 from .errors import (
@@ -69,20 +61,15 @@ class Collection:
     """One int64 column per field, each in record_id order; dict order is field order.
 
     Columns given as other sequences of ints are converted to array('q').
-    What is derived from a field's column (sorted values, order, rank
-    buckets, bucket columns) is built on first use and kept: collections
-    are immutable.
+    What is derived from a field's column (sorted values, order) is built
+    on first use and kept: collections are immutable, and two with equal
+    columns and name compare equal whatever each has built.
     """
 
     name: str
     columns: dict[str, array]
-    _sorted_values: dict[str, array] = field(default_factory=dict, repr=False)
+    _sorted_values: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
     _orders: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
-    _rank_buckets: dict[str, RankBuckets] = field(default_factory=dict, repr=False,
-                                                  compare=False)
-    # bucket columns by (access order, field): see bucket_column
-    _bucket_columns: dict[tuple, bytes] = field(default_factory=dict, repr=False,
-                                                compare=False)
 
     def __post_init__(self):
         self.columns = {f: _int64_column(f, values) for f, values in self.columns.items()}
@@ -149,9 +136,8 @@ class Index:
     key_values is the leading field's Collection.sorted_values. rids is
     built the first time it is read: a run that never scans an index, such
     as one that reuses a primed plan, never builds it. The closed-form race
-    reads rids and the fields' bucket columns in index order
-    (bucket_column); stepping a plan (PlanExecution) reads rids and the
-    collection's columns.
+    (optimizer.RaceLayout) and a stepped plan (PlanExecution) both read the
+    collection's columns through rids.
     """
 
     def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection):
@@ -333,128 +319,6 @@ def match_count(collection: Collection, predicate: RangePredicate) -> int:
     """Documents matching the predicate: two bisects of the field's sorted values."""
     values = collection.sorted_values(predicate.field)
     return bisect_left(values, predicate.high) - bisect_left(values, predicate.low)
-
-
-# A field's values fall into at most this many rank buckets, so a bucket
-# number fits one byte.
-BUCKETS = 256
-
-
-class RankBuckets:
-    """At most BUCKETS buckets of one field's values, split at ranks.
-
-    The edges are the values at ranks floor(q * N / BUCKETS) of the sorted
-    column, q = 0..BUCKETS-1, without repeats; bucket k holds the values v
-    with edges[k] <= v < edges[k + 1] (the last bucket: up to the largest
-    value). A value that fills more than N / BUCKETS ranks starts a bucket.
-    """
-
-    def __init__(self, sorted_values: array):
-        n = len(sorted_values)
-        edges = list(dict.fromkeys(sorted_values[q * n // BUCKETS] for q in range(BUCKETS)))
-        self.edges = edges
-        # the exclusive upper bound of each bucket's values
-        self._tops = edges[1:] + [sorted_values[-1] + 1]
-        # the bucket number of a value of this field
-        self.number = partial(bisect_right, edges[1:])
-
-    def numbers(self, values: array) -> bytes:
-        """The bucket number of each value."""
-        return bytes(map(self.number, values))
-
-    def numbers_from_order(self, sorted_values: array, rids: array) -> bytes:
-        """numbers() of the values in record_id order, from an order of them.
-
-        sorted_values are the field's values in sorted order and rids[k] the
-        record id of sorted_values[k], as in an index leading on the field.
-        Each bucket's values are one run of sorted_values, found by one
-        bisect, and each record id of the run gets the bucket's number.
-        """
-        out = bytearray(len(rids))
-        start = 0
-        for k, top in enumerate(self._tops):
-            end = bisect_left(sorted_values, top)
-            for r in rids[start:end]:
-                out[r] = k
-            start = end
-        return bytes(out)
-
-    def table(self, low: int, high: int) -> bytes:
-        """bytes.translate table: a bucket's number to 0 when none of its
-        values lies in [low, high), 1 when all do, and 2 when some may.
-
-        Only the first and the last bucket that meet the range can be 2.
-        """
-        first = bisect_right(self._tops, low)  # the buckets before lie below low
-        end = bisect_left(self.edges, high)  # the buckets from here on lie at or above high
-        if first >= end:
-            return bytes(BUCKETS)
-        last = end - 1
-        lower = 2 if self.edges[first] < low else 1
-        upper = 2 if self._tops[last] > high else 1
-        if first == last:
-            middle = bytes([max(lower, upper)])
-        else:
-            middle = bytes([lower]) + b"\1" * (last - first - 1) + bytes([upper])
-        return bytes(first) + middle + bytes(BUCKETS - end)
-
-
-def _take(data: bytes, positions: array) -> bytes:
-    """data[p] for each p in positions, gathered in C."""
-    if len(positions) == 1:  # itemgetter of one key returns the item itself
-        return data[positions[0]:positions[0] + 1]
-    return bytes(itemgetter(*positions)(data))
-
-
-def rank_buckets(collection: Collection, field_name: str) -> RankBuckets:
-    """The field's rank buckets, built from its sorted values on first use
-    and kept on the collection."""
-    buckets = collection._rank_buckets.get(field_name)
-    if buckets is None:
-        buckets = RankBuckets(collection.sorted_values(field_name))
-        collection._rank_buckets[field_name] = buckets
-    return buckets
-
-
-def bucket_column(collection: Collection, field_name: str, index: Index | None = None) -> bytes:
-    """The field's bucket numbers in an access order, built on first use and
-    kept on the collection.
-
-    That is record_id order when `index` is None, else the index's order.
-    The record_id order column is scattered from the field's order when
-    that is built (RankBuckets.numbers_from_order; scan_columns builds the
-    orders first), else read value by value (RankBuckets.numbers). A column
-    in an index's order is gathered from it through the index's record ids.
-    It is kept by the order's key fields, only the leading one when the
-    index shares that field's order (Collection.order), so A_1_B_1 over an
-    A without repeats shares A_1's columns.
-    """
-    if index is None:
-        key = None
-    else:
-        lead = index.key_fields[0]
-        key = index.key_fields[:1] if index.rids is collection.order(lead) else index.key_fields
-    column = collection._bucket_columns.get((key, field_name))
-    if column is None:
-        if index is not None:
-            column = _take(bucket_column(collection, field_name), index.rids)
-        elif field_name in collection._orders:
-            column = rank_buckets(collection, field_name).numbers_from_order(
-                collection.sorted_values(field_name), collection.order(field_name))
-        else:
-            column = rank_buckets(collection, field_name).numbers(collection.column(field_name))
-        collection._bucket_columns[(key, field_name)] = column
-    return column
-
-
-def scan_columns(collection: Collection, scans: list[tuple[Index | None, tuple[str, ...]]]
-                 ) -> list[tuple[array | None, tuple[bytes, ...]]]:
-    """Each (index or None, fields) scan's rids (None: record_id order) and
-    its fields' bucket columns in that order. All orders are read first, so
-    no order is sorted only to scatter a record_id-order bucket column."""
-    orders = [None if index is None else index.rids for index, _ in scans]
-    return [(rids, tuple(bucket_column(collection, f, index) for f in fields))
-            for rids, (index, fields) in zip(orders, scans)]
 
 
 def save_dataset(collection: Collection, path) -> None:

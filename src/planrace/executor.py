@@ -47,9 +47,6 @@ class CostModel:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
 
-    def scaled(self, factor: float) -> "CostModel":
-        return CostModel(self.c_seq * factor, self.c_idx * factor, self.c_fetch * factor)
-
 
 def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
     """1 for each position a..b-1 of an access order that matches every
@@ -57,11 +54,11 @@ def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
 
     A filter is (bucket column in the access order, translate table,
     record_id-order column, low, high). Its mask is the slice of its bucket
-    column translated by its table (RankBuckets.table): a position in a
-    bucket wholly inside or outside [low, high) is decided there, and only
-    a position marked 2 has its value read, through rids (None for
-    record_id order), and compared. The filters' masks are ANDed as
-    integers.
+    column translated by its table (optimizer.RankBuckets.table): a
+    position in a bucket wholly inside or outside [low, high) is decided
+    there, and only a position marked 2 has its value read, through rids
+    (None for record_id order), and compared. The filters' masks are ANDed
+    as integers.
     """
     out = None
     for buckets, table, column, low, high in filters:

@@ -33,18 +33,13 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, islice
+from operator import itemgetter
 
-from .engine import (
-    Collection,
-    IndexCatalog,
-    Query,
-    RankBuckets,
-    query_shape,
-    rank_buckets,
-    scan_columns,
-)
+from .engine import Collection, IndexCatalog, Query, query_shape
 from .errors import NoCandidatesError, UndefinedProductivityError
 from .executor import PlanExecution, WorkState, match_mask, shape_ranges
 from .plans import (
@@ -141,9 +136,80 @@ def race(executions: list[PlanExecution], n_records: int, knobs: RaceKnobs) -> l
     ]
 
 
+# A field's values fall into at most this many rank buckets, so a bucket
+# number fits one byte.
+BUCKETS = 256
+
+
+class RankBuckets:
+    """At most BUCKETS buckets of one field's values, split at ranks.
+
+    The edges are the values at ranks floor(q * N / BUCKETS) of the sorted
+    column, q = 0..BUCKETS-1, without repeats; bucket k holds the values v
+    with edges[k] <= v < edges[k + 1] (the last bucket: up to the largest
+    value). A value that fills more than N / BUCKETS ranks starts a bucket.
+    """
+
+    def __init__(self, sorted_values: array):
+        n = len(sorted_values)
+        edges = list(dict.fromkeys(sorted_values[q * n // BUCKETS] for q in range(BUCKETS)))
+        self.edges = edges
+        # the exclusive upper bound of each bucket's values
+        self._tops = edges[1:] + [sorted_values[-1] + 1]
+        # the bucket number of a value of this field
+        self.number = partial(bisect_right, edges[1:])
+
+    def numbers(self, values: array) -> bytes:
+        """The bucket number of each value."""
+        return bytes(map(self.number, values))
+
+    def numbers_from_order(self, sorted_values: array, rids: array) -> bytes:
+        """numbers() of the values in record_id order, from an order of them.
+
+        sorted_values are the field's values in sorted order and rids[k] the
+        record id of sorted_values[k], as in an index leading on the field.
+        Each bucket's values are one run of sorted_values, found by one
+        bisect, and each record id of the run gets the bucket's number.
+        """
+        out = bytearray(len(rids))
+        start = 0
+        for k, top in enumerate(self._tops):
+            end = bisect_left(sorted_values, top)
+            for r in rids[start:end]:
+                out[r] = k
+            start = end
+        return bytes(out)
+
+    def table(self, low: int, high: int) -> bytes:
+        """bytes.translate table: a bucket's number to 0 when none of its
+        values lies in [low, high), 1 when all do, and 2 when some may.
+
+        Only the first and the last bucket that meet the range can be 2.
+        """
+        first = bisect_right(self._tops, low)  # the buckets before lie below low
+        end = bisect_left(self.edges, high)  # the buckets from here on lie at or above high
+        if first >= end:
+            return bytes(BUCKETS)
+        last = end - 1
+        lower = 2 if self.edges[first] < low else 1
+        upper = 2 if self._tops[last] > high else 1
+        if first == last:
+            middle = bytes([max(lower, upper)])
+        else:
+            middle = bytes([lower]) + b"\1" * (last - first - 1) + bytes([upper])
+        return bytes(first) + middle + bytes(BUCKETS - end)
+
+
+def _take(data: bytes, positions: array) -> bytes:
+    """data[p] for each p in positions, gathered in C."""
+    if len(positions) == 1:  # itemgetter of one key returns the item itself
+        return data[positions[0]:positions[0] + 1]
+    return bytes(itemgetter(*positions)(data))
+
+
 @dataclass(frozen=True)
 class RaceLayout:
-    """What the races of one query shape read, found at its first race.
+    """What the races of one query shape read, built at its first race.
 
     plans are the shape's candidates (plans.shape_candidates). Plans that
     scan the same access order (the same record id array, or record_id
@@ -151,9 +217,15 @@ class RaceLayout:
     the same positions for every query, so they share one of `scans`:
     IXSCAN_A and IXSCAN_AB over an A without repeated values. A scan is
     (the position in plans of its first plan, rids or None for record_id
-    order, filters), each filter (field, bucket column in the access order,
-    record_id-order column); slots[p] is the scan of plans[p]. `buckets`
-    holds the rank buckets of each filtered field.
+    order, filters), each filter (field, the field's bucket numbers in the
+    access order, record_id-order column); slots[p] is the scan of
+    plans[p]. `buckets` holds the rank buckets of each filtered field.
+
+    A filtered field's bucket numbers in record_id order are scattered from
+    its order (RankBuckets.numbers_from_order) when a plan leads on the
+    field, whose scan builds that order anyway, and read value by value
+    (RankBuckets.numbers) otherwise; a scan's columns are gathered from
+    them through its rids.
     """
 
     plans: tuple[ShapePlan, ...]
@@ -163,19 +235,25 @@ class RaceLayout:
 
 
 def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceLayout:
-    read = scan_columns(collection, [(plan.index, plan.filters) for plan in plans])
+    buckets = {f: RankBuckets(collection.sorted_values(f))
+               for plan in plans for f in plan.filters}
+    leads = {plan.leading for plan in plans}
+    numbers = {f: rb.numbers_from_order(collection.sorted_values(f), collection.order(f))
+               if f in leads else rb.numbers(collection.columns[f])
+               for f, rb in buckets.items()}
     distinct: dict[tuple, int] = {}
     slots = []
     scans = []
-    for p, (plan, (rids, columns)) in enumerate(zip(plans, read)):
-        key = (plan.leading, None if rids is None else id(rids), plan.filters)
+    for p, plan in enumerate(plans):
+        rids = None if plan.index is None else plan.index.rids
+        key = (plan.leading, id(rids), plan.filters)
         slot = distinct.get(key)
         if slot is None:
             slot = distinct[key] = len(scans)
-            scans.append((p, rids, tuple(zip(plan.filters, columns,
-                                             map(collection.columns.get, plan.filters)))))
+            scans.append((p, rids, tuple(
+                (f, numbers[f] if rids is None else _take(numbers[f], rids), collection.columns[f])
+                for f in plan.filters)))
         slots.append(slot)
-    buckets = {f: rank_buckets(collection, f) for plan in plans for f in plan.filters}
     return RaceLayout(plans, tuple(slots), tuple(scans), buckets)
 
 

@@ -57,7 +57,7 @@ KNOWN_PLAN_IDS = {
 }
 
 # Canonical report/tie-break order for plan ids.
-PLAN_ID_ORDER = ("COLLSCAN", "IXSCAN_A", "IXSCAN_B", "IXSCAN_AB")
+PLAN_ID_ORDER = tuple(KNOWN_PLAN_IDS)
 
 
 def plan_order_key(plan_name: str) -> tuple[int, str]:

@@ -18,7 +18,6 @@ from planrace.engine import (
     Projection,
     Query,
     RangePredicate,
-    bucket_column,
     build_index,
     generate_dataset,
     load_dataset,
@@ -203,7 +202,6 @@ def test_compound_index_shares_leading_index_lists_without_ties():
     a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
     assert ab.rids is a.rids is c.order("A")
     assert ab.key_values is a.key_values
-    assert all(bucket_column(c, f, ab) is bucket_column(c, f, a) for f in c.field_list)
 
 
 def test_compound_index_with_ties_copies_all_but_leading_column():
@@ -212,8 +210,16 @@ def test_compound_index_with_ties_copies_all_but_leading_column():
     a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
     assert ab.rids is not a.rids and ab.rids != a.rids
     assert ab.key_values is a.key_values
-    assert bucket_column(c, "B", ab) is not bucket_column(c, "B", a)
     assert index_entries(c, ab) == index_entries(c, build_index(c, ["A", "B"]))
+
+
+def test_collections_compare_by_name_and_columns_alone():
+    a = generate_dataset(50, seed=1)
+    b = generate_dataset(50, seed=1)
+    a.sorted_values("A")
+    a.order("B")
+    assert a == b and b == a
+    assert a != Collection(a.name, {"A": a.columns["B"], "B": a.columns["A"]})
 
 
 def test_catalog_indexes_are_fixed_when_it_is_built():

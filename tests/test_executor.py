@@ -9,16 +9,7 @@ from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import (
-    BUCKETS,
-    DISTRIBUTIONS,
-    Collection,
-    RangePredicate,
-    RankBuckets,
-    bucket_column,
-    generate_dataset,
-    rank_buckets,
-)
+from planrace.engine import DISTRIBUTIONS, Collection, RangePredicate, generate_dataset
 from planrace.executor import (
     CostModel,
     PlanExecution,
@@ -27,6 +18,7 @@ from planrace.executor import (
     plan_cost_totals,
     run_to_completion,
 )
+from planrace.optimizer import BUCKETS, RankBuckets
 from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
 from planrace.scenarios import SCENARIOS, get_scenario
 
@@ -209,7 +201,7 @@ def test_cost_scaling_preserves_argmin(dataset, covering):
                 _, plan = plan_for(scenario, catalog, h, a0, a1, b0, b1)
                 times.append(plan_cost_totals(plan, dataset, catalog, cost)[0])
             return times.index(min(times))
-        assert argmin(COST) == argmin(COST.scaled(7.5))
+        assert argmin(COST) == argmin(CostModel(7.5, 7.5, 30.0))
 
 
 def test_cost_model_rejects_nonpositive():
@@ -256,6 +248,7 @@ def check_byte_masks(collection, rng):
     catalog = get_scenario("covering").build_catalog(collection)
     orders = [None, *catalog.indexes]
     pools = {f: bound_candidates(collection.columns[f], rng) for f in ("A", "B")}
+    buckets = {f: rank_buckets_of(collection.columns[f]) for f in ("A", "B")}
     checked = 0
     for _ in range(150):
         index = rng.choice(orders)
@@ -273,8 +266,7 @@ def check_byte_masks(collection, rng):
         # each field's column in the access order, gathered through its rids
         columns = collection.columns if index is None else {
             f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}
-        masking = [(bucket_column(collection, f, index),
-                    rank_buckets(collection, f).table(low, high),
+        masking = [(buckets[f].numbers(columns[f]), buckets[f].table(low, high),
                     collection.columns[f], low, high)
                    for f, low, high in filters]
         for _ in range(3):
@@ -333,42 +325,18 @@ def spread(collection):
 
 
 @pytest.mark.parametrize("values", ["generated", "spread"])
-@pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_bucket_columns_follow_each_access_order(dist, values):
-    collection = generate_dataset(2000, dist, seed=3)
-    if values == "spread":
-        collection = spread(collection)
-    catalog = get_scenario("covering").build_catalog(collection)
-    for f in ("A", "B"):
-        number = rank_buckets(collection, f).number
-        column = collection.columns[f]
-        assert list(bucket_column(collection, f)) == list(map(number, column))
-        for ix in catalog.indexes:
-            assert list(bucket_column(collection, f, ix)) == [
-                number(column[rid]) for rid in ix.rids]
-
-
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_scattered_bucket_columns_equal_numbers(monkeypatch, dist, scenario_name):
-    # numbers() reads each value; once the field's order is built (here by
-    # reading the rids of the indexes leading on the field) the record_id
-    # order column is scattered from that order instead
+def test_numbers_from_every_leading_order_equal_numbers(dist, scenario_name, values):
+    # every access order of the field's sorted values scatters to the
+    # column that numbers() reads value by value
     collection = generate_dataset(2000, dist, seed=13)
+    if values == "spread":
+        collection = spread(collection)
     catalog = get_scenario(scenario_name).build_catalog(collection)
     for f in ("A", "B"):
-        buckets = rank_buckets(collection, f)
+        buckets = rank_buckets_of(collection.columns[f])
         want = buckets.numbers(collection.columns[f])
-        # every access order of the field's sorted values gives the same column
-        leading = [ix for ix in catalog.indexes if ix.key_fields[0] == f]
-        for ix in leading:
-            assert buckets.numbers_from_order(ix.key_values, ix.rids) == want
-        assert (f in collection._orders) == bool(leading)
-        read = []
-        monkeypatch.setattr(RankBuckets, "numbers",
-                            lambda self, values: read.append(1) or bytes(map(self.number, values)))
-        assert bucket_column(collection, f) == want
-        assert read == ([] if leading else [1])
-        monkeypatch.undo()
         for ix in catalog.indexes:
-            assert bucket_column(collection, f, ix) == bytes(want[r] for r in ix.rids)
+            if ix.key_fields[0] == f:
+                assert buckets.numbers_from_order(ix.key_values, ix.rids) == want

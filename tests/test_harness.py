@@ -24,7 +24,6 @@ from planrace.engine import (
     Projection,
     Query,
     RangePredicate,
-    RankBuckets,
     generate_dataset,
     match_count,
     selectivity,
@@ -46,7 +45,7 @@ from planrace.harness import (
     run_experiment,
     sweep,
 )
-from planrace.optimizer import RaceKnobs, optimize
+from planrace.optimizer import RaceKnobs, RankBuckets, optimize
 from planrace.plans import (
     OptimizerVariant,
     enumerate_candidates,
@@ -879,7 +878,7 @@ def test_finalize_invariant_under_time_rescale(small_world):
     measure_grid(grid, collection, catalog, scenario, COST)
     _, base = finalize(grid)
     grid2 = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 4, seed=19)
-    measure_grid(grid2, collection, catalog, scenario, COST.scaled(3.0))
+    measure_grid(grid2, collection, catalog, scenario, CostModel(3.0, 3.0, 12.0))
     _, scaled = finalize(grid2)
     assert scaled.accuracy == base.accuracy
     assert scaled.impact_pct == pytest.approx(base.impact_pct)
@@ -1010,7 +1009,7 @@ def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
     for ix in catalog.indexes:
         assert ix._rids is None
     assert collection._orders == {}
-    assert collection._rank_buckets == {} and collection._bucket_columns == {}
+    assert catalog.shape_plans == {}  # no race, so no race layout
 
 
 COVERING_BA = Scenario("covering-BA", (("B",), ("A",), ("B", "A")),
@@ -1028,27 +1027,29 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
     expected = set()
     for ix in catalog.indexes:
         # every plan races; each index plan filters on its non-leading field
-        # through that field's bucket column, kept by the index's order; a
+        # through that field's bucket column in the index's order; a
         # compound index in its leading field's order is masked as that one
         assert ix._rids is not None
         lead = ix.key_fields[0]
         other = "B" if lead == "A" else "A"
-        order_keys = ix.key_fields[:1] if ix.rids is collection.order(lead) else ix.key_fields
-        expected.add((order_keys, other))
+        expected.add((id(ix.rids), (other,)))
         columns = [collection.columns[f] for f in ix.key_fields]
         assert ix.rids == array("q", sorted(
             range(n), key=lambda rid: (*(column[rid] for column in columns), rid)))
         assert ix.key_values == array("q", sorted(collection.columns[lead]))
-    # no index-order bucket column beyond those the plans filter through
-    assert {k for k in collection._bucket_columns if k[0] is not None} == expected
+    # one race layout, with no index-order scan beyond those the plans filter through
+    (layout,) = catalog.shape_plans.values()
+    assert {(id(rids), tuple(f for f, _, _ in filters))
+            for _, rids, filters in layout.scans if rids is not None} == expected
 
 
 @pytest.mark.parametrize("variant", list(OptimizerVariant))
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 def test_first_race_builds_the_orders_its_indexes_scan(monkeypatch, scenario_name, variant):
-    # every order a race scans is built before any bucket column, so only a
-    # field no index leads on (A in single-index) has its record_id-order
-    # bucket column read value by value, and no order is sorted for it
+    # a field some raced plan leads on has its record_id-order bucket column
+    # scattered from the order that plan's scan builds, so only a field no
+    # plan leads on (A in single-index) is read value by value, and no order
+    # is sorted for it
     collection = generate_dataset(2000, "uniform-distinct", seed=5)
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)

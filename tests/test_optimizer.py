@@ -1,4 +1,4 @@
-"""Race loop, score arithmetic, winner choice, and the plan cache."""
+"""Race loop, race layout, score arithmetic, winner choice, and the plan cache."""
 
 from __future__ import annotations
 
@@ -7,17 +7,19 @@ from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import Query, RangePredicate, generate_dataset
+from planrace.engine import DISTRIBUTIONS, Query, RangePredicate, generate_dataset
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
     PlanCache,
     RaceKnobs,
+    RankBuckets,
     Score,
     TrialStats,
     optimize,
     pick_best,
     race,
+    race_layout,
     score_plan,
 )
 from planrace.plans import (
@@ -171,6 +173,65 @@ def test_closed_form_race_equals_stepped_race(n, dist):
                         [score_plan(st, variant) for st in stepped], plans)
     assert races == 3 * 4 * 3 * 28  # 1008 races per dataset
     assert mismatches == 0
+
+
+# --- race layout ----------------------------------------------------------
+
+def layout_for(collection, scenario_name, variant):
+    scenario = get_scenario(scenario_name)
+    catalog = scenario.build_catalog(collection)
+    q = scenario.make_query(RangePredicate("A", 0, 1), RangePredicate("B", 0, 1))
+    return race_layout(q, collection, catalog, variant)
+
+
+@pytest.mark.parametrize("variant", list(OptimizerVariant))
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_layout_columns_are_bucket_numbers_in_each_scan_order(dist, scenario_name, variant):
+    collection = generate_dataset(2000, dist, seed=13)
+    layout = layout_for(collection, scenario_name, variant)
+    assert set(layout.buckets) == {f for plan in layout.plans for f in plan.filters}
+    for slot, (p, rids, filters) in enumerate(layout.scans):
+        plan = layout.plans[p]
+        assert layout.slots[p] == slot
+        assert rids is (None if plan.index is None else plan.index.rids)
+        assert tuple(f for f, _, _ in filters) == plan.filters
+        for f, column, values in filters:
+            assert values is collection.columns[f]
+            buckets = RankBuckets(collection.sorted_values(f))
+            assert column == buckets.numbers(values if rids is None else [values[r] for r in rids])
+
+
+@pytest.mark.parametrize("variant", list(OptimizerVariant))
+@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
+def test_layout_scatters_exactly_the_fields_its_plans_lead_on(monkeypatch, scenario_name,
+                                                              variant):
+    collection = generate_dataset(2000, "uniform-with-repeats", seed=5)
+    read, scattered = [], []
+    numbers, numbers_from_order = RankBuckets.numbers, RankBuckets.numbers_from_order
+    monkeypatch.setattr(RankBuckets, "numbers",
+                        lambda self, values: read.append(values) or numbers(self, values))
+    monkeypatch.setattr(RankBuckets, "numbers_from_order",
+                        lambda self, values, rids: scattered.append(values)
+                        or numbers_from_order(self, values, rids))
+    layout = layout_for(collection, scenario_name, variant)
+    filtered = set(layout.buckets)
+    leads = {plan.leading for plan in layout.plans}
+    assert sorted(f for f in filtered for v in scattered
+                  if v is collection.sorted_values(f)) == sorted(filtered & leads)
+    assert sorted(f for f in filtered for v in read
+                  if v is collection.columns[f]) == sorted(filtered - leads)
+    assert len(scattered) + len(read) == len(filtered)
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_layout_shares_one_scan_between_a_and_ab_without_repeated_a_values(dist):
+    collection = generate_dataset(2000, dist, seed=5)
+    layout = layout_for(collection, "covering", OptimizerVariant.MOD)
+    slots = {str(plan.id): slot for plan, slot in zip(layout.plans, layout.slots)}
+    assert {"IXSCAN_A", "IXSCAN_AB"} <= set(slots)
+    assert (slots["IXSCAN_A"] == slots["IXSCAN_AB"]) == (dist == "uniform-distinct")
+    assert len(layout.scans) == len(set(slots.values()))
 
 
 # --- score_plan -----------------------------------------------------------

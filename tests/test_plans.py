@@ -11,14 +11,12 @@ from planrace.engine import (
     Projection,
     Query,
     RangePredicate,
-    bucket_column,
     build_index,
     generate_dataset,
-    rank_buckets,
 )
 from planrace.errors import UnknownPlanError
 from planrace.executor import CostModel, PlanExecution, run_to_completion
-from planrace.optimizer import bind_layout, race_layout
+from planrace.optimizer import RankBuckets, bind_layout, race_layout
 from planrace.plans import (
     PLAN_ID_ORDER,
     CandidatePlan,
@@ -199,6 +197,8 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
     projections = [None, Projection(("A", "B")), Projection(("A", "B"), suppress_record_id=False),
                    Projection(("A",))]
     errors = 0
+    buckets = {f: RankBuckets(dataset.sorted_values(f)) for f in ("A", "B")}
+    columns = {}  # each field's bucket numbers by access order
     for variant in OptimizerVariant:
         for hint in HINTS:
             for projection in projections:
@@ -228,12 +228,15 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                         start, end, rids, filters = scans[slot]
                         ex = PlanExecution(plan, dataset, catalog, COST)
                         assert (start, end) == (ex._start, ex._end) and rids is ex._rids
-                        index = plan.plan.index
-                        assert filters == [
-                            (bucket_column(dataset, f, index),
-                             rank_buckets(dataset, f).table(low, high),
-                             dataset.columns[f], low, high)
-                            for f, (_, low, high) in zip(plan.plan.filters, ex._filters)]
+                        want = []
+                        for f, (_, low, high) in zip(plan.plan.filters, ex._filters):
+                            if (f, id(rids)) not in columns:
+                                values = dataset.columns[f]
+                                columns[f, id(rids)] = buckets[f].numbers(
+                                    values if rids is None else [values[r] for r in rids])
+                            want.append((columns[f, id(rids)], buckets[f].table(low, high),
+                                         dataset.columns[f], low, high))
+                        assert filters == want
     # hints the catalog cannot produce
     assert errors > 0
 

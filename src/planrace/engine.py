@@ -226,9 +226,6 @@ class RangePredicate:
         if self.low > self.high:
             raise ValueError(f"range low {self.low} > high {self.high}")
 
-    def matches(self, value: int) -> bool:
-        return self.low <= value < self.high
-
 
 @dataclass(frozen=True)
 class Projection:

@@ -16,12 +16,15 @@ an accuracy fraction and a mean slowdown.
 
 from __future__ import annotations
 
-import gc
 import math
 import random
+from array import array
 from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
+from operator import add, ne
 
 from . import workers
 from .engine import (
@@ -89,9 +92,6 @@ class ExperimentGrid:
     draws: int = 0
     rejections: int = 0
     filled_directly: int = 0
-
-    def cell(self, i: int, j: int) -> GridCell | None:
-        return self.cells.get((i, j))
 
     def sorted_cells(self) -> list[GridCell]:
         return [self.cells[key] for key in sorted(self.cells)]
@@ -192,6 +192,32 @@ def _direct_fill_cells(collection: Collection, missing: list[tuple[int, int]],
     return out
 
 
+def draw_space(values: array, d: int) -> tuple[bool, set[int]]:
+    """(dense, reachable) for a field with these sorted values, non-empty.
+
+    dense: the values are one run of consecutive distinct integers, so the
+    bisect_left position of any x in [lo, hi + 1] is x - lo. reachable: the
+    grid buckets (_cell_from_count) that a drawn range's match count may
+    land in, a superset of those it can land in.
+
+    A drawn range [low, high) is any one with lo <= low < high <= hi + 1
+    (rand_range_predicate), so its count is from 0 to N, and 0 only where
+    two neighbouring values leave a gap, some integer of [lo, hi] that no
+    record holds. reachable is every bucket that holds one of those counts:
+    exact on a dense field, whose counts are exactly 1..N, and a superset
+    on any other, whose counts may skip some of 1..N. O(N + D).
+    """
+    n = len(values)
+    distinct = 1 + sum(map(ne, islice(values, 1, None), values))
+    span = values[-1] - values[0] + 1
+    # count * d // n >= i exactly when count >= ceil(i * n / d): bucket i
+    # holds the counts firsts[i]..firsts[i + 1] - 1, the last one also n
+    firsts = [0] + [-(-i * n // d) for i in range(1, d)] + [n + 1]
+    least = 0 if distinct < span else 1
+    reachable = {i for i in range(d) if max(firsts[i], least) < firsts[i + 1]}
+    return distinct == n == span, reachable
+
+
 def draw_cells(collection: Collection, d: int, seed: int):
     """Yield the cells the sweep fills, in fill order, then its counters.
 
@@ -209,8 +235,17 @@ def draw_cells(collection: Collection, d: int, seed: int):
     getrandbits calls directly, so it reads the same stream without
     randrange's two Python frames per value. A width is drawn below the
     field's domain size, whose bit length is fixed; the low bound is drawn
-    below domain size - width + 1. A draw whose A count falls in a full row
-    is rejected without B's bisects; B's range is drawn all the same.
+    below domain size - width + 1.
+
+    Until the first miss, every draw fills a cell, and its positions are
+    bisected. At the first miss each field's draw space (draw_space) is
+    worked out, once: from then on a dense field's positions are the
+    bounds minus its smallest value, and only cells in a reachable row and
+    a reachable column count as open, so a draw whose A count falls in a
+    row with no open cell, full or unreachable, is rejected without B's
+    positions; B's range is drawn all the same. The draw space only makes
+    misses cheaper, and waiting for the first one keeps its O(N) scans off
+    the path of the first cells, which the races wait for.
     """
     rng = random.Random(seed)
     n = len(collection)
@@ -220,13 +255,17 @@ def draw_cells(collection: Collection, d: int, seed: int):
     # a scan of the columns
     a_lo, a_hi = a_values[0], a_values[-1]
     b_lo, b_hi = b_values[0], b_values[-1]
+    # a range bound's position in the field's sorted values
+    a_position = partial(bisect_left, a_values)
+    b_position = partial(bisect_left, b_values)
+    rows = None  # the reachable rows, once the draw space is worked out
     getrandbits = rng.getrandbits
     a_size = a_hi - a_lo + 1
     b_size = b_hi - b_lo + 1
     a_bits = a_size.bit_length()
     b_bits = b_size.bit_length()
     filled = bytearray(d * d)  # filled[i * d + j]: cell (i, j) holds a query
-    open_in_row = [d] * d  # the cells of each row not filled yet
+    open_in_row = [d] * d  # the open cells of each row
     cap = REJECTION_CAP
     last = d - 1
     left = d * d
@@ -253,15 +292,15 @@ def draw_cells(collection: Collection, d: int, seed: int):
         low_b += b_lo
         high_b = low_b + r + 1
         draws += 1
-        start_a = bisect_left(a_values, low_a)
-        end_a = bisect_left(a_values, high_a)
+        start_a = a_position(low_a)
+        end_a = a_position(high_a)
         # _cell_from_count, inlined
         i = (end_a - start_a) * d // n
         if i > last:
             i = last
         if open_in_row[i]:
-            start_b = bisect_left(b_values, low_b)
-            end_b = bisect_left(b_values, high_b)
+            start_b = b_position(low_b)
+            end_b = b_position(high_b)
             j = (end_b - start_b) * d // n
             if j > last:
                 j = last
@@ -275,6 +314,17 @@ def draw_cells(collection: Collection, d: int, seed: int):
                 continue
         rejections += 1
         misses += 1
+        if rows is None:
+            a_dense, rows = draw_space(a_values, d)
+            b_dense, columns = draw_space(b_values, d)
+            if a_dense:
+                a_position = partial(add, -a_lo)
+            if b_dense:
+                b_position = partial(add, -b_lo)
+            # a row's open cells become its reachable ones not filled yet;
+            # every filled cell was drawn, so it is reachable
+            open_in_row = [len(columns) - d + left_in_row if row in rows else 0
+                           for row, left_in_row in enumerate(open_in_row)]
         if misses >= cap:
             missing = [divmod(k, d) for k in range(d * d) if not filled[k]]
             yield from _direct_fill_cells(collection, missing, d)
@@ -418,23 +468,12 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
 
     With `primed` set this is the plan-cache experiment: the optimizer never
     races, it reuses the primed plan for every query of the sweep's shape.
-
-    The collection and catalog never change, so once the catalog exists
-    everything alive is frozen out of the cyclic garbage collector's scans
-    (gc.freeze) until the run returns, unless the caller froze objects first.
     """
     catalog = scenario.build_catalog(collection)
     cache = None if primed is None else primed_cache_for(scenario, primed)
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    try:
-        grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cache=cache)
-        measure_grid(grid, collection, catalog, scenario, cost, reps=reps)
-        grid, metrics = finalize(grid)
-    finally:
-        if freeze:
-            gc.unfreeze()
+    grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cache=cache)
+    measure_grid(grid, collection, catalog, scenario, cost, reps=reps)
+    grid, metrics = finalize(grid)
     grid.provenance = {
         "scenario": scenario.name,
         "variant": variant.value,

@@ -19,7 +19,7 @@ from planrace.executor import (
     run_to_completion,
 )
 from planrace.optimizer import BUCKETS, RankBuckets
-from planrace.plans import OptimizerVariant, enumerate_candidates, parse_plan_hint
+from planrace.plans import enumerate_candidates, parse_plan_hint
 from planrace.scenarios import SCENARIOS, get_scenario
 
 COST = CostModel()

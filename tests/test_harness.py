@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import errno
-import gc
 import os
 import random
 import signal
@@ -34,6 +33,7 @@ from planrace.harness import (
     ExperimentGrid,
     GridCell,
     SummaryMetrics,
+    draw_space,
     filter_outliers,
     finalize,
     map_selectivity_to_cell,
@@ -379,13 +379,28 @@ def test_sweep_draws_what_the_public_functions_draw(monkeypatch, dist, scenario_
                                    seed=d + 5, variant=OptimizerVariant.MOD)
 
 
-def test_sweep_direct_fill_matches_reference(monkeypatch):
-    # fewer documents than columns: row 0 and column 0 are unreachable
+@pytest.mark.parametrize("dist,n", [
+    ("uniform-distinct", 9), ("uniform-with-repeats", 7), ("zipfian", 9)])
+def test_sweep_direct_fill_matches_reference(monkeypatch, dist, n):
+    # fewer documents than columns: some rows and columns are unreachable,
+    # and once the draws fill every reachable cell the direct fill builds
+    # the others
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    collection = generate_dataset(n, dist, seed=7)
+    grid = assert_sweep_matches_reference(get_scenario("both-indexed"), collection, 10, 7)
+    rows, columns = (brute_force_buckets(collection.sorted_values(f), 10) for f in "AB")
+    drawn = list(grid.cells)[:len(grid.cells) - grid.filled_directly]
+    assert set(drawn) == {(i, j) for i in rows for j in columns}
+    assert grid.filled_directly == 100 - len(drawn) > 0
+    assert grid.rejections >= 2000
+
+
+def test_a_cap_of_one_miss_fills_directly_at_the_first_miss(monkeypatch):
+    # the first miss also works out the draw space; it ends the draws all the same
+    monkeypatch.setattr(harness, "REJECTION_CAP", 1)
     collection = generate_dataset(9, "uniform-distinct", seed=7)
     grid = assert_sweep_matches_reference(get_scenario("both-indexed"), collection, 10, 7)
-    assert grid.filled_directly == 19
-    assert grid.rejections >= 2000
+    assert grid.rejections == 1 and grid.filled_directly > 19
 
 
 def spread_collection(a_bounds, b_bounds, n=50, seed=29):
@@ -740,10 +755,11 @@ def test_deadline_bounds_a_hung_worker(monkeypatch, forks, small_world):
 
 def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
     # the cells and counters are the reference's (the differentials above);
-    # here B's range is counted only for draws whose A row has an open cell
-    collection = generate_dataset(300, "uniform-distinct", seed=17)
-    catalog = get_scenario("both-indexed").build_catalog(collection)
+    # here B's range is bisected only for draws whose A row has an open
+    # cell, on fields with repeated values, which the draws bisect
+    collection = generate_dataset(300, "uniform-with-repeats", seed=17)
     b_values = collection.sorted_values("B")
+    assert not any(draw_space(collection.sorted_values(f), 6)[0] for f in "AB")
     bisects = {"A": 0, "B": 0}
 
     def counted(values, x):
@@ -757,6 +773,106 @@ def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
     assert 2 * len(cells) <= bisects["B"] < bisects["A"]
 
 
+def test_dense_fields_are_positioned_without_bisects_after_the_first_miss(monkeypatch):
+    # A holds 0..8 and B 100..108: both dense, and with N < D row 0 and
+    # column 0 are unreachable, so the last REJECTION_CAP draws, with every
+    # reachable cell filled, find no open cell in any A row
+    rng = random.Random(3)
+    columns = {"A": list(range(9)), "B": list(range(100, 109))}
+    for values in columns.values():
+        rng.shuffle(values)
+    collection = Collection("dense", columns)
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    b_values = collection.sorted_values("B")
+    bisects = {"A": 0, "B": 0}
+    subtractions = {"A": 0, "B": 0}
+
+    def bisected(values, x):
+        bisects["B" if values is b_values else "A"] += 1
+        return bisect_left(values, x)
+
+    def subtracted(minus_lo, x):
+        subtractions["B" if minus_lo == -100 else "A"] += 1
+        return minus_lo + x
+
+    monkeypatch.setattr(harness, "bisect_left", bisected)
+    monkeypatch.setattr(harness, "add", subtracted)
+    *cells, (draws, rejections, filled_directly) = harness.draw_cells(collection, 10, 7)
+    assert len(cells) == 100 and filled_directly == 19
+    # every draw up to the first miss fills a cell, and is bisected
+    assert bisects["A"] + subtractions["A"] == 2 * draws
+    assert 0 < bisects["B"] == bisects["A"] <= 2 * (100 - filled_directly + 1)
+    assert 2 * 81 <= bisects["B"] + subtractions["B"] <= 2 * (draws - 2000)
+
+
+def brute_force_buckets(values, d):
+    """The bucket of every (width, low) draw's count on these sorted values."""
+    n = len(values)
+    lo, hi = values[0], values[-1]
+    return {harness._cell_from_count(bisect_left(values, low + width) - bisect_left(values, low),
+                                     n, d)
+            for width in range(1, hi - lo + 2) for low in range(lo, hi - width + 2)}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 31])
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_reachable_buckets_are_every_draws_buckets(dist, d):
+    # exact on a dense field, a superset on any other
+    for n in (1, 2, 3, 5, 9, 13, 20, 30):
+        for seed in range(3):
+            collection = generate_dataset(n, dist, seed)
+            for field_name in "AB":
+                values = collection.sorted_values(field_name)
+                dense, reachable = draw_space(values, d)
+                drawn = brute_force_buckets(values, d)
+                assert reachable == drawn if dense else reachable >= drawn, \
+                    (n, seed, field_name)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 10, 25])
+@pytest.mark.parametrize("values", [
+    [0, 0, 0, 5, 9, 9, 9, 9, 20],  # gaps and a heavy repeat
+    [3] * 12,  # one value: every range counts 0 or N
+    [-7, 1, 1, 1, 1, 1, 1, 1, 1, 2, 40],
+    [0, 2, 4, 6, 8, 10, 12],  # a gap of 2 between every two neighbours
+    [0, 1, 1, 3, 4],  # N - 1 apart at the ends, and neither dense nor gapless
+    [0, 1, 2, 3, 100, 101, 102, 103, 104],
+    [-3] * 20 + [-2, 5] + [6] * 9,
+    [0] * 5 + [1] * 10,  # counts 5, 10 and 15 alone: inside a bucket, not at its ends
+])
+def test_reachable_buckets_of_hand_built_fields(values, d):
+    dense, reachable = draw_space(array("q", values), d)
+    assert not dense and reachable >= brute_force_buckets(values, d)
+
+
+def test_reachable_buckets_hold_count_zero_only_where_values_leave_a_gap():
+    # N = 2, D = 10: bucket 0 holds count 0 alone, bucket 5 count 1 and
+    # bucket 9 count 2
+    assert draw_space(array("q", [0, 1]), 10) == (True, {5, 9})
+    assert draw_space(array("q", [0, 2]), 10) == (False, {0, 5, 9})
+    # only count 2 is drawn here, but every bucket holding a count from 1
+    # to N stays in the superset
+    assert brute_force_buckets(array("q", [4, 4]), 10) == {9}
+    assert draw_space(array("q", [4, 4]), 10) == (False, {5, 9})
+
+
+def test_dense_is_one_run_of_consecutive_distinct_values():
+    for n in (1, 2, 9, 300):
+        for seed in range(3):
+            collection = generate_dataset(n, "uniform-distinct", seed)
+            assert all(draw_space(collection.sorted_values(f), 10)[0] for f in "AB")
+    assert draw_space(array("q", range(-4, 20)), 10)[0]  # a run need not start at 0
+    for values in ([0, 1, 1, 3, 4],  # one value shifted onto its neighbour
+                   [0, 1, 2, 3, 5],  # the last value shifted up: a gap
+                   [0, 2, 3, 4], [0, 0, 1, 2], [3] * 5, [-1, 1]):
+        assert not draw_space(array("q", values), 10)[0], values
+    for dist in ("uniform-with-repeats", "zipfian"):
+        for seed in range(5):
+            values = generate_dataset(50, dist, seed).sorted_values("B")
+            assert len(set(values)) < 50
+            assert not draw_space(values, 10)[0]
+
+
 @pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
 def test_match_count_bisects_the_sorted_values(dist):
     collection = generate_dataset(400, dist, seed=23)
@@ -767,7 +883,7 @@ def test_match_count_bisects_the_sorted_values(dist):
         field_name = rng.choice("AB")
         low = rng.randint(-5, 400)
         pred = RangePredicate(field_name, low, low + rng.randint(0, 200))
-        scan = sum(pred.matches(v) for v in collection.columns[field_name])
+        scan = sum(pred.low <= v < pred.high for v in collection.columns[field_name])
         values = collection.sorted_values(field_name)
         bisected = bisect_left(values, pred.high) - bisect_left(values, pred.low)
         assert match_count(collection, pred) == bisected == scan
@@ -957,31 +1073,6 @@ def test_run_experiment_pure_function_of_inputs(small_world):
     r1 = run_experiment(scenario, collection, OptimizerVariant.MOD, d=4, seed=9, knobs=knobs)
     r2 = run_experiment(scenario, collection, OptimizerVariant.MOD, d=4, seed=9, knobs=knobs)
     assert r1[1] == r2[1]
-
-
-def test_run_experiment_leaves_gc_unfrozen(small_world, monkeypatch):
-    collection, scenario, _ = small_world
-    run_experiment(scenario, collection, OptimizerVariant.MOD, d=3, seed=2)
-    assert gc.get_freeze_count() == 0
-
-    def fail(grid):
-        raise PlanraceError("finalize failed")
-
-    monkeypatch.setattr(harness, "finalize", fail)
-    with pytest.raises(PlanraceError):
-        run_experiment(scenario, collection, OptimizerVariant.MOD, d=3, seed=2)
-    assert gc.get_freeze_count() == 0
-
-
-def test_run_experiment_keeps_callers_frozen_objects(small_world):
-    collection, scenario, _ = small_world
-    gc.freeze()
-    try:
-        frozen = gc.get_freeze_count()
-        run_experiment(scenario, collection, OptimizerVariant.MOD, d=3, seed=2)
-        assert gc.get_freeze_count() == frozen
-    finally:
-        gc.unfreeze()
 
 
 # --- what a run builds of its indexes ----------------------------------------

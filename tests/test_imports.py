@@ -1,4 +1,4 @@
-"""The runtime is standard-library only."""
+"""The runtime is standard-library only, and no module imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -8,13 +8,15 @@ from pathlib import Path
 
 import planrace
 
+SOURCES = sorted(Path(planrace.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
+
 
 def test_runtime_imports_only_the_standard_library():
-    sources = sorted(Path(planrace.__file__).parent.glob("*.py"))
-    assert sources
+    assert SOURCES
     allowed = sys.stdlib_module_names | {"planrace"}
     outside = []
-    for path in sources:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -25,3 +27,23 @@ def test_runtime_imports_only_the_standard_library():
             outside += [(path.name, name) for name in names
                         if name.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_every_imported_name_is_read():
+    # a package's __init__ imports to re-export, and __future__ imports
+    # change how the module compiles
+    modules = [path for path in SOURCES + TESTS if path.name != "__init__.py"]
+    assert TESTS and len(modules) == len(SOURCES) + len(TESTS) - 1
+    unread = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {alias.asname or alias.name for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [(path.name, name) for name in sorted(imported - read)]
+    assert unread == []

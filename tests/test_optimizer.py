@@ -25,8 +25,6 @@ from planrace.optimizer import (
 from planrace.plans import (
     CandidatePlan,
     OptimizerVariant,
-    PlanId,
-    PlanKind,
     ShapePlan,
     enumerate_candidates,
     parse_plan_hint,

@@ -22,9 +22,8 @@ from array import array
 from bisect import bisect_left
 from contextlib import closing
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
-from operator import add, ne
+from operator import ne
 
 from . import workers
 from .engine import (
@@ -174,10 +173,15 @@ def _mean_of_reps(t: float, reps: int) -> float:
 
 def _direct_fill_cells(collection: Collection, missing: list[tuple[int, int]],
                        d: int) -> list[tuple[int, ...]]:
-    # Construct a query per unvisited cell targeting the cell's center
-    # selectivity; exact for distinct uniform values, best effort otherwise.
-    # Each range starts at its field's smallest value, the first of its
-    # sorted values, so its positions there are (0, its match count).
+    # Construct a query per unvisited cell: each field's range starts at the
+    # field's smallest value, the first of its sorted values, so its
+    # positions there are (0, its match count), and spans max(1, the cell's
+    # centre count) integers. Nothing checks that the counts fall in the
+    # cell, and often they do not: an unreachable bucket, such as bucket 0
+    # of a field with no gap, holds no count a range can have, and on a
+    # field with repeats a range's count is not its width. ROADMAP item 2
+    # plans to leave unreachable cells unvisited and to fill the rest by
+    # bisection on the sorted values.
     n = len(collection)
     lows = {field_name: collection.sorted_values(field_name)[0] for field_name in ("A", "B")}
     out = []
@@ -233,17 +237,19 @@ def draw_cells(collection: Collection, d: int, seed: int):
     randrange(lo, lo + n) is lo + r for the first r = getrandbits(n.bit_length())
     below n (Random._randbelow_with_getrandbits). The loop takes those
     getrandbits calls directly, so it reads the same stream without
-    randrange's two Python frames per value. A width is drawn below the
-    field's domain size, whose bit length is fixed; the low bound is drawn
-    below domain size - width + 1.
+    randrange's two Python frames per value. A width - 1 is drawn below the
+    field's domain size, whose bit length is fixed; the low bound's offset
+    from the field's smallest value is drawn below domain size - width + 1.
 
     Until the first miss, every draw fills a cell, and its positions are
     bisected. At the first miss each field's draw space (draw_space) is
-    worked out, once: from then on a dense field's positions are the
-    bounds minus its smallest value, and only cells in a reachable row and
-    a reachable column count as open, so a draw whose A count falls in a
-    row with no open cell, full or unreachable, is rejected without B's
-    positions; B's range is drawn all the same. The draw space only makes
+    worked out, once. From then on a dense field is never bisected: its
+    drawn offset is its range's start position and its drawn width is its
+    count, so its bucket comes from the width alone, and its positions are
+    formed only for a draw that fills a cell. Only cells in a reachable row
+    and a reachable column count as open, so a draw whose A count falls in
+    a row with no open cell, full or unreachable, is rejected without B's
+    count; B's range is drawn all the same. The draw space only makes
     misses cheaper, and waiting for the first one keeps its O(N) scans off
     the path of the first cells, which the races wait for.
     """
@@ -255,10 +261,10 @@ def draw_cells(collection: Collection, d: int, seed: int):
     # a scan of the columns
     a_lo, a_hi = a_values[0], a_values[-1]
     b_lo, b_hi = b_values[0], b_values[-1]
-    # a range bound's position in the field's sorted values
-    a_position = partial(bisect_left, a_values)
-    b_position = partial(bisect_left, b_values)
-    rows = None  # the reachable rows, once the draw space is worked out
+    # worked out at the first miss (draw_space): the reachable rows, and
+    # whether each field is dense
+    rows = None
+    a_dense = b_dense = False
     getrandbits = rng.getrandbits
     a_size = a_hi - a_lo + 1
     b_size = b_hi - b_lo + 1
@@ -271,37 +277,41 @@ def draw_cells(collection: Collection, d: int, seed: int):
     left = d * d
     draws = rejections = misses = 0
     while left:
-        # width - 1 below the domain size, then the low bound's offset below
-        # the domain size - width + 1, for A and then for B
-        r = getrandbits(a_bits)
-        while r >= a_size:
-            r = getrandbits(a_bits)
-        lows = a_size - r
-        low_a = getrandbits(lows.bit_length())
-        while low_a >= lows:
-            low_a = getrandbits(lows.bit_length())
-        low_a += a_lo
-        high_a = low_a + r + 1
-        r = getrandbits(b_bits)
-        while r >= b_size:
-            r = getrandbits(b_bits)
-        lows = b_size - r
-        low_b = getrandbits(lows.bit_length())
-        while low_b >= lows:
-            low_b = getrandbits(lows.bit_length())
-        low_b += b_lo
-        high_b = low_b + r + 1
+        # width - 1 below the domain size, then the low bound's offset from
+        # the field's smallest value below the domain size - width + 1, for
+        # A and then for B
+        r_a = getrandbits(a_bits)
+        while r_a >= a_size:
+            r_a = getrandbits(a_bits)
+        lows = a_size - r_a
+        offset_a = getrandbits(lows.bit_length())
+        while offset_a >= lows:
+            offset_a = getrandbits(lows.bit_length())
+        r_b = getrandbits(b_bits)
+        while r_b >= b_size:
+            r_b = getrandbits(b_bits)
+        lows = b_size - r_b
+        offset_b = getrandbits(lows.bit_length())
+        while offset_b >= lows:
+            offset_b = getrandbits(lows.bit_length())
         draws += 1
-        start_a = a_position(low_a)
-        end_a = a_position(high_a)
-        # _cell_from_count, inlined
-        i = (end_a - start_a) * d // n
+        # a dense field's count is its range's width; any other field's is
+        # the difference of its bounds' positions. _cell_from_count, inlined
+        if a_dense:
+            i = (r_a + 1) * d // n
+        else:
+            start_a = bisect_left(a_values, offset_a + a_lo)
+            end_a = bisect_left(a_values, offset_a + a_lo + r_a + 1)
+            i = (end_a - start_a) * d // n
         if i > last:
             i = last
         if open_in_row[i]:
-            start_b = b_position(low_b)
-            end_b = b_position(high_b)
-            j = (end_b - start_b) * d // n
+            if b_dense:
+                j = (r_b + 1) * d // n
+            else:
+                start_b = bisect_left(b_values, offset_b + b_lo)
+                end_b = bisect_left(b_values, offset_b + b_lo + r_b + 1)
+                j = (end_b - start_b) * d // n
             if j > last:
                 j = last
             k = i * d + j
@@ -310,17 +320,21 @@ def draw_cells(collection: Collection, d: int, seed: int):
                 filled[k] = 1
                 open_in_row[i] -= 1
                 left -= 1
-                yield i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b
+                # a dense field's range starts at the position of its offset
+                if a_dense:
+                    start_a, end_a = offset_a, offset_a + r_a + 1
+                if b_dense:
+                    start_b, end_b = offset_b, offset_b + r_b + 1
+                low_a = offset_a + a_lo
+                low_b = offset_b + b_lo
+                yield (i, j, low_a, low_a + r_a + 1, low_b, low_b + r_b + 1,
+                       start_a, end_a, start_b, end_b)
                 continue
         rejections += 1
         misses += 1
         if rows is None:
             a_dense, rows = draw_space(a_values, d)
             b_dense, columns = draw_space(b_values, d)
-            if a_dense:
-                a_position = partial(add, -a_lo)
-            if b_dense:
-                b_position = partial(add, -b_lo)
             # a row's open cells become its reachable ones not filled yet;
             # every filled cell was drawn, so it is reachable
             open_in_row = [len(columns) - d + left_in_row if row in rows else 0

@@ -403,6 +403,43 @@ def test_a_cap_of_one_miss_fills_directly_at_the_first_miss(monkeypatch):
     assert grid.rejections == 1 and grid.filled_directly > 19
 
 
+DENSE = list(range(9))
+GAP_AND_REPEAT = [0, 1, 1, 2, 3, 4, 5, 7, 8]  # 1 twice, and no 6
+
+
+@pytest.mark.parametrize("d", [4, 10])
+@pytest.mark.parametrize("a_values,b_values", [
+    (DENSE, GAP_AND_REPEAT),
+    (GAP_AND_REPEAT, DENSE),
+    ([x - 6 for x in DENSE], GAP_AND_REPEAT),  # a dense field starting below 0
+], ids=["dense-a", "dense-b", "dense-a-below-0"])
+def test_sweep_of_a_dense_and_a_non_dense_field_matches_reference(monkeypatch, a_values,
+                                                                   b_values, d):
+    # after the first miss the draws count the dense field from its width
+    # and bisect the other; N = 9 < D = 10 leaves the dense field's bucket 0
+    # unreachable, so the draws end at the cap and the direct fill runs
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    rng = random.Random(d)
+    columns = {"A": list(a_values), "B": list(b_values)}
+    for values in columns.values():
+        rng.shuffle(values)
+    collection = Collection("mixed", columns)
+    assert sorted(draw_space(collection.sorted_values(f), d)[0] for f in "AB") == [False, True]
+    grid = assert_sweep_matches_reference(get_scenario("both-indexed"), collection, d, seed=5)
+    assert grid.rejections > 0
+    assert (grid.filled_directly > 0) == (d == 10)
+
+
+def test_sparse_sweep_counters_at_the_real_cap():
+    # the benchmark's sparse-sweep draws (N = 9, D = 10, seed 7): about a
+    # million rejected draws before the 19 unreachable cells are filled
+    # directly, which the differentials above run only at small caps
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    *cells, counters = harness.draw_cells(collection, 10, 7)
+    assert len(cells) == 100
+    assert counters == (1000283, 1000202, 19)
+
+
 def spread_collection(a_bounds, b_bounds, n=50, seed=29):
     """n documents whose A and B values lie within the bounds and reach both ends."""
     rng = random.Random(seed)
@@ -773,6 +810,22 @@ def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
     assert 2 * len(cells) <= bisects["B"] < bisects["A"]
 
 
+def draws_to_first_miss(collection, d, seed):
+    """The draws of the public per-draw functions up to and including the
+    first one whose cell is already filled."""
+    rng = random.Random(seed)
+    n = len(collection)
+    bounds = [collection.value_bounds(f) for f in "AB"]
+    filled = set()
+    while True:
+        cell = tuple(harness._cell_from_count(
+                         match_count(collection, rand_range_predicate(f, lo, hi, rng)), n, d)
+                     for f, (lo, hi) in zip("AB", bounds))
+        if cell in filled:
+            return len(filled) + 1
+        filled.add(cell)
+
+
 def test_dense_fields_are_positioned_without_bisects_after_the_first_miss(monkeypatch):
     # A holds 0..8 and B 100..108: both dense, and with N < D row 0 and
     # column 0 are unreachable, so the last REJECTION_CAP draws, with every
@@ -784,25 +837,22 @@ def test_dense_fields_are_positioned_without_bisects_after_the_first_miss(monkey
     collection = Collection("dense", columns)
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
     b_values = collection.sorted_values("B")
+    assert all(draw_space(collection.sorted_values(f), 10)[0] for f in "AB")
     bisects = {"A": 0, "B": 0}
-    subtractions = {"A": 0, "B": 0}
 
     def bisected(values, x):
         bisects["B" if values is b_values else "A"] += 1
         return bisect_left(values, x)
 
-    def subtracted(minus_lo, x):
-        subtractions["B" if minus_lo == -100 else "A"] += 1
-        return minus_lo + x
-
     monkeypatch.setattr(harness, "bisect_left", bisected)
-    monkeypatch.setattr(harness, "add", subtracted)
     *cells, (draws, rejections, filled_directly) = harness.draw_cells(collection, 10, 7)
     assert len(cells) == 100 and filled_directly == 19
-    # every draw up to the first miss fills a cell, and is bisected
-    assert bisects["A"] + subtractions["A"] == 2 * draws
-    assert 0 < bisects["B"] == bisects["A"] <= 2 * (100 - filled_directly + 1)
-    assert 2 * 81 <= bisects["B"] + subtractions["B"] <= 2 * (draws - 2000)
+    # up to the first miss each draw bisects A twice, and B twice as well,
+    # since no row is full while column 0 is still open in it; after it,
+    # neither field is bisected
+    first_miss = draws_to_first_miss(collection, 10, 7)
+    assert 1 < first_miss <= 100 - filled_directly + 1 < draws - 2000
+    assert bisects == {"A": 2 * first_miss, "B": 2 * first_miss}
 
 
 def brute_force_buckets(values, d):

@@ -10,10 +10,12 @@ sorted values and its record ids in (key tuple, record_id) order, so a
 range scan is a contiguous slice found by binary search on the sorted
 values, and each entry's field values are read from the collection's
 columns through its record id. A run that only counts ranges never builds
-an order. Every column, sorted copy and record id order is an array('q'):
-8 bytes per value, where a list of ints holds an 8-byte reference and a
-32-byte int object. The race masks each access order through columns of
-rank-bucket numbers, which its layout builds (optimizer.RaceLayout).
+an order. Collection.sort_fields builds either for two fields at once, the
+second in a forked worker where that pays (workers.forked). Every column,
+sorted copy and record id order is an array('q'): 8 bytes per value, where
+a list of ints holds an 8-byte reference and a 32-byte int object. The race
+masks each access order through columns of rank-bucket numbers, which its
+layout builds (optimizer.RaceLayout).
 
 Dataset files are read in blocks of whole lines; a block in save_dataset's
 own form is checked and converted by a few passes in C, any other block
@@ -26,11 +28,13 @@ import random
 import re
 from array import array
 from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import compress, islice, repeat
 from operator import eq, ne
 from pathlib import Path
 
+from . import workers
 from .errors import (
     DatasetFormatError,
     EmptyCollectionError,
@@ -40,9 +44,18 @@ from .errors import (
 
 DISTRIBUTIONS = ("uniform-distinct", "uniform-with-repeats", "zipfian")
 
+# Below this many documents a collection sorts all its fields here: on a 2-core
+# host a sort worker breaks even at about 20,000, and takes a third off at 50,000.
+SORT_WORKER_MIN = 50_000
+
 # The values an int64 column holds (MongoDB's NumberLong range).
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+
+
+def _sorted_bytes(sort, field_name: str) -> bytes:
+    """A sort worker's result: the raw bytes of sort(field_name)'s array."""
+    return sort(field_name).tobytes()
 
 
 def _int64_column(field_name: str, values) -> array:
@@ -95,14 +108,28 @@ class Collection:
             cached = self._sorted_values[field_name] = array("q", sorted(self.column(field_name)))
         return cached
 
-    def keep_sorted_values(self, field_name: str, data: bytes) -> None:
-        """Keep `data`, the raw bytes of the field's sorted values (what
-        sorted_values(field_name).tobytes() gives), as its sorted values."""
-        values = array("q", data)
-        if len(values) != len(self):
-            raise PlanraceError(f"{len(values)} sorted values for field {field_name!r} "
-                                f"of {len(self)} documents")
-        self._sorted_values[field_name] = values
+    def sort_fields(self, fields, orders: bool, worker: str) -> None:
+        """Build the fields' sorted values, or with `orders` their orders,
+        where not built yet (a field the collection lacks fails where used).
+        With two to build, SORT_WORKER_MIN documents and a worker that can
+        overlap (workers.can_overlap), a forked one named `worker` sorts the
+        second, and its array's raw bytes are kept once their length is
+        checked, while this process sorts the first; else both sort here."""
+        sort, built = (self.order, self._orders) if orders else (
+            self.sorted_values, self._sorted_values)
+        todo = [f for f in dict.fromkeys(fields) if f in self.columns and f not in built]
+        second = (len(todo) > 1 and len(self) >= SORT_WORKER_MIN and workers.can_overlap()
+                  and workers.forked(_sorted_bytes, (sort, todo[1]), worker))
+        if second:
+            with closing(second):
+                sort(todo[0])
+                kept = array("q", second.result())
+            if len(kept) != len(self):
+                raise PlanraceError(f"{worker} sent {len(kept)} values for field "
+                                    f"{todo[1]!r} of {len(self)} documents")
+            built[todo[1]] = kept
+        for f in todo:
+            sort(f)
 
     def order(self, field_name: str) -> array:
         """Record ids in (value, record_id) order: order[k] is the record id

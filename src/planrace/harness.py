@@ -2,16 +2,16 @@
 
 The harness drives the optimizer over a D x D grid of (e_A, e_B)
 selectivities. Random range queries are drawn until every cell has been
-visited once; each visited cell records the optimizer's choice. The sweep
-is two stages: a forked worker draws the cells (draw_cells) while the main
-process races each one as it arrives (sweep). Every plan in the scenario's
-forced set (collection scan included, whether or not the optimizer would
-consider it) is then timed (measure_grid). The simulated clock makes every
-repeated run of a plan identical, so forced measurement takes one
-closed-form time per plan and a run drops no outliers; filter_outliers (the
-1.5 IQR rule) stays only as the reference acceptance criterion 11 checks.
-Each cell's chosen plan is then compared against the true argmin to yield
-an accuracy fraction and a mean slowdown.
+visited once, or until REJECTION_CAP draws in a row miss, when the cells
+left are built from the fields' sorted values; the sweep races each cell
+as draw_cells gives it and records the optimizer's choice. Every plan in
+the scenario's forced set (collection scan included, whether or not the
+optimizer would consider it) is then timed (measure_grid). The simulated
+clock makes every repeated run of a plan identical, so forced measurement
+takes one closed-form time per plan and a run drops no outliers;
+filter_outliers (the 1.5 IQR rule) stays only as the reference acceptance
+criterion 11 checks. Each cell's chosen plan is then compared against the
+true argmin to yield an accuracy fraction and a mean slowdown.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ import math
 import random
 from array import array
 from bisect import bisect_left
-from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, islice
 from operator import ne
 
-from . import workers
 from .engine import (
     Collection,
     IndexCatalog,
@@ -173,27 +171,65 @@ def _mean_of_reps(t: float, reps: int) -> float:
 
 def _direct_fill_cells(collection: Collection, missing: list[tuple[int, int]],
                        d: int) -> list[tuple[int, ...]]:
-    # Construct a query per unvisited cell: each field's range starts at the
-    # field's smallest value, the first of its sorted values, so its
-    # positions there are (0, its match count), and spans max(1, the cell's
-    # centre count) integers. Nothing checks that the counts fall in the
-    # cell, and often they do not: an unreachable bucket, such as bucket 0
-    # of a field with no gap, holds no count a range can have, and on a
-    # field with repeats a range's count is not its width. ROADMAP item 2
-    # plans to leave unreachable cells unvisited and to fill the rest by
-    # bisection on the sorted values.
+    # A query per unvisited cell, as draw_cells gives a cell: ranges whose
+    # counts fall in it (range_with_count) where drawn ranges reach it, else
+    # ranges from each field's smallest value, positions (0, count), over
+    # max(1, the cell's centre count) integers (ROADMAP item 2).
     n = len(collection)
-    lows = {field_name: collection.sorted_values(field_name)[0] for field_name in ("A", "B")}
+    firsts = _bucket_firsts(n, d)
+    found = {}  # (field, bucket): range_with_count's range, or None
     out = []
     for (i, j) in missing:
-        bounds, positions = [], []
-        for field_name, cell_idx in (("A", i), ("B", j)):
-            target = max(1, ((2 * cell_idx + 1) * n) // (2 * d))
-            lo = lows[field_name]
-            bounds += [lo, lo + target]
-            positions += [0, match_count(collection, RangePredicate(field_name, lo, lo + target))]
-        out.append((i, j, *bounds, *positions))
+        cell = (("A", i), ("B", j))
+        for field_name, k in cell:
+            if (field_name, k) not in found:
+                found[field_name, k] = range_with_count(
+                    collection.sorted_values(field_name), firsts[k], firsts[k + 1])
+        ranges = [found[key] for key in cell]
+        if None in ranges:
+            ranges = []
+            for field_name, k in cell:
+                lo = collection.sorted_values(field_name)[0]
+                high = lo + max(1, ((2 * k + 1) * n) // (2 * d))
+                ranges.append((lo, high, 0, match_count(collection,
+                                                        RangePredicate(field_name, lo, high))))
+        (low_a, high_a, start_a, end_a), (low_b, high_b, start_b, end_b) = ranges
+        out.append((i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b))
     return out
+
+
+def _bucket_firsts(n: int, d: int) -> list[int]:
+    # bucket i (_cell_from_count) holds the counts firsts[i] to firsts[i + 1] - 1:
+    # count * d // n >= i exactly when count >= ceil(i * n / d)
+    return [0] + [-(-i * n // d) for i in range(1, d)] + [n + 1]
+
+
+def range_with_count(values: array, least: int, below: int
+                     ) -> tuple[int, int, int, int] | None:
+    """(low, high, start, end) of a range a draw can give (within [lo, hi +
+    1), rand_range_predicate) on a field with these sorted values, whose
+    bounds' bisect_left positions start and end differ by a count in [least,
+    below); None where there is none. Every start where a distinct value
+    starts and later such place or N is a range's; a count of 0 is the range
+    [g, g + 1) of an integer g in [lo, hi] that no record holds. O(N)."""
+    n = len(values)
+    if least == 0:
+        gap = next((k for k in range(1, n) if values[k] > values[k - 1] + 1), None)
+        if gap is not None:
+            return values[gap - 1] + 1, values[gap - 1] + 2, gap, gap
+        least = 1
+    starts = [0, *compress(range(1, n), map(ne, islice(values, 1, None), values))]
+    bounds = starts + [n]
+    k = 0  # the first bound at least start + least; it only moves up
+    for start in starts:
+        if start + least > n:
+            break
+        while bounds[k] < start + least:
+            k += 1
+        if bounds[k] < start + below:
+            end = bounds[k]
+            return values[start], values[end] if end < n else values[-1] + 1, start, end
+    return None
 
 
 def draw_space(values: array, d: int) -> tuple[bool, set[int]]:
@@ -214,9 +250,7 @@ def draw_space(values: array, d: int) -> tuple[bool, set[int]]:
     n = len(values)
     distinct = 1 + sum(map(ne, islice(values, 1, None), values))
     span = values[-1] - values[0] + 1
-    # count * d // n >= i exactly when count >= ceil(i * n / d): bucket i
-    # holds the counts firsts[i]..firsts[i + 1] - 1, the last one also n
-    firsts = [0] + [-(-i * n // d) for i in range(1, d)] + [n + 1]
+    firsts = _bucket_firsts(n, d)
     least = 0 if distinct < span else 1
     reachable = {i for i in range(d) if max(firsts[i], least) < firsts[i + 1]}
     return distinct == n == span, reachable
@@ -350,39 +384,25 @@ def draw_cells(collection: Collection, d: int, seed: int):
 def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
           variant: OptimizerVariant, d: int, seed: int,
           knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None) -> ExperimentGrid:
-    """Fill every grid cell with a random query and the optimizer's choice.
-
-    Two stages: a forked worker process draws the cells (draw_cells) and
-    streams them through a pipe (workers.forked), while this process builds
-    each cell's query, races it (optimize) and records the choice, in fill
-    order. Where the two cannot overlap (workers.can_overlap), draw_cells
-    runs in this process; the cells and the grid are the same either way.
-    The race and the cell take the ranges' positions that the draws found;
-    the query puts A's range first, as the positions do.
-    """
+    """Fill every grid cell with a random query and the optimizer's choice:
+    race each cell that draw_cells gives (optimize) and record it, in fill
+    order. The race and the cell take the ranges' positions that the draws
+    found; the query puts A's range first, as the positions do."""
     n = len(collection)
     grid = ExperimentGrid(d=d)
-    cells = grid.cells
-    make_query = scenario.make_query
-    args = (collection, d, seed)
-    if workers.can_overlap():
-        draws = workers.forked(draw_cells, args, "the sweep's draw worker", "its last cell")
-    else:
-        draws = draw_cells(*args)
-    with closing(draws) as items:
-        for item in items:
-            if len(item) == 3:
-                grid.draws, grid.rejections, grid.filled_directly = item
-                break
-            i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b = item
-            positions = (start_a, end_a, start_b, end_b)
-            query = make_query(RangePredicate("A", low_a, high_a),
-                               RangePredicate("B", low_b, high_b))
-            result = optimize(query, collection, catalog, variant, knobs,
-                              cache=cache, positions=positions)
-            cells[(i, j)] = GridCell(i=i, j=j, e_a=(end_a - start_a) / n,
-                                     e_b=(end_b - start_b) / n, query=query,
-                                     chosen=str(result.chosen), positions=positions)
+    for item in draw_cells(collection, d, seed):
+        if len(item) == 3:
+            grid.draws, grid.rejections, grid.filled_directly = item
+            break
+        i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b = item
+        positions = (start_a, end_a, start_b, end_b)
+        query = scenario.make_query(RangePredicate("A", low_a, high_a),
+                                    RangePredicate("B", low_b, high_b))
+        result = optimize(query, collection, catalog, variant, knobs,
+                          cache=cache, positions=positions)
+        grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=(end_a - start_a) / n,
+                                      e_b=(end_b - start_b) / n, query=query,
+                                      chosen=str(result.chosen), positions=positions)
     return grid
 
 

@@ -225,7 +225,8 @@ class RaceLayout:
     its order (RankBuckets.numbers_from_order) when a plan leads on the
     field, whose scan builds that order anyway, and read value by value
     (RankBuckets.numbers) otherwise; a scan's columns are gathered from
-    them through its rids.
+    them through its rids. The orders of the fields the index plans lead on
+    are sorted first, the second in a worker (Collection.sort_fields).
     """
 
     plans: tuple[ShapePlan, ...]
@@ -235,6 +236,8 @@ class RaceLayout:
 
 
 def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceLayout:
+    collection.sort_fields([plan.leading for plan in plans if plan.index is not None],
+                           orders=True, worker="the race layout's order worker")
     buckets = {f: RankBuckets(collection.sorted_values(f))
                for plan in plans for f in plan.filters}
     leads = {plan.leading for plan in plans}

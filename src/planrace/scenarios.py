@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 
-from . import workers
 from .engine import (
     Collection,
     IndexCatalog,
@@ -15,16 +13,6 @@ from .engine import (
     build_index,
 )
 from .plans import COLLSCAN_ID, PlanId, PlanKind
-
-# Below this many documents the catalog sorts both fields here: on a 2-core
-# host a sort worker only breaks even at about 20,000, and at 50,000 it
-# takes about a third off the catalog build.
-SORT_WORKER_MIN = 50_000
-
-
-def _sorted_bytes(collection: Collection, field_name: str):
-    """The sort worker's one item: the field's sorted values as raw bytes."""
-    yield collection.sorted_values(field_name).tobytes()
 
 
 @dataclass(frozen=True)
@@ -37,22 +25,11 @@ class Scenario:
     def build_catalog(self, collection: Collection) -> IndexCatalog:
         """The scenario's indexes on the collection, in index_keys order.
 
-        Every index leading on a field holds the field's sorted values
-        (Collection.sorted_values). With two single-field indexes, at least
-        SORT_WORKER_MIN documents and a worker that can overlap this process
-        (workers.can_overlap), the second index's field is sorted in a
-        forked worker, which sends back the array's raw bytes, while this
-        process sorts the first's; without a pipe or a process both sort
-        here.
+        Every index leading on a field holds the field's sorted values, so
+        those are sorted first, the second in a worker (Collection.sort_fields).
         """
-        fields = [keys[0] for keys in self.index_keys if len(keys) == 1]
-        if (len(fields) > 1 and len(collection) >= SORT_WORKER_MIN
-                and workers.can_overlap()):
-            second = workers.forked(_sorted_bytes, (collection, fields[1]),
-                                    "the catalog's sort worker", "its sorted values")
-            with closing(second):
-                collection.sorted_values(fields[0])
-                collection.keep_sorted_values(fields[1], next(iter(second)))
+        collection.sort_fields([keys[0] for keys in self.index_keys], orders=False,
+                               worker="the catalog's sort worker")
         return IndexCatalog([build_index(collection, keys) for keys in self.index_keys])
 
     def make_query(self, pred_a: RangePredicate, pred_b: RangePredicate,

@@ -1,9 +1,6 @@
-"""Forked worker processes that produce items while this process goes on.
-
-A worker is a forked child that runs a generator and writes its items
-through a pipe in marshalled batches; the parent reads them as they come.
-The sweep draws its cells in one (harness.sweep) and the catalog build
-sorts a field's values in one (Scenario.build_catalog).
+"""A forked worker: one call run in a child process, whose bytes result, or
+the error that stopped it, comes back marshalled through a pipe. A collection
+sorts its second field in one while it sorts the first (Collection.sort_fields).
 """
 
 from __future__ import annotations
@@ -14,10 +11,6 @@ import signal
 import threading
 
 from .errors import PlanraceError
-
-# Items per batch a worker writes to its pipe; the first batches reach the
-# reading process after a few items.
-BATCH = 32
 
 
 def can_overlap() -> bool:
@@ -32,16 +25,11 @@ def can_overlap() -> bool:
     return (os.cpu_count() or 1) > 1
 
 
-def forked(produce, args: tuple, name: str, last: str):
-    """produce(*args)'s items, produced by a forked worker process.
-
-    The worker starts before this returns. The reader stops at the item it
-    knows to be the last: a worker that fails, or whose stream ends before
-    the reader stops, makes the iteration raise a PlanraceError that calls
-    it `name` and the missing item `last`. Closing the result kills and
-    reaps the worker, however the reader stopped. When no pipe or process
-    can be had, the result is produce(*args) itself, run in this process.
-    """
+def forked(produce, args: tuple, name: str):
+    """A forked worker, already started, that computes produce(*args), a
+    bytes object; None when no pipe or process can be had. Its result() is
+    that object, or a PlanraceError that calls the worker `name`; closing it
+    kills and reaps the worker."""
     try:
         read_fd, write_fd = os.pipe()
         try:
@@ -51,65 +39,47 @@ def forked(produce, args: tuple, name: str, last: str):
             os.close(write_fd)
             raise
     except OSError:
-        return produce(*args)
-    if pid == 0:
+        return None
+    if pid == 0:  # the worker: write its result, or the error that stopped it as a str
         os.close(read_fd)
-        _work(write_fd, produce, args)
+        code = 1
+        try:
+            with open(write_fd, "wb") as out:
+                try:
+                    marshal.dump(produce(*args), out)
+                    code = 0
+                except Exception as exc:
+                    marshal.dump(f"{type(exc).__name__}: {exc}", out)
+        finally:
+            # skip the forking process's cleanup: its exit handlers, its
+            # buffered output and the frames above this one are not the worker's
+            os._exit(code)
     os.close(write_fd)
-    return _Worker(pid, open(read_fd, "rb"), name, last)
-
-
-def _work(write_fd: int, produce, args: tuple) -> None:
-    """The forked worker: write produce(*args)'s items to the pipe in
-    marshalled batches, or the error that stopped it as a str; never
-    returns."""
-    code = 1
-    try:
-        with open(write_fd, "wb") as out:
-            try:
-                batch = []
-                for item in produce(*args):
-                    batch.append(item)
-                    if len(batch) == BATCH:
-                        marshal.dump(batch, out)
-                        out.flush()
-                        batch = []
-                marshal.dump(batch, out)
-                code = 0
-            except Exception as exc:
-                marshal.dump(f"{type(exc).__name__}: {exc}", out)
-    finally:
-        # skip the forking process's cleanup: its exit handlers, its
-        # buffered output and the frames above this one are not the worker's
-        os._exit(code)
+    return _Worker(pid, open(read_fd, "rb"), name)
 
 
 class _Worker:
-    """A running worker's items, read from its pipe (see forked)."""
+    """A running worker's result, read from its pipe (see forked)."""
 
-    def __init__(self, pid: int, stream, name: str, last: str):
+    def __init__(self, pid: int, stream, name: str):
         self._pid = pid
         self._stream = stream
         self._name = name
-        self._last = last
 
-    def __iter__(self):
-        while True:
-            try:
-                batch = marshal.load(self._stream)
-            except (EOFError, ValueError):  # the end, or a batch cut short
-                break
-            if isinstance(batch, str):
-                raise PlanraceError(f"{self._name} failed: {batch}")
-            yield from batch
-        code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        self._pid = None
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        raise PlanraceError(f"{self._name} stopped before {self._last} ({how})")
+    def result(self) -> bytes:
+        try:
+            result = marshal.load(self._stream)
+        except (EOFError, ValueError):  # no result, or one cut short
+            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+            self._pid = None
+            how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+            raise PlanraceError(f"{self._name} stopped before its result ({how})") from None
+        if isinstance(result, str):
+            raise PlanraceError(f"{self._name} failed: {result}")
+        return result
 
     def close(self) -> None:
         self._stream.close()
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             os.waitpid(self._pid, 0)
-            self._pid = None

@@ -8,7 +8,7 @@ import signal
 
 import pytest
 
-from planrace import harness, workers
+from planrace import engine, workers
 from planrace.cli import main
 
 
@@ -388,15 +388,24 @@ def killed():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+SORTS = "the catalog's sort worker"
+ORDERS = "the race layout's order worker"
+
+
+@pytest.mark.parametrize("worker", [SORTS, ORDERS])
 @pytest.mark.parametrize("stop,message", [
-    (no_room, "the sweep's draw worker failed: MemoryError: no room"),
-    (killed, "the sweep's draw worker stopped before its last cell (killed by signal 9)"),
+    (no_room, "failed: MemoryError: no room"),
+    (killed, "stopped before its result (killed by signal 9)"),
 ])
-def test_failed_draw_worker_is_one_error_line(tmp_path, data_file, capsys, monkeypatch,
-                                              stop, message):
-    def failing(collection, d, seed):
-        yield 0, 0, 0, 1, 0, 1, 0, 1, 0, 1
-        stop()
+def test_failed_sort_worker_is_one_error_line(tmp_path, data_file, capsys, monkeypatch,
+                                              worker, stop, message):
+    sorted_bytes = engine._sorted_bytes
+
+    def failing(sort, field_name):
+        # only a forked worker runs this, so stop() never ends this process
+        if (sort.__name__ == "order") == (worker == ORDERS):
+            stop()
+        return sorted_bytes(sort, field_name)
 
     pids = []
     fork = os.fork
@@ -407,13 +416,16 @@ def test_failed_draw_worker_is_one_error_line(tmp_path, data_file, capsys, monke
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(harness, "draw_cells", failing)
+    monkeypatch.setattr(engine, "_sorted_bytes", failing)
+    monkeypatch.setattr(engine, "SORT_WORKER_MIN", 0)
     monkeypatch.setattr(workers, "can_overlap", lambda: True)
     monkeypatch.setattr(os, "fork", recorded)
     out = tmp_path / "x"
     assert main(RUN_ARGS + ["--data", str(data_file), "--dim", "3", "--out", str(out)]) == 1
-    assert error_lines(capsys) == [f"error: {message}"]
+    assert error_lines(capsys) == [f"error: {worker} {message}"]
     assert not out.exists()
-    (pid,) = pids
-    with pytest.raises(ChildProcessError):  # the worker is reaped
-        os.waitpid(pid, os.WNOHANG)
+    # the catalog's worker, then for a failed order the layout's; each reaped
+    assert len(pids) == 1 + (worker == ORDERS)
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)

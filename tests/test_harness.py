@@ -7,7 +7,6 @@ import os
 import random
 import signal
 import statistics
-import sys
 import threading
 import time
 from array import array
@@ -16,7 +15,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from planrace import harness, scenarios, workers
+from planrace import engine, harness, workers
 from planrace.engine import (
     DISTRIBUTIONS,
     Collection,
@@ -42,6 +41,7 @@ from planrace.harness import (
     primed_cache_for,
     quantile_r7,
     rand_range_predicate,
+    range_with_count,
     run_experiment,
     sweep,
 )
@@ -480,36 +480,29 @@ def test_sweep_cache_primed_matches_reference(small_world):
     assert grid.filled_directly == 0
 
 
-# --- the sweep's draw worker ---------------------------------------------------
+# --- sweeping in process, sorting in workers ----------------------------------
 
-class Forks:
-    """The pids of the workers forked during a test: draw workers (by
-    sweep) and sort workers (by Scenario.build_catalog)."""
-
-    def __init__(self):
-        self.draws = []
-        self.sorts = []
+SORTS = "the catalog's sort worker"
+ORDERS = "the race layout's order worker"
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The workers forked during the test, with a worker used whatever the
-    number of CPUs and, for the catalog's sort, whatever the collection's
+    """The pids of the workers forked during the test, by the worker's name,
+    with a worker used whatever the number of CPUs and the collection's
     size."""
-    forked = Forks()
-    fork = os.fork
+    forked = {SORTS: [], ORDERS: []}
+    fork = workers.forked
 
-    def recorded():
-        # the frames above: workers.forked, then the function it forks for
-        caller = sys._getframe(2).f_code.co_name
-        pid = fork()
-        if pid:
-            {"sweep": forked.draws, "build_catalog": forked.sorts}[caller].append(pid)
-        return pid
+    def recorded(produce, args, name):
+        worker = fork(produce, args, name)
+        if worker is not None:
+            forked[name].append(worker._pid)
+        return worker
 
-    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(workers, "forked", recorded)
     monkeypatch.setattr(workers, "can_overlap", lambda: True)
-    monkeypatch.setattr(scenarios, "SORT_WORKER_MIN", 0)
+    monkeypatch.setattr(engine, "SORT_WORKER_MIN", 0)
     return forked
 
 
@@ -517,12 +510,6 @@ def assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
-
-
-def assert_one_draw_worker(forks):
-    """The sweep forked one draw worker, and every worker is reaped."""
-    assert len(forks.draws) == 1
-    assert_reaped(forks.draws + forks.sorts)
 
 
 def drawn_cells(grid, n):
@@ -553,25 +540,21 @@ def assert_positions_are_scan_ranges(grid, collection, catalog, scenario, varian
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
-def test_sweep_through_the_worker_equals_in_process_draws(monkeypatch, forks, dist,
-                                                           scenario_name):
+def test_sweep_records_the_cells_draw_cells_gives(monkeypatch, forks, dist, scenario_name):
     # zipfian data leaves cells unreachable: the cap ends their search quickly
     monkeypatch.setattr(harness, "REJECTION_CAP", 5000)
     collection = generate_dataset(2000, dist, seed=19)
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)
-    assert len(forks.sorts) == (scenario_name != "single-index")
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
-    assert_one_draw_worker(forks)
-    drawn = list(harness.draw_cells(collection, 8, 5))
-    assert drawn_cells(grid, len(collection)) == drawn
-    monkeypatch.setattr(workers, "can_overlap", lambda: False)
-    in_process = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
-    assert len(forks.draws) == 1
-    assert cell_facts(grid) == cell_facts(in_process)
+    assert drawn_cells(grid, len(collection)) == list(harness.draw_cells(collection, 8, 5))
+    # the run forks only to sort: single-index has one field to sort
+    sorts = int(scenario_name != "single-index")
+    assert {name: len(pids) for name, pids in forks.items()} == {SORTS: sorts, ORDERS: sorts}
+    assert_reaped(forks[SORTS] + forks[ORDERS])
 
 
-def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, small_world):
+def test_sweep_records_the_direct_fill_and_primed_sweeps(monkeypatch, forks, small_world):
     collection, scenario, catalog = small_world
     cache = primed_cache_for(scenario, parse_plan_hint("IXSCAN_AB"))
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 8, 3, cache=cache)
@@ -579,6 +562,7 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
         harness.draw_cells(collection, 8, 3))
     assert_positions_are_scan_ranges(grid, collection, catalog, scenario,
                                      OptimizerVariant.VANILLA)
+    assert forks[ORDERS] == []  # a primed sweep races nothing, so it builds no layout
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
     tiny = generate_dataset(9, "uniform-distinct", seed=7)
     both = get_scenario("both-indexed")
@@ -587,32 +571,16 @@ def test_worker_streams_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sm
     assert grid.filled_directly == 19
     assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, 10, 7))
     assert_positions_are_scan_ranges(grid, tiny, tiny_catalog, both, OptimizerVariant.VANILLA)
-    assert len(forks.draws) == 2 and len(forks.sorts) == 1
-    assert_reaped(forks.draws + forks.sorts)
-
-
-def test_sweep_without_a_process_draws_in_process(monkeypatch, small_world):
-    collection, scenario, catalog = small_world
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(workers, "can_overlap", lambda: True)
-    monkeypatch.setattr(os, "fork", no_fork)
-    grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 6, seed=8)
-    assert drawn_cells(grid, len(collection)) == list(
-        harness.draw_cells(collection, 6, 8))
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_worker_positions_are_every_plans_scan_range(monkeypatch, forks, dist, scenario_name):
+def test_positions_are_every_plans_scan_range(monkeypatch, dist, scenario_name):
     monkeypatch.setattr(harness, "REJECTION_CAP", 5000)
     collection = generate_dataset(1000, dist, seed=21)
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 7, seed=6)
-    assert_one_draw_worker(forks)
     assert_positions_are_scan_ranges(grid, collection, catalog, scenario, OptimizerVariant.MOD)
 
 
@@ -635,20 +603,31 @@ def test_draws_and_direct_fill_scan_no_column_for_its_bounds(monkeypatch):
     assert calls == []
 
 
-def test_threads_keep_the_draws_in_process(monkeypatch):
+def test_threads_keep_the_sorts_in_process(monkeypatch):
     monkeypatch.setattr(threading, "active_count", lambda: 2)
     assert not workers.can_overlap()
 
 
-def cells_then(stop):
-    """A draw_cells that yields 40 cells (more than one batch), then calls stop()."""
+def test_a_run_below_the_worker_minimum_forks_no_process(monkeypatch):
+    # the benchmark's sparse-sweep data: 9 documents, both fields indexed
+    pids = []
+    fork = os.fork
 
-    def draw(collection, d, seed):
-        for k in range(40):
-            yield k // d, k % d, 0, 1, 0, 1, 0, 1, 0, 1
-        stop()
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    return draw
+    monkeypatch.setattr(os, "fork", recorded)
+    monkeypatch.setattr(workers, "can_overlap", lambda: True)
+    monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    assert len(collection) < engine.SORT_WORKER_MIN
+    grid, _ = run_experiment(get_scenario("both-indexed"), collection,
+                             OptimizerVariant.VANILLA, d=10, seed=7)
+    assert grid.complete and set(collection._orders) == {"A", "B"}
+    assert pids == []
 
 
 def boom():
@@ -664,103 +643,123 @@ def hang():
         time.sleep(1)
 
 
-def sorted_in_process(collection):
-    return {f: array("q", sorted(column)) for f, column in collection.columns.items()}
+def sort_both(scenario, collection, worker):
+    """Build the scenario's catalog, and for ORDERS race one query, whose
+    layout sorts the orders of the fields its plans lead on."""
+    catalog = scenario.build_catalog(collection)
+    if worker == ORDERS:
+        query = scenario.make_query(RangePredicate("A", 0, 100), RangePredicate("B", 0, 200))
+        optimize(query, collection, catalog, OptimizerVariant.MOD)
+    return catalog
 
 
+def assert_sorted_as_in_process(collection):
+    """Every array the collection built is byte-equal to the one a fresh
+    collection of the same columns builds in this process."""
+    fresh = Collection("fresh", dict(collection.columns))
+    for field_name, values in collection._sorted_values.items():
+        assert values.tobytes() == fresh.sorted_values(field_name).tobytes()
+    for field_name, order in collection._orders.items():
+        assert order.tobytes() == fresh.order(field_name).tobytes()
+
+
+@pytest.mark.parametrize("worker", [SORTS, ORDERS])
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_catalog_sorts_its_second_field_in_a_worker(forks, dist, scenario_name):
+def test_second_field_is_sorted_in_a_worker(forks, dist, scenario_name, worker):
     collection = generate_dataset(3000, dist, seed=23)
     scenario = get_scenario(scenario_name)
-    catalog = scenario.build_catalog(collection)
-    # single-index has one single-field index, so nothing to sort alongside
-    assert len(forks.sorts) == (scenario_name != "single-index")
-    assert forks.draws == []
-    assert_reaped(forks.sorts)
-    expected = sorted_in_process(collection)
+    catalog = sort_both(scenario, collection, worker)
+    # single-index has one index, on one field, so nothing to sort alongside
+    assert len(forks[worker]) == (scenario_name != "single-index")
+    assert forks[ORDERS] == [] or worker == ORDERS
+    assert_reaped(forks[SORTS] + forks[ORDERS])
+    assert_sorted_as_in_process(collection)
     for ix in catalog.indexes:
         lead = ix.key_fields[0]
         assert ix.key_values is collection.sorted_values(lead)
-        assert collection.sorted_values(lead) == expected[lead]
+        if worker == ORDERS:
+            # equal values keep record_id order; a compound index without
+            # repeated leading values shares its leading field's order
+            rids = sorted(range(len(collection)), key=lambda rid: tuple(
+                collection.columns[f][rid] for f in ix.key_fields))
+            assert ix.rids.tolist() == rids
+            repeats = len(set(collection.columns[lead])) < len(collection)
+            assert (ix.rids is collection.order(lead)) == (len(ix.key_fields) == 1 or not repeats)
 
 
+@pytest.mark.parametrize("worker", [SORTS, ORDERS])
 @pytest.mark.parametrize("unavailable", ["fork", "pipe"])
-def test_catalog_without_a_worker_sorts_in_process(monkeypatch, forks, unavailable):
+def test_without_a_worker_both_fields_sort_here(monkeypatch, forks, unavailable, worker):
     def fail():
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, unavailable, fail)
     collection = generate_dataset(2000, "zipfian", seed=3)
-    catalog = get_scenario("covering").build_catalog(collection)
-    expected = sorted_in_process(collection)
-    assert [ix.key_values for ix in catalog.indexes] == [
-        expected["A"], expected["B"], expected["A"]]
+    sort_both(get_scenario("covering"), collection, worker)
+    assert set(collection._orders) == ({"A", "B"} if worker == ORDERS else set())
+    assert_sorted_as_in_process(collection)
+    assert forks == {SORTS: [], ORDERS: []}
 
 
-def test_catalog_of_a_small_collection_sorts_in_process(monkeypatch, forks):
-    monkeypatch.setattr(scenarios, "SORT_WORKER_MIN", 2001)
-    get_scenario("covering").build_catalog(generate_dataset(2000, "zipfian", seed=3))
-    assert forks.sorts == []
+@pytest.mark.parametrize("worker", [SORTS, ORDERS])
+def test_a_small_collection_sorts_both_fields_here(monkeypatch, forks, worker):
+    monkeypatch.setattr(engine, "SORT_WORKER_MIN", 2001)
+    collection = generate_dataset(2000, "zipfian", seed=3)
+    sort_both(get_scenario("covering"), collection, worker)
+    assert_sorted_as_in_process(collection)
+    assert forks == {SORTS: [], ORDERS: []}
 
 
-def dead_sort(stop):
-    """A sort worker's item producer that calls stop() instead."""
+def test_built_fields_are_not_sorted_again(forks):
+    # with A's order built, the layout has one order left: nothing to overlap
+    collection = generate_dataset(2000, "zipfian", seed=3)
+    collection.order("A")
+    sort_both(get_scenario("covering"), collection, ORDERS)
+    assert len(forks[SORTS]) == 1 and forks[ORDERS] == []
+    assert_sorted_as_in_process(collection)
 
-    def produce(collection, field_name):
-        stop()
-        yield b""
 
-    return produce
-
-
+@pytest.mark.parametrize("worker", [SORTS, ORDERS])
 @pytest.mark.parametrize("stop,message", [
-    (boom, "the catalog's sort worker failed: RuntimeError: boom"),
-    (killed, "the catalog's sort worker stopped before its sorted values (killed by signal 9)"),
-    (lambda: None, "0 sorted values for field 'B' of 2000 documents"),
+    (boom, "failed: RuntimeError: boom"),
+    (killed, "stopped before its result (killed by signal 9)"),
+    (lambda: None, "sent 0 values for field 'B' of 2000 documents"),
 ])
-def test_sort_worker_failure_fails_the_catalog_and_reaps_the_worker(monkeypatch, forks,
-                                                                     stop, message):
-    monkeypatch.setattr(scenarios, "_sorted_bytes", dead_sort(stop))
+def test_worker_failure_is_one_error_and_the_worker_is_reaped(monkeypatch, forks, worker,
+                                                              stop, message):
+    sorted_bytes = engine._sorted_bytes
+
+    def failing(sort, field_name):
+        # only a forked worker runs this, so stop() never ends this process
+        if (sort.__name__ == "order") == (worker == ORDERS):
+            stop()
+            return b""
+        return sorted_bytes(sort, field_name)
+
+    monkeypatch.setattr(engine, "_sorted_bytes", failing)
     collection = generate_dataset(2000, "uniform-distinct", seed=3)
     with pytest.raises(PlanraceError) as err:
-        get_scenario("covering").build_catalog(collection)
-    assert str(err.value) == message
-    assert len(forks.sorts) == 1
-    assert_reaped(forks.sorts)
+        sort_both(get_scenario("covering"), collection, worker)
+    assert str(err.value) == f"{worker} {message}"
+    assert len(forks[worker]) == 1
+    assert_reaped(forks[SORTS] + forks[ORDERS])
+    # the worker's field is left unbuilt
+    assert "B" not in (collection._orders if worker == ORDERS else collection._sorted_values)
 
 
-@pytest.mark.parametrize("stop,message", [
-    (boom, "the sweep's draw worker failed: RuntimeError: boom"),
-    (killed, "the sweep's draw worker stopped before its last cell (killed by signal 9)"),
-    (lambda: None, "the sweep's draw worker stopped before its last cell (exit status 0)"),
-])
-def test_worker_failure_fails_the_sweep_and_reaps_the_worker(monkeypatch, forks,
-                                                              small_world, stop, message):
-    collection, scenario, catalog = small_world
-    monkeypatch.setattr(harness, "draw_cells", cells_then(stop))
-    with pytest.raises(PlanraceError) as err:
-        sweep(scenario, collection, catalog, OptimizerVariant.MOD, 10, seed=1)
-    assert str(err.value) == message
-    assert_one_draw_worker(forks)
+def test_a_sort_that_fails_here_kills_and_reaps_the_worker(monkeypatch, forks):
+    def failing_order(self, field_name):
+        raise PlanraceError("order failed")
 
-
-def test_sweep_that_stops_reading_reaps_the_worker(monkeypatch, forks, small_world):
-    collection, scenario, catalog = small_world
-    calls = []
-
-    def failing_optimize(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 3:
-            raise PlanraceError("optimize failed")
-        return optimize(*args, **kwargs)
-
-    # the worker hangs after its first 40 cells; the sweep fails before it needs more
-    monkeypatch.setattr(harness, "draw_cells", cells_then(hang))
-    monkeypatch.setattr(harness, "optimize", failing_optimize)
-    with deadline(10), pytest.raises(PlanraceError, match="optimize failed"):
-        sweep(scenario, collection, catalog, OptimizerVariant.MOD, 10, seed=1)
-    assert_one_draw_worker(forks)
+    # the worker hangs before its result; this process's sort fails first
+    monkeypatch.setattr(engine, "_sorted_bytes", lambda sort, field_name: hang())
+    monkeypatch.setattr(Collection, "order", failing_order)
+    collection = generate_dataset(2000, "uniform-distinct", seed=3)
+    with deadline(10), pytest.raises(PlanraceError, match="order failed"):
+        collection.sort_fields(["A", "B"], orders=True, worker=ORDERS)
+    assert len(forks[ORDERS]) == 1
+    assert_reaped(forks[ORDERS])
 
 
 @contextmanager
@@ -782,12 +781,13 @@ def deadline(seconds):
         signal.signal(signal.SIGALRM, handler)
 
 
-def test_deadline_bounds_a_hung_worker(monkeypatch, forks, small_world):
-    collection, scenario, catalog = small_world
-    monkeypatch.setattr(harness, "draw_cells", lambda *args: hang() or iter(()))
+def test_deadline_bounds_a_hung_worker(monkeypatch, forks):
+    monkeypatch.setattr(engine, "_sorted_bytes", lambda sort, field_name: hang())
+    collection = generate_dataset(2000, "uniform-distinct", seed=3)
     with deadline(1), pytest.raises(TimeoutError):
-        sweep(scenario, collection, catalog, OptimizerVariant.MOD, 4, seed=1)
-    assert_one_draw_worker(forks)
+        collection.sort_fields(["A", "B"], orders=False, worker=SORTS)
+    assert len(forks[SORTS]) == 1
+    assert_reaped(forks[SORTS])
 
 
 def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
@@ -855,13 +855,82 @@ def test_dense_fields_are_positioned_without_bisects_after_the_first_miss(monkey
     assert bisects == {"A": 2 * first_miss, "B": 2 * first_miss}
 
 
+def brute_force_counts(values):
+    """The count of every (width, low) draw on these sorted values."""
+    lo, hi = values[0], values[-1]
+    return {bisect_left(values, low + width) - bisect_left(values, low)
+            for width in range(1, hi - lo + 2) for low in range(lo, hi - width + 2)}
+
+
 def brute_force_buckets(values, d):
     """The bucket of every (width, low) draw's count on these sorted values."""
-    n = len(values)
-    lo, hi = values[0], values[-1]
-    return {harness._cell_from_count(bisect_left(values, low + width) - bisect_left(values, low),
-                                     n, d)
-            for width in range(1, hi - lo + 2) for low in range(lo, hi - width + 2)}
+    return {harness._cell_from_count(count, len(values), d) for count in brute_force_counts(values)}
+
+
+def assert_range_has_count_in(values, found, least, below):
+    low, high, start, end = found
+    assert values[0] <= low < high <= values[-1] + 1
+    assert (start, end) == (bisect_left(values, low), bisect_left(values, high))
+    assert least <= end - start < below
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_ranges_with_each_count_are_every_draws_counts(dist):
+    for n in (1, 2, 3, 5, 9, 13, 20, 30):
+        for seed in range(3):
+            collection = generate_dataset(n, dist, seed)
+            for field_name in "AB":
+                values = collection.sorted_values(field_name)
+                found = {count: range_with_count(values, count, count + 1)
+                         for count in range(n + 1)}
+                assert {count for count, r in found.items() if r} == brute_force_counts(values)
+                for count, r in found.items():
+                    if r:
+                        assert_range_has_count_in(values, r, count, count + 1)
+
+
+@pytest.mark.parametrize("values", [
+    [0, 0, 0, 5, 9, 9, 9, 9, 20], [3] * 12, [0, 1, 1, 3, 4], [0] * 5 + [1] * 10,
+    [-3] * 20 + [-2, 5] + [6] * 9, list(range(9)),
+])
+def test_range_with_count_in_any_span_of_counts(values):
+    values = array("q", values)
+    counts = brute_force_counts(values)
+    for least in range(len(values) + 1):
+        for below in range(least + 1, len(values) + 2):
+            found = range_with_count(values, least, below)
+            assert (found is not None) == any(least <= c < below for c in counts)
+            if found:
+                assert_range_has_count_in(values, found, least, below)
+
+
+def test_direct_fill_labels_rare_reachable_cells():
+    # the cells that the zipfian CLI run (N = 5000, D = 10, seed 7) leaves
+    # after REJECTION_CAP misses: every one is reachable, at a few in 10**7
+    # draws or less, and gets ranges whose counts fall in it
+    collection = generate_dataset(5000, "zipfian", seed=7)
+    cells = [(4, 8), (5, 8), (6, 8), (7, 8), (8, 5), (8, 6), (8, 8), (8, 9), (9, 8)]
+    filled = harness._direct_fill_cells(collection, cells, 10)
+    assert [cell[:2] for cell in filled] == cells
+    for i, j, low_a, high_a, low_b, high_b, start_a, end_a, start_b, end_b in filled:
+        for field_name, low, high, start, end, k in (("A", low_a, high_a, start_a, end_a, i),
+                                                     ("B", low_b, high_b, start_b, end_b, j)):
+            assert match_count(collection, RangePredicate(field_name, low, high)) == end - start
+            assert harness._cell_from_count(end - start, len(collection), 10) == k
+            assert_range_has_count_in(collection.sorted_values(field_name), (
+                low, high, start, end), *harness._bucket_firsts(len(collection), 10)[k:k + 2])
+
+
+def test_direct_fill_keeps_its_old_query_for_unreachable_cells():
+    # sparse-sweep's data: bucket 0, count 0, is reached on neither field,
+    # so its row and column keep ranges from the smallest value
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    cells = [(0, 0), (0, 5), (5, 0), (5, 5)]
+    filled = harness._direct_fill_cells(collection, cells, 10)
+    assert [cell[:6] for cell in filled[:3]] == [
+        (0, 0, 0, 1, 0, 1), (0, 5, 0, 1, 0, 4), (5, 0, 0, 4, 0, 1)]
+    i, j, *_, start_a, end_a, start_b, end_b = filled[3]
+    assert (end_a - start_a, end_b - start_b) == (5, 5)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 10, 31])

@@ -1,4 +1,5 @@
-"""The runtime is standard-library only, and no module imports a name it never reads."""
+"""The runtime is standard-library only, no module imports a name it never reads,
+and only the collection forks a worker."""
 
 from __future__ import annotations
 
@@ -47,3 +48,15 @@ def test_every_imported_name_is_read():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unread += [(path.name, name) for name in sorted(imported - read)]
     assert unread == []
+
+
+def test_only_the_collection_forks_and_only_to_sort():
+    # the sweep draws in the process that races it; a worker sorts a
+    # collection's second field (engine.Collection.sort_fields)
+    importers = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.module == "workers" or any(a.name == "workers" for a in node.names)):
+                importers.append(path.name)
+    assert importers == ["engine.py"]

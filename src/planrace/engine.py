@@ -4,18 +4,19 @@ A collection is an immutable, in-memory set of documents with dense record
 ids (0..N-1), stored as one int64 array per field in record_id order; that
 order models on-disk sequential scan order. The collection also keeps, per
 field and built on first use, the field's values in sorted order
-(sorted_values), which range counts bisect, and the record ids in (value,
-record_id) order (order). An index is a view on them: its leading key's
-sorted values and its record ids in (key tuple, record_id) order, so a
-range scan is a contiguous slice found by binary search on the sorted
-values, and each entry's field values are read from the collection's
-columns through its record id. A run that only counts ranges never builds
-an order. Collection.sort_fields builds either for two fields at once, the
-second in a forked worker where that pays (workers.forked). Every column,
-sorted copy and record id order is an array('q'): 8 bytes per value, where
-a list of ints holds an 8-byte reference and a 32-byte int object. The race
-masks each access order through columns of rank-bucket numbers, which its
-layout builds (optimizer.RaceLayout).
+(sorted_values), which a range's positions bisect (positions), and the
+record ids in (value, record_id) order (order). An index is a view on
+them: its leading key's sorted values and its record ids in (key tuple,
+record_id) order, so a range scan is a contiguous slice found by binary
+search on the sorted values, and each entry's field values are read from
+the collection's columns through its record id. A run that only counts
+ranges never builds an order. Collection.sort_fields builds either for two
+fields at once, the second in a forked worker where that pays
+(workers.forked). Every column, sorted copy and record id order is an
+array('q'): 8 bytes per value, where a list of ints holds an 8-byte
+reference and a 32-byte int object. The race masks each access order
+through columns of rank-bucket numbers, which its layout scatters from the
+fields' orders (optimizer.RaceLayout).
 
 Dataset files are read in blocks of whole lines; a block in save_dataset's
 own form is checked and converted by a few passes in C, any other block
@@ -108,15 +109,17 @@ class Collection:
             cached = self._sorted_values[field_name] = array("q", sorted(self.column(field_name)))
         return cached
 
-    def sort_fields(self, fields, orders: bool, worker: str) -> None:
+    def sort_fields(self, fields, orders: bool) -> None:
         """Build the fields' sorted values, or with `orders` their orders,
         where not built yet (a field the collection lacks fails where used).
         With two to build, SORT_WORKER_MIN documents and a worker that can
-        overlap (workers.can_overlap), a forked one named `worker` sorts the
-        second, and its array's raw bytes are kept once their length is
-        checked, while this process sorts the first; else both sort here."""
-        sort, built = (self.order, self._orders) if orders else (
-            self.sorted_values, self._sorted_values)
+        overlap (workers.can_overlap), a forked one sorts the second, and its
+        array's raw bytes are kept once their length is checked, while this
+        process sorts the first; else both sort here. The worker is the race
+        layout's order worker with `orders`, else the catalog's sort worker."""
+        sort, built, worker = (
+            (self.order, self._orders, "the race layout's order worker") if orders else
+            (self.sorted_values, self._sorted_values, "the catalog's sort worker"))
         todo = [f for f in dict.fromkeys(fields) if f in self.columns and f not in built]
         second = (len(todo) > 1 and len(self) >= SORT_WORKER_MIN and workers.can_overlap()
                   and workers.forked(_sorted_bytes, (sort, todo[1]), worker))
@@ -145,10 +148,11 @@ class Collection:
             cached = self._orders[field_name] = array("q", rids)
         return cached
 
-    def value_bounds(self, field_name: str) -> tuple[int, int]:
-        """Smallest and largest value stored for a field."""
-        column = self.column(field_name)
-        return min(column), max(column)
+    def positions(self, predicate: RangePredicate) -> tuple[int, int]:
+        """The bisect_left positions (start, end) of the predicate's low and
+        high in its field's sorted values: its matches are ranks start..end-1."""
+        values = self.sorted_values(predicate.field)
+        return bisect_left(values, predicate.low), bisect_left(values, predicate.high)
 
 
 class Index:
@@ -233,12 +237,6 @@ class IndexCatalog:
         for k, name in enumerate(names):
             if name in names[:k]:
                 raise ValueError(f"duplicate index name {name!r}")
-
-    def by_name(self, name: str) -> Index:
-        for ix in self.indexes:
-            if ix.name == name:
-                return ix
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -340,9 +338,9 @@ def selectivity(collection: Collection, predicate: RangePredicate) -> float:
 
 
 def match_count(collection: Collection, predicate: RangePredicate) -> int:
-    """Documents matching the predicate: two bisects of the field's sorted values."""
-    values = collection.sorted_values(predicate.field)
-    return bisect_left(values, predicate.high) - bisect_left(values, predicate.low)
+    """Documents matching the predicate: the difference of its positions."""
+    start, end = collection.positions(predicate)
+    return end - start
 
 
 def save_dataset(collection: Collection, path) -> None:

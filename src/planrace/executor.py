@@ -10,17 +10,21 @@ That gap is the entire story this package exists to measure.
 Terminal convention: the work() call that discovers cursor exhaustion
 returns EOF, counts as a work unit, and adds no time. After that the
 execution is inert; further work() calls return EOF without state change.
+
+This module is the stepped reference: the cost model, each plan kind's step
+time (step_time), PlanExecution's work() and the closed-form totals of a
+full run (plan_cost_totals), which tests hold equal to stepping it. The
+race's closed form, over rank-bucket columns, is the optimizer's.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass
 
-from .engine import Collection, IndexCatalog, Query
-from .plans import CandidatePlan, PlanKind, ShapePlan
+from .engine import Collection, IndexCatalog
+from .plans import CandidatePlan, PlanKind
 
 
 class WorkState(enum.Enum):
@@ -46,64 +50,6 @@ class CostModel:
         for name in ("c_seq", "c_idx", "c_fetch"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and strictly positive")
-
-
-def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
-    """1 for each position a..b-1 of an access order that matches every
-    filter, 0 for the others.
-
-    A filter is (bucket column in the access order, translate table,
-    record_id-order column, low, high). Its mask is the slice of its bucket
-    column translated by its table (optimizer.RankBuckets.table): a
-    position in a bucket wholly inside or outside [low, high) is decided
-    there, and only a position marked 2 has its value read, through rids
-    (None for record_id order), and compared. The filters' masks are ANDed
-    as integers.
-    """
-    out = None
-    for buckets, table, column, low, high in filters:
-        m = buckets[a:b].translate(table)
-        k = m.find(2)
-        if k >= 0:
-            m = bytearray(m)
-            while k >= 0:
-                value = column[a + k] if rids is None else column[rids[a + k]]
-                m[k] = low <= value < high
-                k = m.find(2, k + 1)
-        if out is None:
-            out = m
-        else:
-            out = (int.from_bytes(out, "little") & int.from_bytes(m, "little")).to_bytes(
-                b - a, "little")
-    return b"\1" * (b - a) if out is None else out
-
-
-def shape_ranges(plans: tuple[ShapePlan, ...], query: Query, n_records: int,
-                 positions: tuple[int, ...] | None = None) -> list[tuple[int, int]]:
-    """(start, end) of each shape plan's scan for the query's bounds.
-
-    Two bisects per leading field serve every plan whose index leads on
-    it, as such indexes share their key_values, the field's
-    Collection.sorted_values. `positions`, when given, are those bisects'
-    results already: the (start, end) of each of the query's predicates in
-    those values, in the query's predicate order.
-    """
-    spans: dict[str, tuple[int, int]] = {}
-    if positions is not None:
-        ends = iter(positions)
-        spans = {p.field: (start, end) for p, start, end in zip(query.predicates, ends, ends)}
-    ranges = []
-    for plan in plans:
-        f = plan.leading
-        if f is None:
-            ranges.append((0, n_records))
-            continue
-        span = spans.get(f)
-        if span is None:
-            pred = query.predicate_on(f)
-            span = spans[f] = plan.index.range_positions(pred.low, pred.high)
-        ranges.append(span)
-    return ranges
 
 
 def step_time(kind: PlanKind, cost: CostModel) -> float:
@@ -199,8 +145,14 @@ def plan_cost_totals(plan: CandidatePlan, collection: Collection,
     entries inside its bounds, plus one terminal step each. Equality with the
     stepped protocol is enforced by tests. It is the reference for
     measure_grid's scan length x step_time from each cell's positions,
-    and explain prints it. It reads only the index's key_values.
+    and explain prints it. It reads only the index's key_values, through
+    Index.range_positions as PlanExecution does.
     """
-    ((start, end),) = shape_ranges((plan.plan,), plan.query, len(collection))
-    k = end - start
+    index = plan.plan.index
+    if index is None:
+        k = len(collection)
+    else:
+        pred = plan.query.predicate_on(plan.plan.leading)
+        start, end = index.range_positions(pred.low, pred.high)
+        k = end - start
     return k * step_time(plan.id.kind, cost), k + 1

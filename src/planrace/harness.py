@@ -284,15 +284,15 @@ def draw_cells(collection: Collection, d: int, seed: int):
     and a reachable column count as open, so a draw whose A count falls in
     a row with no open cell, full or unreachable, is rejected without B's
     count; B's range is drawn all the same. The draw space only makes
-    misses cheaper, and waiting for the first one keeps its O(N) scans off
-    the path of the first cells, which the races wait for.
+    misses cheaper: its O(N) scans cost the same whenever they run, so a
+    sweep that never misses never pays for them.
     """
     rng = random.Random(seed)
     n = len(collection)
     a_values = collection.sorted_values("A")
     b_values = collection.sorted_values("B")
-    # the ends of the sorted values are the fields' value_bounds, without
-    # a scan of the columns
+    # the ends of the sorted values are the fields' smallest and largest
+    # values, without a scan of the columns
     a_lo, a_hi = a_values[0], a_values[-1]
     b_lo, b_hi = b_values[0], b_values[-1]
     # worked out at the first miss (draw_space): the reachable rows, and

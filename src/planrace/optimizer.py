@@ -9,7 +9,9 @@ race with the same number of work units.
 race() steps that protocol through PlanExecution.work() and is the
 reference. optimize() computes the same outcome in closed form
 (_race_scans) over the distinct scans of the query's shape (RaceLayout,
-kept per shape in the catalog) bound to its bounds: the race runs
+kept per shape in the catalog) bound to the positions of its ranges in
+their fields' sorted orders (bind_layout), which it masks through columns
+of rank buckets (RankBuckets, match_mask): the race runs
     R = min(ceil(max_rounds), min_p(s_p + 1), min_p(q_p))
 rounds, where s_p is plan p's scan length and q_p the scan position of its
 max_results-th match; every plan then has R works, reached EOF iff
@@ -33,15 +35,14 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import compress, islice
 from operator import itemgetter
 
 from .engine import Collection, IndexCatalog, Query, query_shape
 from .errors import NoCandidatesError, UndefinedProductivityError
-from .executor import PlanExecution, WorkState, match_mask, shape_ranges
+from .executor import PlanExecution, WorkState
 from .plans import (
     CandidatePlan,
     OptimizerVariant,
@@ -136,68 +137,87 @@ def race(executions: list[PlanExecution], n_records: int, knobs: RaceKnobs) -> l
     ]
 
 
-# A field's values fall into at most this many rank buckets, so a bucket
-# number fits one byte.
+# Every field's ranks fall into this many rank buckets, so a bucket number
+# fits one byte.
 BUCKETS = 256
 
 
 class RankBuckets:
-    """At most BUCKETS buckets of one field's values, split at ranks.
+    """BUCKETS buckets of the ranks 0..N-1 of a field of N records.
 
-    The edges are the values at ranks floor(q * N / BUCKETS) of the sorted
-    column, q = 0..BUCKETS-1, without repeats; bucket k holds the values v
-    with edges[k] <= v < edges[k + 1] (the last bucket: up to the largest
-    value). A value that fills more than N / BUCKETS ranks starts a bucket.
+    Bucket k holds the ranks floor(k * N / BUCKETS) to floor((k + 1) * N /
+    BUCKETS) - 1 of the field's sorted order (some are empty when N <
+    BUCKETS), so one split serves every field. A record's bucket is its
+    rank's, and a range [low, high) on the field is the ranks [start, end)
+    of its positions (Collection.positions): equal values hold neighbouring
+    ranks, so a value lies in [low, high) exactly when its rank lies in
+    [start, end).
     """
 
-    def __init__(self, sorted_values: array):
-        n = len(sorted_values)
-        edges = list(dict.fromkeys(sorted_values[q * n // BUCKETS] for q in range(BUCKETS)))
-        self.edges = edges
-        # the exclusive upper bound of each bucket's values
-        self._tops = edges[1:] + [sorted_values[-1] + 1]
-        # the bucket number of a value of this field
-        self.number = partial(bisect_right, edges[1:])
+    def __init__(self, n: int):
+        self.n = n
+        # the first rank of each bucket, then N
+        self.firsts = [k * n // BUCKETS for k in range(BUCKETS + 1)]
 
-    def numbers(self, values: array) -> bytes:
-        """The bucket number of each value."""
-        return bytes(map(self.number, values))
-
-    def numbers_from_order(self, sorted_values: array, rids: array) -> bytes:
-        """numbers() of the values in record_id order, from an order of them.
-
-        sorted_values are the field's values in sorted order and rids[k] the
-        record id of sorted_values[k], as in an index leading on the field.
-        Each bucket's values are one run of sorted_values, found by one
-        bisect, and each record id of the run gets the bucket's number.
-        """
-        out = bytearray(len(rids))
-        start = 0
-        for k, top in enumerate(self._tops):
-            end = bisect_left(sorted_values, top)
-            for r in rids[start:end]:
+    def numbers_from_order(self, rids: array) -> bytes:
+        """Each record's bucket number, in record_id order, scattered from a
+        field's order (Collection.order): rids[r] is the record id of rank r."""
+        out = bytearray(self.n)
+        firsts = self.firsts
+        for k in range(BUCKETS):
+            for r in rids[firsts[k]:firsts[k + 1]]:
                 out[r] = k
-            start = end
         return bytes(out)
 
-    def table(self, low: int, high: int) -> bytes:
+    def table(self, start: int, end: int) -> bytes:
         """bytes.translate table: a bucket's number to 0 when none of its
-        values lies in [low, high), 1 when all do, and 2 when some may.
+        ranks lies in [start, end), 1 when all do, and 2 when some do.
 
-        Only the first and the last bucket that meet the range can be 2.
+        Only the buckets of ranks start and end - 1 can be 2.
         """
-        first = bisect_right(self._tops, low)  # the buckets before lie below low
-        end = bisect_left(self.edges, high)  # the buckets from here on lie at or above high
-        if first >= end:
+        if start >= end:
             return bytes(BUCKETS)
-        last = end - 1
-        lower = 2 if self.edges[first] < low else 1
-        upper = 2 if self._tops[last] > high else 1
+        firsts = self.firsts
+        # the bucket of rank r is the last one that starts at or below r
+        first = bisect_right(firsts, start) - 1
+        last = bisect_right(firsts, end - 1) - 1
+        lower = 1 if firsts[first] == start else 2
+        upper = 1 if firsts[last + 1] == end else 2
         if first == last:
             middle = bytes([max(lower, upper)])
         else:
             middle = bytes([lower]) + b"\1" * (last - first - 1) + bytes([upper])
-        return bytes(first) + middle + bytes(BUCKETS - end)
+        return bytes(first) + middle + bytes(BUCKETS - 1 - last)
+
+
+def match_mask(filters, rids: array | None, a: int, b: int) -> bytes:
+    """1 for each position a..b-1 of an access order that matches every
+    filter, 0 for the others.
+
+    A filter is (bucket column in the access order, translate table,
+    record_id-order column, low, high). Its mask is the slice of its bucket
+    column translated by its table (RankBuckets.table): a position in a
+    bucket wholly inside or outside the range is decided there, and only a
+    position marked 2 has its value read, through rids (None for record_id
+    order), and compared with [low, high). The filters' masks are ANDed as
+    integers.
+    """
+    out = None
+    for buckets, table, column, low, high in filters:
+        m = buckets[a:b].translate(table)
+        k = m.find(2)
+        if k >= 0:
+            m = bytearray(m)
+            while k >= 0:
+                value = column[a + k] if rids is None else column[rids[a + k]]
+                m[k] = low <= value < high
+                k = m.find(2, k + 1)
+        if out is None:
+            out = m
+        else:
+            out = (int.from_bytes(out, "little") & int.from_bytes(m, "little")).to_bytes(
+                b - a, "little")
+    return b"\1" * (b - a) if out is None else out
 
 
 def _take(data: bytes, positions: array) -> bytes:
@@ -216,44 +236,41 @@ class RaceLayout:
     order) from the same leading field under the same filter fields scan
     the same positions for every query, so they share one of `scans`:
     IXSCAN_A and IXSCAN_AB over an A without repeated values. A scan is
-    (the position in plans of its first plan, rids or None for record_id
-    order, filters), each filter (field, the field's bucket numbers in the
-    access order, record_id-order column); slots[p] is the scan of
-    plans[p]. `buckets` holds the rank buckets of each filtered field.
+    (its leading field, None for COLLSCAN; rids, None for record_id order;
+    filters), each filter (field, the field's bucket numbers in the access
+    order, record_id-order column); slots[p] is the scan of plans[p].
+    `buckets` splits the ranks of every field alike.
 
     A filtered field's bucket numbers in record_id order are scattered from
-    its order (RankBuckets.numbers_from_order) when a plan leads on the
-    field, whose scan builds that order anyway, and read value by value
-    (RankBuckets.numbers) otherwise; a scan's columns are gathered from
-    them through its rids. The orders of the fields the index plans lead on
-    are sorted first, the second in a worker (Collection.sort_fields).
+    its order (RankBuckets.numbers_from_order), and a scan's columns are
+    gathered from them through its rids. The orders of every field the
+    plans lead on or filter on are sorted first, the second in a worker
+    (Collection.sort_fields).
     """
 
     plans: tuple[ShapePlan, ...]
     slots: tuple[int, ...]
     scans: tuple[tuple, ...]
-    buckets: dict[str, RankBuckets]
+    buckets: RankBuckets
 
 
 def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceLayout:
-    collection.sort_fields([plan.leading for plan in plans if plan.index is not None],
-                           orders=True, worker="the race layout's order worker")
-    buckets = {f: RankBuckets(collection.sorted_values(f))
-               for plan in plans for f in plan.filters}
-    leads = {plan.leading for plan in plans}
-    numbers = {f: rb.numbers_from_order(collection.sorted_values(f), collection.order(f))
-               if f in leads else rb.numbers(collection.columns[f])
-               for f, rb in buckets.items()}
+    filtered = [f for plan in plans for f in plan.filters]
+    collection.sort_fields([plan.leading for plan in plans if plan.index is not None] + filtered,
+                           orders=True)
+    buckets = RankBuckets(len(collection))
+    numbers = {f: buckets.numbers_from_order(collection.order(f))
+               for f in dict.fromkeys(filtered)}
     distinct: dict[tuple, int] = {}
     slots = []
     scans = []
-    for p, plan in enumerate(plans):
+    for plan in plans:
         rids = None if plan.index is None else plan.index.rids
         key = (plan.leading, id(rids), plan.filters)
         slot = distinct.get(key)
         if slot is None:
             slot = distinct[key] = len(scans)
-            scans.append((p, rids, tuple(
+            scans.append((plan.leading, rids, tuple(
                 (f, numbers[f] if rids is None else _take(numbers[f], rids), collection.columns[f])
                 for f in plan.filters)))
         slots.append(slot)
@@ -276,22 +293,24 @@ def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
     return layout
 
 
-def bind_layout(layout: RaceLayout, query: Query, n_records: int,
-                positions: tuple[int, ...] | None = None
+def bind_layout(layout: RaceLayout, query: Query, positions: tuple[int, ...]
                 ) -> list[tuple[int, int, array | None, list]]:
-    """The layout's scans for the query's bounds: (start, end, rids, the
-    filters as match_mask reads them) of each.
+    """The layout's scans for the query: (start, end, rids, the filters as
+    match_mask reads them) of each.
 
-    One bisect pair per leading field, or the query's `positions` when
-    given, gives every range (shape_ranges), and one RankBuckets.table per
-    filtered field every filter's table.
+    `positions` are the (start, end) of each of the query's predicates in
+    its field's sorted values, in predicate order (Collection.positions):
+    the range of every scan that leads on the field, and the ranks whose
+    table (RankBuckets.table) each filter on the field reads.
     """
-    spans = shape_ranges(layout.plans, query, n_records, positions)
+    ends = iter(positions)
+    ranges = {p.field: (start, end) for p, start, end in zip(query.predicates, ends, ends)}
     bounds = {p.field: (p.low, p.high) for p in query.predicates}
-    tables = {f: rb.table(*bounds[f]) for f, rb in layout.buckets.items()}
-    return [(*spans[p], rids,
+    tables = {f: layout.buckets.table(*span) for f, span in ranges.items()}
+    ranges[None] = (0, layout.buckets.n)  # COLLSCAN's
+    return [(*ranges[leading], rids,
              [(column, tables[f], values, *bounds[f]) for f, column, values in filters])
-            for p, rids, filters in layout.scans]
+            for leading, rids, filters in layout.scans]
 
 
 def _race_scans(scans: list[tuple[int, int, array | None, list]], n_records: int,
@@ -441,9 +460,8 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     With a cache, a shape hit skips the race and reuses the cached plan
     unconditionally; a miss races and caches the winner.
     `positions`, when the caller has them, are the (start, end) of each of
-    the query's predicates in its field's sorted values, in predicate order;
-    the race then takes its scan ranges from them instead of bisecting
-    (shape_ranges).
+    the query's predicates in its field's sorted values, in predicate order
+    (Collection.positions); without them the race bisects for them once.
     """
     if cache is not None:
         shape = query_shape(query)
@@ -452,7 +470,9 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
             return OptimizeResult(cached, from_cache=True)
 
     layout = race_layout(query, collection, catalog, variant)
-    scans = bind_layout(layout, query, len(collection), positions)
+    if positions is None:
+        positions = [k for p in query.predicates for k in collection.positions(p)]
+    scans = bind_layout(layout, query, positions)
     rounds, found = _race_scans(scans, len(collection), knobs)
     results = [found[k] for k in layout.slots]
     lengths = [scans[k][1] - scans[k][0] for k in layout.slots]

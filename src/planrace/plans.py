@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Index, IndexCatalog, Query, index_name_for
+from .engine import Index, IndexCatalog, Query
 from .errors import UnknownPlanError
 
 
@@ -38,12 +38,6 @@ class PlanId:
         if self.kind is PlanKind.COLLSCAN:
             return "COLLSCAN"
         return "IXSCAN_" + "".join(self.key_fields)
-
-    @property
-    def index_name(self) -> str | None:
-        if self.kind is PlanKind.COLLSCAN:
-            return None
-        return index_name_for(self.key_fields)
 
 
 COLLSCAN_ID = PlanId(PlanKind.COLLSCAN)

@@ -28,8 +28,7 @@ class Scenario:
         Every index leading on a field holds the field's sorted values, so
         those are sorted first, the second in a worker (Collection.sort_fields).
         """
-        collection.sort_fields([keys[0] for keys in self.index_keys], orders=False,
-                               worker="the catalog's sort worker")
+        collection.sort_fields([keys[0] for keys in self.index_keys], orders=False)
         return IndexCatalog([build_index(collection, keys) for keys in self.index_keys])
 
     def make_query(self, pred_a: RangePredicate, pred_b: RangePredicate,

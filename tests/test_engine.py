@@ -190,7 +190,7 @@ def test_index_rids_are_int64_arrays_in_key_then_record_id_order(dist):
         assert ix._rids is None  # built when the index's order is first read
         assert isinstance(ix.rids, array) and ix.rids.typecode == "q"
         assert ix.rids == key_then_rid_order(c, ix.key_fields)
-    a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
+    a, _, ab = catalog.indexes  # A_1, B_1, A_1_B_1
     assert a.rids is c.order("A")
     # without ties in A, A's order is already A_1_B_1's
     assert (ab.rids is a.rids) == (dist == "uniform-distinct")
@@ -199,7 +199,7 @@ def test_index_rids_are_int64_arrays_in_key_then_record_id_order(dist):
 def test_compound_index_shares_leading_index_lists_without_ties():
     c = generate_dataset(500, "uniform-distinct", seed=3)
     catalog = get_scenario("covering").build_catalog(c)
-    a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
+    a, _, ab = catalog.indexes  # A_1, B_1, A_1_B_1
     assert ab.rids is a.rids is c.order("A")
     assert ab.key_values is a.key_values
 
@@ -207,7 +207,7 @@ def test_compound_index_shares_leading_index_lists_without_ties():
 def test_compound_index_with_ties_copies_all_but_leading_column():
     c = generate_dataset(500, "uniform-with-repeats", seed=3)
     catalog = get_scenario("covering").build_catalog(c)
-    a, ab = catalog.by_name("A_1"), catalog.by_name("A_1_B_1")
+    a, _, ab = catalog.indexes  # A_1, B_1, A_1_B_1
     assert ab.rids is not a.rids and ab.rids != a.rids
     assert ab.key_values is a.key_values
     assert index_entries(c, ab) == index_entries(c, build_index(c, ["A", "B"]))
@@ -237,14 +237,19 @@ def test_catalog_indexes_are_fixed_when_it_is_built():
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_value_bounds_are_sorted_extremes(dist):
+def test_positions_count_the_values_below_each_bound(dist):
     c = generate_dataset(1000, dist, seed=9)
+    rng = random.Random(dist)
     for f in c.field_list:
-        values = sorted(c.columns[f])
-        assert c.value_bounds(f) == (values[0], values[-1])
-    assert c._sorted_values == {}  # taken without building a sorted copy
+        column = c.columns[f]
+        for _ in range(30):
+            low = rng.randrange(-5, 1005)
+            high = low + rng.randrange(0, 300)
+            start, end = c.positions(RangePredicate(f, low, high))
+            assert (start, end) == (sum(v < low for v in column), sum(v < high for v in column))
+            assert sorted(column)[start:end] == sorted(v for v in column if low <= v < high)
     with pytest.raises(UnknownFieldError, match="Z"):
-        c.value_bounds("Z")
+        c.positions(RangePredicate("Z", 0, 1))
 
 
 def test_index_unknown_field_error_names_field():

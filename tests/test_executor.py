@@ -5,22 +5,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import DISTRIBUTIONS, Collection, RangePredicate, generate_dataset
+from planrace.engine import RangePredicate, generate_dataset
 from planrace.executor import (
     CostModel,
     PlanExecution,
     WorkState,
-    match_mask,
     plan_cost_totals,
     run_to_completion,
 )
-from planrace.optimizer import BUCKETS, RankBuckets
 from planrace.plans import enumerate_candidates, parse_plan_hint
-from planrace.scenarios import SCENARIOS, get_scenario
+from planrace.scenarios import get_scenario
 
 COST = CostModel()
 
@@ -214,129 +211,3 @@ def test_cost_model_rejects_non_finite(value):
     for name in ("c_seq", "c_idx", "c_fetch"):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             CostModel(**{name: value})
-
-
-# --- byte masks -----------------------------------------------------------------
-
-def list_mask(columns, filters, a, b):
-    """The list-comprehension mask of positions a..b-1: every position's
-    values compared, in the access order's own columns."""
-    return [int(all(low <= columns[f][k] < high for f, low, high in filters))
-            for k in range(a, b)]
-
-
-def bound_candidates(values, rng):
-    """Range bounds that stress the buckets: stored values, bucket edges and
-    their neighbours, and values below the minimum and above the maximum."""
-    lo, hi = min(values), max(values)
-    edges = rank_buckets_of(values).edges
-    pool = [lo - 7, lo - 1, lo, hi, hi + 1, hi + 9]
-    pool += [e + d for e in edges for d in (-1, 0, 1)]
-    pool += rng.sample(values, min(len(values), 40))
-    return pool
-
-
-def rank_buckets_of(values):
-    return RankBuckets(sorted(values))
-
-
-MASK_SIZES = [1, 2, 7, 100, 255, 256, 257, 3000]
-
-
-def check_byte_masks(collection, rng):
-    n = len(collection)
-    catalog = get_scenario("covering").build_catalog(collection)
-    orders = [None, *catalog.indexes]
-    pools = {f: bound_candidates(collection.columns[f], rng) for f in ("A", "B")}
-    buckets = {f: rank_buckets_of(collection.columns[f]) for f in ("A", "B")}
-    checked = 0
-    for _ in range(150):
-        index = rng.choice(orders)
-        fields = (("A", "B") if index is None
-                  else tuple(f for f in ("A", "B") if f != index.key_fields[0]))
-        # up to two filters, some with empty ranges
-        filters = []
-        for f in fields[:rng.choice([0, 1, len(fields)])]:
-            low = rng.choice(pools[f])
-            high = low if rng.random() < 0.1 else rng.choice(pools[f])
-            filters.append((f, min(low, high), max(low, high)))
-        start = rng.randrange(n + 1)
-        end = rng.randrange(start, n + 1)
-        rids = None if index is None else index.rids
-        # each field's column in the access order, gathered through its rids
-        columns = collection.columns if index is None else {
-            f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}
-        masking = [(buckets[f].numbers(columns[f]), buckets[f].table(low, high),
-                    collection.columns[f], low, high)
-                   for f, low, high in filters]
-        for _ in range(3):
-            lo = rng.randrange(end - start + 1)
-            hi = rng.randrange(lo, end - start + 1)
-            assert (list(match_mask(masking, rids, start + lo, start + hi))
-                    == list_mask(columns, filters, start + lo, start + hi))
-            checked += 1
-        assert list(match_mask(masking, rids, start, end)) == list_mask(
-            columns, filters, start, end)
-    assert checked == 450
-
-
-@pytest.mark.parametrize("n", MASK_SIZES)
-@pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_byte_masks_equal_list_masks(dist, n):
-    check_byte_masks(generate_dataset(n, dist, seed=n + 1), random.Random(n))
-
-
-@pytest.mark.parametrize("n", [1, 300, 3000])
-def test_byte_masks_equal_list_masks_on_spread_values(n):
-    check_byte_masks(spread(generate_dataset(n, "uniform-with-repeats", seed=n)),
-                     random.Random(n))
-
-
-@pytest.mark.parametrize("n", MASK_SIZES)
-@pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_rank_buckets_decide_every_value_outside_the_boundary(dist, n):
-    rng = random.Random(n)
-    values = generate_dataset(n, dist, seed=n + 2).columns["A"]
-    buckets = rank_buckets_of(values)
-    distinct = sorted(set(values))
-    assert buckets.edges == sorted(set(buckets.edges)) and set(buckets.edges) <= set(distinct)
-    assert buckets.edges[0] == distinct[0] and len(buckets.edges) <= BUCKETS
-    if n < BUCKETS:  # every rank is an edge: one value per bucket
-        assert buckets.edges == distinct
-    numbers = [buckets.number(v) for v in distinct]
-    assert numbers == sorted(numbers) and numbers[-1] == len(buckets.edges) - 1
-    groups = [[v for v, k in zip(distinct, numbers) if k == bucket]
-              for bucket in range(len(buckets.edges))]
-    pool = bound_candidates(values, rng)
-    for low in rng.choices(pool, k=60):
-        for high in rng.choices(pool, k=20) + [low]:
-            table = buckets.table(low, high)
-            assert len(table) == BUCKETS and table.count(2) <= 2
-            for group, mark in zip(groups, table):
-                inside = bisect_left(group, high) - bisect_left(group, low) if low < high else 0
-                # 0: no value of the bucket in range, 1: every value
-                assert mark == 2 or inside == (len(group) if mark else 0), (low, high, group)
-
-
-def spread(collection):
-    """The collection with A's values far apart and B's below zero."""
-    return Collection("spread", {"A": [v * 10**9 for v in collection.columns["A"]],
-                                 "B": [v - 500 for v in collection.columns["B"]]})
-
-
-@pytest.mark.parametrize("values", ["generated", "spread"])
-@pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-@pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_numbers_from_every_leading_order_equal_numbers(dist, scenario_name, values):
-    # every access order of the field's sorted values scatters to the
-    # column that numbers() reads value by value
-    collection = generate_dataset(2000, dist, seed=13)
-    if values == "spread":
-        collection = spread(collection)
-    catalog = get_scenario(scenario_name).build_catalog(collection)
-    for f in ("A", "B"):
-        buckets = rank_buckets_of(collection.columns[f])
-        want = buckets.numbers(collection.columns[f])
-        for ix in catalog.indexes:
-            if ix.key_fields[0] == f:
-                assert buckets.numbers_from_order(ix.key_values, ix.rids) == want

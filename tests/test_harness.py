@@ -27,7 +27,7 @@ from planrace.engine import (
     selectivity,
 )
 from planrace.errors import PlanraceError, UnknownPlanError
-from planrace.executor import CostModel, plan_cost_totals, shape_ranges
+from planrace.executor import CostModel, plan_cost_totals
 from planrace.harness import (
     ExperimentGrid,
     GridCell,
@@ -45,8 +45,9 @@ from planrace.harness import (
     run_experiment,
     sweep,
 )
-from planrace.optimizer import RaceKnobs, RankBuckets, optimize
+from planrace.optimizer import RaceKnobs, optimize
 from planrace.plans import (
+    PLAN_ID_ORDER,
     OptimizerVariant,
     enumerate_candidates,
     parse_plan_hint,
@@ -206,7 +207,7 @@ def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
     by_hand = ExperimentGrid(d=2)
     for i, (la, ha, lb, hb) in enumerate([(0, 9, 3, 5), (-4, 2, 7, 40)]):
         query = scenario.make_query(RangePredicate("A", la, ha), RangePredicate("B", lb, hb))
-        a, b = catalog.by_name("A_1"), catalog.by_name("B_1")
+        a, b = catalog.indexes
         positions = (*a.range_positions(la, ha), *b.range_positions(lb, hb))
         by_hand.cells[(i, i)] = GridCell(i=i, j=i, e_a=0.0, e_b=0.0, query=query,
                                          chosen="COLLSCAN", positions=positions)
@@ -271,13 +272,19 @@ def test_sweep_deterministic_per_seed(small_world):
            {k: v.chosen for k, v in g2.cells.items()}
 
 
+def value_bounds(collection, field_name):
+    """The smallest and largest value of a field: its sorted values' ends."""
+    values = collection.sorted_values(field_name)
+    return values[0], values[-1]
+
+
 def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None):
     """The sweep loop built from the public per-draw functions, with its counters."""
     rng = random.Random(seed)
     n = len(collection)
     grid = ExperimentGrid(d=d)
-    a_lo, a_hi = collection.value_bounds("A")
-    b_lo, b_hi = collection.value_bounds("B")
+    a_lo, a_hi = value_bounds(collection, "A")
+    b_lo, b_hi = value_bounds(collection, "B")
 
     def record(i, j, query):
         result = optimize(query, collection, catalog, variant, RaceKnobs(), cache=cache)
@@ -463,7 +470,7 @@ def spread_collection(a_bounds, b_bounds, n=50, seed=29):
 def test_sweep_matches_reference_across_domain_sizes(monkeypatch, a_bounds, b_bounds):
     monkeypatch.setattr(harness, "REJECTION_CAP", 5000)
     collection = spread_collection(a_bounds, b_bounds)
-    assert [collection.value_bounds(f) for f in "AB"] == [a_bounds, b_bounds]
+    assert [value_bounds(collection, f) for f in "AB"] == [a_bounds, b_bounds]
     assert_sweep_matches_reference(get_scenario("both-indexed"), collection, 5, seed=13)
 
 
@@ -525,17 +532,23 @@ def drawn_cells(grid, n):
 
 def assert_positions_are_scan_ranges(grid, collection, catalog, scenario, variant):
     """Each cell's positions are its ranges' positions in every index leading
-    on the range's field and the scan range of every candidate and forced
+    on the range's field, fresh bisects of the fields' sorted values
+    (Collection.positions) and the scan range of every candidate and forced
     plan that leads on it, and their lengths are the cell's selectivities."""
     n = len(collection)
     forced = scenario.forced_plan_ids()
     for cell in grid.cells.values():
         q = cell.query
         assert cell.positions == reference_positions(q, collection, catalog)
+        assert list(cell.positions) == [k for p in q.predicates for k in collection.positions(p)]
         start_a, end_a, start_b, end_b = cell.positions
         assert (cell.e_a, cell.e_b) == ((end_a - start_a) / n, (end_b - start_b) / n)
+        spans = {"A": (start_a, end_a), "B": (start_b, end_b)}
         for plans in (shape_candidates(q, catalog, variant), shape_forced(q, catalog, forced)):
-            assert shape_ranges(plans, q, n, cell.positions) == shape_ranges(plans, q, n)
+            for plan in plans:
+                if plan.index is not None:
+                    pred = q.predicate_on(plan.leading)
+                    assert plan.index.range_positions(pred.low, pred.high) == spans[plan.leading]
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
@@ -548,9 +561,11 @@ def test_sweep_records_the_cells_draw_cells_gives(monkeypatch, forks, dist, scen
     catalog = scenario.build_catalog(collection)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 8, seed=5)
     assert drawn_cells(grid, len(collection)) == list(harness.draw_cells(collection, 8, 5))
-    # the run forks only to sort: single-index has one field to sort
+    # the run forks only to sort: single-index's catalog has one field to
+    # sort, and its race layout sorts B's order for its index and A's for
+    # its filters
     sorts = int(scenario_name != "single-index")
-    assert {name: len(pids) for name, pids in forks.items()} == {SORTS: sorts, ORDERS: sorts}
+    assert {name: len(pids) for name, pids in forks.items()} == {SORTS: sorts, ORDERS: 1}
     assert_reaped(forks[SORTS] + forks[ORDERS])
 
 
@@ -584,23 +599,32 @@ def test_positions_are_every_plans_scan_range(monkeypatch, dist, scenario_name):
     assert_positions_are_scan_ranges(grid, collection, catalog, scenario, OptimizerVariant.MOD)
 
 
+class Unreadable:
+    """A column of n values that fails when any of them is read."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, k):
+        raise AssertionError("a column was read")
+
+    def __iter__(self):
+        raise AssertionError("a column was scanned")
+
+
 def test_draws_and_direct_fill_scan_no_column_for_its_bounds(monkeypatch):
     # the bounds are the ends of the sorted count columns; the reference
-    # sweeps above, which read value_bounds, hold them equal
+    # sweeps above, which take the same ends, hold them equal
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
     collection = generate_dataset(9, "uniform-distinct", seed=7)
-    catalog = get_scenario("both-indexed").build_catalog(collection)
-    calls = []
-    bounds = Collection.value_bounds
-
-    def counted(self, field_name):
-        calls.append(field_name)
-        return bounds(self, field_name)
-
-    monkeypatch.setattr(Collection, "value_bounds", counted)
+    get_scenario("both-indexed").build_catalog(collection)
+    monkeypatch.setattr(collection, "columns",
+                        {f: Unreadable(len(column)) for f, column in collection.columns.items()})
     *cells, (_, _, filled_directly) = harness.draw_cells(collection, 10, 7)
     assert len(cells) == 100 and filled_directly == 19
-    assert calls == []
 
 
 def test_threads_keep_the_sorts_in_process(monkeypatch):
@@ -645,7 +669,7 @@ def hang():
 
 def sort_both(scenario, collection, worker):
     """Build the scenario's catalog, and for ORDERS race one query, whose
-    layout sorts the orders of the fields its plans lead on."""
+    layout sorts the orders of the fields its plans lead or filter on."""
     catalog = scenario.build_catalog(collection)
     if worker == ORDERS:
         query = scenario.make_query(RangePredicate("A", 0, 100), RangePredicate("B", 0, 200))
@@ -670,8 +694,9 @@ def test_second_field_is_sorted_in_a_worker(forks, dist, scenario_name, worker):
     collection = generate_dataset(3000, dist, seed=23)
     scenario = get_scenario(scenario_name)
     catalog = sort_both(scenario, collection, worker)
-    # single-index has one index, on one field, so nothing to sort alongside
-    assert len(forks[worker]) == (scenario_name != "single-index")
+    # single-index has one index, on one field, so its catalog has nothing
+    # to sort alongside; its layout sorts A's order, for the filters, too
+    assert len(forks[worker]) == (scenario_name != "single-index" or worker == ORDERS)
     assert forks[ORDERS] == [] or worker == ORDERS
     assert_reaped(forks[SORTS] + forks[ORDERS])
     assert_sorted_as_in_process(collection)
@@ -757,7 +782,7 @@ def test_a_sort_that_fails_here_kills_and_reaps_the_worker(monkeypatch, forks):
     monkeypatch.setattr(Collection, "order", failing_order)
     collection = generate_dataset(2000, "uniform-distinct", seed=3)
     with deadline(10), pytest.raises(PlanraceError, match="order failed"):
-        collection.sort_fields(["A", "B"], orders=True, worker=ORDERS)
+        collection.sort_fields(["A", "B"], orders=True)
     assert len(forks[ORDERS]) == 1
     assert_reaped(forks[ORDERS])
 
@@ -785,7 +810,7 @@ def test_deadline_bounds_a_hung_worker(monkeypatch, forks):
     monkeypatch.setattr(engine, "_sorted_bytes", lambda sort, field_name: hang())
     collection = generate_dataset(2000, "uniform-distinct", seed=3)
     with deadline(1), pytest.raises(TimeoutError):
-        collection.sort_fields(["A", "B"], orders=False, worker=SORTS)
+        collection.sort_fields(["A", "B"], orders=False)
     assert len(forks[SORTS]) == 1
     assert_reaped(forks[SORTS])
 
@@ -815,7 +840,7 @@ def draws_to_first_miss(collection, d, seed):
     first one whose cell is already filled."""
     rng = random.Random(seed)
     n = len(collection)
-    bounds = [collection.value_bounds(f) for f in "AB"]
+    bounds = [value_bounds(collection, f) for f in "AB"]
     filled = set()
     while True:
         cell = tuple(harness._cell_from_count(
@@ -1253,23 +1278,52 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
             for _, rids, filters in layout.scans if rids is not None} == expected
 
 
+@pytest.mark.parametrize("hint", [None, *PLAN_ID_ORDER])
 @pytest.mark.parametrize("variant", list(OptimizerVariant))
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-def test_first_race_builds_the_orders_its_indexes_scan(monkeypatch, scenario_name, variant):
-    # a field some raced plan leads on has its record_id-order bucket column
-    # scattered from the order that plan's scan builds, so only a field no
-    # plan leads on (A in single-index) is read value by value, and no order
-    # is sorted for it
+def test_first_race_sorts_the_orders_its_plans_lead_or_filter_on(scenario_name, variant, hint):
+    # the index plans scan their leading fields' orders, and every filtered
+    # field's bucket column is scattered from its order; a field the query
+    # does not name (C) is never sorted
     collection = generate_dataset(2000, "uniform-distinct", seed=5)
+    collection = Collection("three", {**collection.columns, "C": collection.columns["A"]})
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)
     assert collection._orders == {}
-    read = []
-    numbers = RankBuckets.numbers
-    monkeypatch.setattr(RankBuckets, "numbers",
-                        lambda self, values: read.append(values) or numbers(self, values))
-    query = scenario.make_query(RangePredicate("A", 100, 900), RangePredicate("B", 300, 1500))
-    optimize(query, collection, catalog, variant)
-    single = scenario_name == "single-index"
-    assert set(collection._orders) == ({"B"} if single else {"A", "B"})
-    assert read == ([collection.columns["A"]] if single else [])
+    query = scenario.make_query(RangePredicate("A", 100, 900), RangePredicate("B", 300, 1500),
+                                hint=None if hint is None else parse_plan_hint(hint))
+    try:
+        optimize(query, collection, catalog, variant)
+    except UnknownPlanError:
+        assert collection._orders == {}  # a hint the catalog cannot produce builds nothing
+        return
+    (layout,) = catalog.shape_plans.values()
+    read = {plan.leading for plan in layout.plans if plan.index is not None}
+    read |= {f for plan in layout.plans for f in plan.filters}
+    assert set(collection._orders) == read <= {"A", "B"}
+
+
+def test_a_raced_single_index_run_sorts_its_second_order_in_a_worker(monkeypatch):
+    # single-index's catalog sorts B's values alone; its race layout sorts
+    # B's order for the index and A's for the filters, the second in a worker
+    forked = []
+    fork = workers.forked
+
+    def recorded(produce, args, name):
+        worker = fork(produce, args, name)
+        forked.append((name, None if worker is None else worker._pid))
+        return worker
+
+    monkeypatch.setattr(workers, "forked", recorded)
+    monkeypatch.setattr(workers, "can_overlap", lambda: True)
+    collection = generate_dataset(engine.SORT_WORKER_MIN, "uniform-distinct", seed=3)
+    scenario = get_scenario("single-index")
+    catalog = scenario.build_catalog(collection)
+    assert forked == []
+    query = scenario.make_query(RangePredicate("A", 0, 100), RangePredicate("B", 0, 200))
+    optimize(query, collection, catalog, OptimizerVariant.MOD)
+    ((name, pid),) = forked
+    assert name == ORDERS and pid is not None
+    assert_reaped([pid])
+    assert set(collection._orders) == {"A", "B"}
+    assert_sorted_as_in_process(collection)

@@ -1,5 +1,6 @@
 """The runtime is standard-library only, no module imports a name it never reads,
-and only the collection forks a worker."""
+only the collection forks a worker, and the executor stays the optimizer's
+stepped reference."""
 
 from __future__ import annotations
 
@@ -60,3 +61,20 @@ def test_only_the_collection_forks_and_only_to_sort():
                     node.module == "workers" or any(a.name == "workers" for a in node.names)):
                 importers.append(path.name)
     assert importers == ["engine.py"]
+
+
+def imported_names(module: str, source: str) -> set[str]:
+    """The names planrace/<module>.py imports from planrace/<source>.py, and
+    `source` itself where it imports the module whole."""
+    path = Path(planrace.__file__).parent / f"{module}.py"
+    return {alias.name for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+            if node.module == source or (node.module is None and alias.name == source)}
+
+
+def test_the_optimizer_steps_the_executor_only_in_its_reference_race():
+    # the closed-form race and its bucket masks are the optimizer's own; the
+    # executor is the stepped reference, and knows nothing of the race
+    assert imported_names("optimizer", "executor") == {"PlanExecution", "WorkState"}
+    assert imported_names("executor", "optimizer") == set()

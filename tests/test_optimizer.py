@@ -1,21 +1,25 @@
-"""Race loop, race layout, score arithmetic, winner choice, and the plan cache."""
+"""Race loop, race layout, rank buckets and byte masks, score arithmetic,
+winner choice, and the plan cache."""
 
 from __future__ import annotations
 
+import functools
 import random
 from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import DISTRIBUTIONS, Query, RangePredicate, generate_dataset
+from planrace.engine import DISTRIBUTIONS, Collection, Query, RangePredicate, generate_dataset
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
+    BUCKETS,
     PlanCache,
     RaceKnobs,
     RankBuckets,
     Score,
     TrialStats,
+    match_mask,
     optimize,
     pick_best,
     race,
@@ -188,38 +192,32 @@ def layout_for(collection, scenario_name, variant):
 def test_layout_columns_are_bucket_numbers_in_each_scan_order(dist, scenario_name, variant):
     collection = generate_dataset(2000, dist, seed=13)
     layout = layout_for(collection, scenario_name, variant)
-    assert set(layout.buckets) == {f for plan in layout.plans for f in plan.filters}
-    for slot, (p, rids, filters) in enumerate(layout.scans):
-        plan = layout.plans[p]
-        assert layout.slots[p] == slot
+    assert layout.buckets.n == len(collection)
+    for slot, (leading, rids, filters) in enumerate(layout.scans):
+        plan = layout.plans[layout.slots.index(slot)]
+        assert leading == plan.leading
         assert rids is (None if plan.index is None else plan.index.rids)
         assert tuple(f for f, _, _ in filters) == plan.filters
         for f, column, values in filters:
             assert values is collection.columns[f]
-            buckets = RankBuckets(collection.sorted_values(f))
-            assert column == buckets.numbers(values if rids is None else [values[r] for r in rids])
+            numbers = rank_numbers(collection, f)
+            assert column == (numbers if rids is None else bytes(numbers[r] for r in rids))
 
 
 @pytest.mark.parametrize("variant", list(OptimizerVariant))
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
-def test_layout_scatters_exactly_the_fields_its_plans_lead_on(monkeypatch, scenario_name,
-                                                              variant):
+def test_layout_scatters_every_filtered_field_from_its_order(monkeypatch, scenario_name,
+                                                             variant):
     collection = generate_dataset(2000, "uniform-with-repeats", seed=5)
-    read, scattered = [], []
-    numbers, numbers_from_order = RankBuckets.numbers, RankBuckets.numbers_from_order
-    monkeypatch.setattr(RankBuckets, "numbers",
-                        lambda self, values: read.append(values) or numbers(self, values))
+    scattered = []
+    numbers_from_order = RankBuckets.numbers_from_order
     monkeypatch.setattr(RankBuckets, "numbers_from_order",
-                        lambda self, values, rids: scattered.append(values)
-                        or numbers_from_order(self, values, rids))
+                        lambda self, rids: scattered.append(rids)
+                        or numbers_from_order(self, rids))
     layout = layout_for(collection, scenario_name, variant)
-    filtered = set(layout.buckets)
-    leads = {plan.leading for plan in layout.plans}
-    assert sorted(f for f in filtered for v in scattered
-                  if v is collection.sorted_values(f)) == sorted(filtered & leads)
-    assert sorted(f for f in filtered for v in read
-                  if v is collection.columns[f]) == sorted(filtered - leads)
-    assert len(scattered) + len(read) == len(filtered)
+    filtered = {f for plan in layout.plans for f in plan.filters}
+    assert len(scattered) == len(filtered)
+    assert all(any(rids is collection.order(f) for rids in scattered) for f in filtered)
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
@@ -230,6 +228,143 @@ def test_layout_shares_one_scan_between_a_and_ab_without_repeated_a_values(dist)
     assert {"IXSCAN_A", "IXSCAN_AB"} <= set(slots)
     assert (slots["IXSCAN_A"] == slots["IXSCAN_AB"]) == (dist == "uniform-distinct")
     assert len(layout.scans) == len(set(slots.values()))
+
+
+# --- rank buckets and byte masks ----------------------------------------------
+
+@functools.cache
+def bucket_of_rank(n):
+    """Each rank's bucket among n ranks, by brute force: the last k whose
+    first rank, floor(k * n / BUCKETS), lies at or below it."""
+    return bytes(max(k for k in range(BUCKETS) if k * n // BUCKETS <= rank)
+                 for rank in range(n))
+
+
+def rank_numbers(collection, f):
+    """Each record's bucket number in record_id order, by brute force: the
+    bucket of its rank in (value, record_id) order."""
+    column = collection.columns[f]
+    buckets = bucket_of_rank(len(collection))
+    out = bytearray(len(collection))
+    for rank, rid in enumerate(sorted(range(len(collection)), key=lambda r: (column[r], r))):
+        out[rid] = buckets[rank]
+    return bytes(out)
+
+
+MASK_SIZES = [1, 2, 7, 100, 255, 256, 257, 3000]
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 255, 256, 257, 1000])
+def test_rank_bucket_tables_decide_every_rank_outside_the_boundary(n):
+    # every range of ranks [start, end): each rank marked 0 lies outside it
+    # and each marked 1 inside; a bucket marked 2, at most two of them, has
+    # ranks on both sides of one of its ends
+    buckets = RankBuckets(n)
+    numbers = bucket_of_rank(n)
+    # where each bucket's ranks start and end; with n < BUCKETS, every rank
+    # has a bucket of its own and the others are empty
+    spans = [(numbers.find(k), numbers.rfind(k) + 1) for k in range(BUCKETS)]
+    assert len(set(numbers)) == min(n, BUCKETS)
+    tables = 0
+    for start in range(n + 1):
+        for end in range(start, n + 1):
+            table = buckets.table(start, end)
+            marks = numbers.translate(table)
+            assert (marks.find(1, 0, start) < 0 and marks.find(0, start, end) < 0
+                    and marks.find(1, end) < 0), (start, end)
+            first, last = table.find(2), table.rfind(2)
+            if first >= 0:
+                assert table.count(2) == 1 + (first < last), (start, end)
+                for lo, hi in (spans[first], spans[last]):
+                    assert lo < end and start < hi and not start <= lo < hi <= end, (start, end)
+            tables += len(table) == BUCKETS
+    assert tables == (n + 1) * (n + 2) // 2
+
+
+@pytest.mark.parametrize("n", MASK_SIZES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_numbers_from_order_are_each_records_rank_bucket(dist, n):
+    collection = generate_dataset(n, dist, seed=n + 2)
+    for f in ("A", "B"):
+        assert RankBuckets(n).numbers_from_order(collection.order(f)) == rank_numbers(
+            collection, f)
+
+
+def list_mask(columns, filters, a, b):
+    """The list-comprehension mask of positions a..b-1: every position's
+    values compared, in the access order's own columns."""
+    return [int(all(low <= columns[f][k] < high for f, low, high in filters))
+            for k in range(a, b)]
+
+
+def bound_candidates(collection, f, rng):
+    """Range bounds that stress the buckets: stored values, the values at
+    the buckets' first ranks and their neighbours, and values below the
+    minimum and above the maximum."""
+    values = collection.sorted_values(f)
+    lo, hi = values[0], values[-1]
+    firsts = {values[k * len(values) // BUCKETS] for k in range(BUCKETS)}
+    pool = [lo - 7, lo - 1, lo, hi, hi + 1, hi + 9]
+    pool += [v + d for v in firsts for d in (-1, 0, 1)]
+    pool += rng.sample(list(values), min(len(values), 40))
+    return pool
+
+
+def check_byte_masks(collection, rng):
+    n = len(collection)
+    catalog = get_scenario("covering").build_catalog(collection)
+    orders = [None, *catalog.indexes]
+    pools = {f: bound_candidates(collection, f, rng) for f in ("A", "B")}
+    buckets = RankBuckets(n)
+    numbers = {f: rank_numbers(collection, f) for f in ("A", "B")}
+    checked = 0
+    for _ in range(150):
+        index = rng.choice(orders)
+        fields = (("A", "B") if index is None
+                  else tuple(f for f in ("A", "B") if f != index.key_fields[0]))
+        # up to two filters, some with empty ranges
+        filters = []
+        for f in fields[:rng.choice([0, 1, len(fields)])]:
+            low = rng.choice(pools[f])
+            high = low if rng.random() < 0.1 else rng.choice(pools[f])
+            filters.append((f, min(low, high), max(low, high)))
+        start = rng.randrange(n + 1)
+        end = rng.randrange(start, n + 1)
+        rids = None if index is None else index.rids
+        # each field's column in the access order, gathered through its rids
+        columns = collection.columns if index is None else {
+            f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}
+        masking = [(numbers[f] if rids is None else bytes(numbers[f][r] for r in rids),
+                    buckets.table(*collection.positions(RangePredicate(f, low, high))),
+                    collection.columns[f], low, high)
+                   for f, low, high in filters]
+        for _ in range(3):
+            lo = rng.randrange(end - start + 1)
+            hi = rng.randrange(lo, end - start + 1)
+            assert (list(match_mask(masking, rids, start + lo, start + hi))
+                    == list_mask(columns, filters, start + lo, start + hi))
+            checked += 1
+        assert list(match_mask(masking, rids, start, end)) == list_mask(
+            columns, filters, start, end)
+    assert checked == 450
+
+
+@pytest.mark.parametrize("n", MASK_SIZES)
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+def test_byte_masks_equal_list_masks(dist, n):
+    check_byte_masks(generate_dataset(n, dist, seed=n + 1), random.Random(n))
+
+
+def spread(collection):
+    """The collection with A's values far apart and B's below zero."""
+    return Collection("spread", {"A": [v * 10**9 for v in collection.columns["A"]],
+                                 "B": [v - 500 for v in collection.columns["B"]]})
+
+
+@pytest.mark.parametrize("n", [1, 300, 3000])
+def test_byte_masks_equal_list_masks_on_spread_values(n):
+    check_byte_masks(spread(generate_dataset(n, "uniform-with-repeats", seed=n)),
+                     random.Random(n))
 
 
 # --- score_plan -----------------------------------------------------------

@@ -13,10 +13,11 @@ from planrace.engine import (
     RangePredicate,
     build_index,
     generate_dataset,
+    index_name_for,
 )
 from planrace.errors import UnknownPlanError
 from planrace.executor import CostModel, PlanExecution, run_to_completion
-from planrace.optimizer import RankBuckets, bind_layout, race_layout
+from planrace.optimizer import bind_layout, race_layout
 from planrace.plans import (
     PLAN_ID_ORDER,
     CandidatePlan,
@@ -147,8 +148,8 @@ def test_candidate_order_is_deterministic(dataset):
 def test_parse_plan_hint_round_trip():
     assert str(parse_plan_hint("COLLSCAN")) == "COLLSCAN"
     assert str(parse_plan_hint("IXSCAN_A")) == "IXSCAN_A"
-    assert parse_plan_hint("IXSCAN_A").index_name == "A_1"
-    assert parse_plan_hint("IXSCAN_AB").index_name == "A_1_B_1"
+    assert index_name_for(parse_plan_hint("IXSCAN_A").key_fields) == "A_1"
+    assert index_name_for(parse_plan_hint("IXSCAN_AB").key_fields) == "A_1_B_1"
     assert parse_plan_hint("IXSCAN_AB").kind is PlanKind.IXSCAN_COVER
 
 
@@ -197,7 +198,6 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
     projections = [None, Projection(("A", "B")), Projection(("A", "B"), suppress_record_id=False),
                    Projection(("A",))]
     errors = 0
-    buckets = {f: RankBuckets(dataset.sorted_values(f)) for f in ("A", "B")}
     columns = {}  # each field's bucket numbers by access order
     for variant in OptimizerVariant:
         for hint in HINTS:
@@ -222,7 +222,8 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                     assert bound == bind_plans(got[1], q)
                     # the race layout bound to q scans what PlanExecution steps
                     layout = race_layout(q, dataset, catalog, variant)
-                    scans = bind_layout(layout, q, len(dataset))
+                    positions = [k for p in q.predicates for k in dataset.positions(p)]
+                    scans = bind_layout(layout, q, positions)
                     assert sorted(set(layout.slots)) == list(range(len(scans)))
                     for slot, plan in zip(layout.slots, bound):
                         start, end, rids, filters = scans[slot]
@@ -231,10 +232,12 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                         want = []
                         for f, (_, low, high) in zip(plan.plan.filters, ex._filters):
                             if (f, id(rids)) not in columns:
-                                values = dataset.columns[f]
-                                columns[f, id(rids)] = buckets[f].numbers(
-                                    values if rids is None else [values[r] for r in rids])
-                            want.append((columns[f, id(rids)], buckets[f].table(low, high),
+                                numbers = layout.buckets.numbers_from_order(dataset.order(f))
+                                columns[f, id(rids)] = (numbers if rids is None
+                                                        else bytes(numbers[r] for r in rids))
+                            table = layout.buckets.table(
+                                *dataset.positions(RangePredicate(f, low, high)))
+                            want.append((columns[f, id(rids)], table,
                                          dataset.columns[f], low, high))
                         assert filters == want
     # hints the catalog cannot produce

@@ -204,7 +204,7 @@ def cmd_explain(parser, args) -> int:
     result = optimize(query, collection, catalog, variant, knobs)
     for plan, stats, score in zip(result.candidates, result.stats, result.scores):
         # a race reads work units; the cost model prices the plan's full run
-        run_time, _ = plan_cost_totals(plan, collection, catalog, cost)
+        run_time, _ = plan_cost_totals(plan, collection, cost)
         print(f"candidate {plan.id}: works={stats.works} results={stats.results} "
               f"eof={str(stats.reached_eof).lower()} time={run_time}")
         print(f"  base={score.base} productivity={score.productivity:.6f} "

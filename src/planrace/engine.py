@@ -4,19 +4,19 @@ A collection is an immutable, in-memory set of documents with dense record
 ids (0..N-1), stored as one int64 array per field in record_id order; that
 order models on-disk sequential scan order. The collection also keeps, per
 field and built on first use, the field's values in sorted order
-(sorted_values), which a range's positions bisect (positions), and the
-record ids in (value, record_id) order (order). An index is a view on
-them: its leading key's sorted values and its record ids in (key tuple,
-record_id) order, so a range scan is a contiguous slice found by binary
-search on the sorted values, and each entry's field values are read from
-the collection's columns through its record id. A run that only counts
-ranges never builds an order. Collection.sort_fields builds either for two
-fields at once, the second in a forked worker where that pays
-(workers.forked). Every column, sorted copy and record id order is an
-array('q'): 8 bytes per value, where a list of ints holds an 8-byte
-reference and a 32-byte int object. The race masks each access order
-through columns of rank-bucket numbers, which its layout scatters from the
-fields' orders (optimizer.RaceLayout).
+(sorted_values), which a range's positions bisect (positions), and every
+access order: the record ids in (key tuple, record_id) order (order). An
+index is its key fields; the collection keeps its order, so a range scan
+is the contiguous slice of that order at the range's positions, and each
+entry's field values are read from the collection's columns through its
+record id. A run that only counts ranges never builds an order.
+Collection.sort_fields builds the sorted values or orders of two fields at
+once, the second in a forked worker where that pays (workers.forked).
+Every column, sorted copy and record id order is an array('q'): 8 bytes
+per value, where a list of ints holds an 8-byte reference and a 32-byte int
+object. The race masks each access order through columns of rank-bucket
+numbers, which its layout scatters from the fields' orders
+(optimizer.RaceLayout).
 
 Dataset files are read in blocks of whole lines; a block in save_dataset's
 own form is checked and converted by a few passes in C, any other block
@@ -75,8 +75,8 @@ class Collection:
     """One int64 column per field, each in record_id order; dict order is field order.
 
     Columns given as other sequences of ints are converted to array('q').
-    What is derived from a field's column (sorted values, order) is built
-    on first use and kept: collections are immutable, and two with equal
+    What is derived from the columns (sorted values, orders) is built on
+    first use and kept: collections are immutable, and two with equal
     columns and name compare equal whatever each has built.
     """
 
@@ -84,6 +84,9 @@ class Collection:
     columns: dict[str, array]
     _sorted_values: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
     _orders: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
+    # the orders of two or more key fields
+    _key_orders: dict[tuple[str, ...], array] = field(default_factory=dict, repr=False,
+                                                      compare=False)
 
     def __post_init__(self):
         self.columns = {f: _int64_column(f, values) for f, values in self.columns.items()}
@@ -134,13 +137,22 @@ class Collection:
         for f in todo:
             sort(f)
 
-    def order(self, field_name: str) -> array:
-        """Record ids in (value, record_id) order: order[k] is the record id
-        of sorted_values(field_name)[k].
+    def order(self, *key_fields: str) -> array:
+        """Record ids in (key tuple, record_id) order: with one key field,
+        order(f)[k] is the record id of sorted_values(f)[k].
 
-        A stable sort of the record ids by the field's values, so equal
-        values keep record_id order.
+        One field's order is a stable sort of the record ids by its values,
+        so equal values keep record_id order. More fields' is the leading
+        field's order with each run of equal leading keys re-sorted by the
+        other keys, last key first, by stable sorts; without such a run it
+        is the leading field's order itself.
         """
+        if len(key_fields) > 1:
+            cached = self._key_orders.get(key_fields)
+            if cached is None:
+                cached = self._key_orders[key_fields] = self._resort_runs(key_fields)
+            return cached
+        (field_name,) = key_fields
         cached = self._orders.get(field_name)
         if cached is None:
             rids = list(range(len(self)))
@@ -148,63 +160,15 @@ class Collection:
             cached = self._orders[field_name] = array("q", rids)
         return cached
 
-    def positions(self, predicate: RangePredicate) -> tuple[int, int]:
-        """The bisect_left positions (start, end) of the predicate's low and
-        high in its field's sorted values: its matches are ranks start..end-1."""
-        values = self.sorted_values(predicate.field)
-        return bisect_left(values, predicate.low), bisect_left(values, predicate.high)
-
-
-class Index:
-    """Sorted secondary index: a view on its collection's key_values and rids.
-
-    Entries are ordered by the key fields, then by record id. rids[k] is
-    the record id of the k-th entry and key_values[k] its value of the
-    leading key field; key_values is what range counts and range_positions
-    bisect. Any field of an entry, the other key fields included, is read
-    from the collection's column at its record id.
-
-    key_values is the leading field's Collection.sorted_values. rids is
-    built the first time it is read: a run that never scans an index, such
-    as one that reuses a primed plan, never builds it. The closed-form race
-    (optimizer.RaceLayout) and a stepped plan (PlanExecution) both read the
-    collection's columns through rids.
-    """
-
-    def __init__(self, name: str, key_fields: tuple[str, ...], collection: Collection):
-        self.name = name
-        self.key_fields = key_fields
-        self.key_values = collection.sorted_values(key_fields[0])
-        self._collection = collection
-        self._rids: array | None = None
-
-    def __repr__(self) -> str:
-        return f"Index(name={self.name!r}, key_fields={self.key_fields!r})"
-
-    @property
-    def rids(self) -> array:
-        if self._rids is None:
-            self._rids = self._order()
-        return self._rids
-
-    def _order(self) -> array:
-        """Record ids in (key tuple, record_id) order.
-
-        That is the leading field's order (Collection.order), with each run
-        of equal leading keys re-sorted by the other keys, last key first;
-        the sorts are stable, which keeps record_id as the last tie-break.
-        Without other keys or such a run, the index shares the field's
-        order.
-        """
-        lead = self.key_values
-        order = self._collection.order(self.key_fields[0])
-        if len(self.key_fields) == 1 or not any(map(eq, lead, islice(lead, 1, None))):
+    def _resort_runs(self, key_fields: tuple[str, ...]) -> array:
+        rest = [self.column(f).__getitem__ for f in reversed(key_fields[1:])]
+        lead = self.sorted_values(key_fields[0])
+        order = self.order(key_fields[0])
+        if not any(map(eq, lead, islice(lead, 1, None))):
             return order
         # positions k >= 1 that start a new leading key
         starts = list(compress(range(1, len(lead)), map(ne, lead, islice(lead, 1, None))))
         rids = array("q", order)
-        columns = self._collection.columns
-        rest = [columns[f].__getitem__ for f in reversed(self.key_fields[1:])]
         for a, b in zip([0] + starts, starts + [len(lead)]):
             if b - a > 1:
                 run = rids[a:b].tolist()
@@ -213,9 +177,31 @@ class Index:
                 rids[a:b] = array("q", run)
         return rids
 
-    def range_positions(self, low: int, high: int) -> tuple[int, int]:
-        """Entry positions [lo, hi) whose leading key lies in [low, high)."""
-        return bisect_left(self.key_values, low), bisect_left(self.key_values, high)
+    def positions(self, predicate: RangePredicate) -> tuple[int, int]:
+        """The bisect_left positions (start, end) of the predicate's low and
+        high in its field's sorted values: its matches are ranks start..end-1,
+        and every access order leading on the field (order) scans positions
+        start..end-1 for it."""
+        values = self.sorted_values(predicate.field)
+        return bisect_left(values, predicate.low), bisect_left(values, predicate.high)
+
+
+@dataclass(frozen=True)
+class Index:
+    """Sorted secondary index on key_fields, named like "A_1_B_1".
+
+    Its entries are the records in the collection's order of its key fields
+    (Collection.order), and a range on the leading key is the entries at
+    the range's positions (Collection.positions). The collection builds that
+    order the first time a plan scans it, so a run that reuses a primed plan
+    never builds one.
+    """
+
+    key_fields: tuple[str, ...]
+
+    @property
+    def name(self) -> str:
+        return "_".join(f"{f}_1" for f in self.key_fields)
 
 
 @dataclass(frozen=True)
@@ -319,17 +305,13 @@ def generate_dataset(n: int, distribution: str = "uniform-distinct", seed: int =
     return Collection(name=f"gen_{distribution}_{n}_{seed}", columns=columns)
 
 
-def index_name_for(key_fields: tuple[str, ...]) -> str:
-    return "_".join(f"{f}_1" for f in key_fields)
-
-
 def build_index(collection: Collection, key_fields) -> Index:
-    """The index on key_fields, named like "A_1_B_1" (see Index)."""
+    """The index on key_fields, each a field of the collection (see Index)."""
     key_fields = tuple(key_fields)
     for f in key_fields:
         if f not in collection.columns:
             raise UnknownFieldError(f"cannot index unknown field {f!r}")
-    return Index(index_name_for(key_fields), key_fields, collection)
+    return Index(key_fields)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate) -> float:

@@ -14,7 +14,10 @@ execution is inert; further work() calls return EOF without state change.
 This module is the stepped reference: the cost model, each plan kind's step
 time (step_time), PlanExecution's work() and the closed-form totals of a
 full run (plan_cost_totals), which tests hold equal to stepping it. The
-race's closed form, over rank-bucket columns, is the optimizer's.
+race's closed form, over rank-bucket columns, is the optimizer's. A plan
+reads everything from the collection: its scan range from the positions of
+the query's range (Collection.positions) and its access order from the
+plan's key fields (Collection.order).
 """
 
 from __future__ import annotations
@@ -64,12 +67,13 @@ def step_time(kind: PlanKind, cost: CostModel) -> float:
 class PlanExecution:
     """Single-owner mutable cursor state for one plan over one collection.
 
-    The plan visits positions start..end-1 of its access order: its index's
-    entries within the query's range on the leading field, or every record
-    in record_id order for COLLSCAN. A position matches when its record's
-    value of each filtered field, read from the collection's column at the
-    position's record id, lies in the query's range on that field. The plan
-    carries its index, so the catalog is not read.
+    The plan visits positions start..end-1 of its access order: the
+    collection's order of its key fields at the query's range on the leading
+    field, or every record in record_id order for COLLSCAN. A position
+    matches when its record's value of each filtered field, read from the
+    collection's column at the position's record id, lies in the query's
+    range on that field. `catalog` is not read, as the plan names its key
+    fields; it stays because perfbench/oracle.py passes it positionally.
     """
 
     def __init__(self, plan: CandidatePlan, collection: Collection,
@@ -83,16 +87,14 @@ class PlanExecution:
         self.emitted: list[int] = []
 
         shape, query = plan.plan, plan.query
-        index = shape.index
-        if index is None:
+        if shape.leading is None:
             start, end = 0, len(collection)
             self._rids = None
         else:
-            pred = query.predicate_on(shape.leading)
-            start, end = index.range_positions(pred.low, pred.high)
+            start, end = collection.positions(query.predicate_on(shape.leading))
             # IXSCAN's filter reads the fetched document, a covered plan's
             # reads the index key; both hold the record's own value
-            self._rids = index.rids
+            self._rids = collection.order(*plan.id.key_fields)
         self._start = self._pos = start
         self._end = end
         self._filters = tuple((collection.columns[p.field], p.low, p.high)
@@ -138,21 +140,20 @@ def run_to_completion(execution: PlanExecution) -> tuple[set[int], float, int]:
 
 
 def plan_cost_totals(plan: CandidatePlan, collection: Collection,
-                     catalog: IndexCatalog, cost: CostModel) -> tuple[float, int]:
+                     cost: CostModel) -> tuple[float, int]:
     """(sim_time, works) of a full fresh run, in closed form.
 
     COLLSCAN touches every document once; an index plan touches exactly the
     entries inside its bounds, plus one terminal step each. Equality with the
     stepped protocol is enforced by tests. It is the reference for
     measure_grid's scan length x step_time from each cell's positions,
-    and explain prints it. It reads only the index's key_values, through
-    Index.range_positions as PlanExecution does.
+    and explain prints it. It reads only the range's positions
+    (Collection.positions), as PlanExecution does.
     """
-    index = plan.plan.index
-    if index is None:
+    leading = plan.plan.leading
+    if leading is None:
         k = len(collection)
     else:
-        pred = plan.query.predicate_on(plan.plan.leading)
-        start, end = index.range_positions(pred.low, pred.high)
+        start, end = collection.positions(plan.query.predicate_on(leading))
         k = end - start
     return k * step_time(plan.id.kind, cost), k + 1

@@ -59,10 +59,10 @@ class GridCell:
     positions are (start_a, end_a, start_b, end_b): where the query's A and
     B ranges start and end in the fields' sorted values
     (Collection.sorted_values), so end - start is a range's match count.
-    Every index leading on a field holds those same sorted values, so they
-    are also the scan range of every plan on that field. The sweep gets
-    them from its draws; a cell built otherwise can take them from
-    Index.range_positions, and one without them (None) cannot be measured
+    Every access order leading on a field follows those sorted values, so
+    they are also the scan range of every plan on that field. The sweep
+    gets them from its draws; a cell built otherwise can take them from
+    Collection.positions, and one without them (None) cannot be measured
     (measure_grid).
     """
 
@@ -159,7 +159,7 @@ def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalo
     producible = producible_plans(query, catalog)
     return {str(plan_id): _mean_of_reps(plan_cost_totals(
                 CandidatePlan(hinted_plan(producible, plan_id), query),
-                collection, catalog, cost)[0], reps)
+                collection, cost)[0], reps)
             for plan_id in forced_plans}
 
 
@@ -275,17 +275,14 @@ def draw_cells(collection: Collection, d: int, seed: int):
     field's domain size, whose bit length is fixed; the low bound's offset
     from the field's smallest value is drawn below domain size - width + 1.
 
-    Until the first miss, every draw fills a cell, and its positions are
-    bisected. At the first miss each field's draw space (draw_space) is
-    worked out, once. From then on a dense field is never bisected: its
-    drawn offset is its range's start position and its drawn width is its
-    count, so its bucket comes from the width alone, and its positions are
-    formed only for a draw that fills a cell. Only cells in a reachable row
-    and a reachable column count as open, so a draw whose A count falls in
-    a row with no open cell, full or unreachable, is rejected without B's
-    count; B's range is drawn all the same. The draw space only makes
-    misses cheaper: its O(N) scans cost the same whenever they run, so a
-    sweep that never misses never pays for them.
+    Each field's draw space (draw_space) is worked out before the first
+    draw. A dense field is never bisected: its drawn offset is its range's
+    start position and its drawn width is its count, so its bucket comes
+    from the width alone, and its positions are formed only for a draw that
+    fills a cell. Only cells in a reachable row and a reachable column count
+    as open, so a draw whose A count falls in a row with no open cell, full
+    or unreachable, is rejected without B's count; B's range is drawn all
+    the same.
     """
     rng = random.Random(seed)
     n = len(collection)
@@ -295,17 +292,17 @@ def draw_cells(collection: Collection, d: int, seed: int):
     # values, without a scan of the columns
     a_lo, a_hi = a_values[0], a_values[-1]
     b_lo, b_hi = b_values[0], b_values[-1]
-    # worked out at the first miss (draw_space): the reachable rows, and
-    # whether each field is dense
-    rows = None
-    a_dense = b_dense = False
+    # whether each field is dense, and the grid rows and columns its counts reach
+    a_dense, rows = draw_space(a_values, d)
+    b_dense, columns = draw_space(b_values, d)
     getrandbits = rng.getrandbits
     a_size = a_hi - a_lo + 1
     b_size = b_hi - b_lo + 1
     a_bits = a_size.bit_length()
     b_bits = b_size.bit_length()
     filled = bytearray(d * d)  # filled[i * d + j]: cell (i, j) holds a query
-    open_in_row = [d] * d  # the open cells of each row
+    # the open cells of each row: its reachable ones not filled yet
+    open_in_row = [len(columns) if row in rows else 0 for row in range(d)]
     cap = REJECTION_CAP
     last = d - 1
     left = d * d
@@ -366,13 +363,6 @@ def draw_cells(collection: Collection, d: int, seed: int):
                 continue
         rejections += 1
         misses += 1
-        if rows is None:
-            a_dense, rows = draw_space(a_values, d)
-            b_dense, columns = draw_space(b_values, d)
-            # a row's open cells become its reachable ones not filled yet;
-            # every filled cell was drawn, so it is reachable
-            open_in_row = [len(columns) - d + left_in_row if row in rows else 0
-                           for row, left_in_row in enumerate(open_in_row)]
         if misses >= cap:
             missing = [divmod(k, d) for k in range(d * d) if not filled[k]]
             yield from _direct_fill_cells(collection, missing, d)

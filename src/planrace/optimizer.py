@@ -256,7 +256,7 @@ class RaceLayout:
 
 def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceLayout:
     filtered = [f for plan in plans for f in plan.filters]
-    collection.sort_fields([plan.leading for plan in plans if plan.index is not None] + filtered,
+    collection.sort_fields([plan.leading for plan in plans if plan.leading is not None] + filtered,
                            orders=True)
     buckets = RankBuckets(len(collection))
     numbers = {f: buckets.numbers_from_order(collection.order(f))
@@ -265,7 +265,7 @@ def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceL
     slots = []
     scans = []
     for plan in plans:
-        rids = None if plan.index is None else plan.index.rids
+        rids = None if plan.leading is None else collection.order(*plan.id.key_fields)
         key = (plan.leading, id(rids), plan.filters)
         slot = distinct.get(key)
         if slot is None:

@@ -6,6 +6,10 @@ is explicitly hinted or no index-based plan exists, so with any usable
 index the scan cannot win the race because it never runs. The
 "with-collscan" variant always adds it; "mod" additionally changes scoring
 (handled in the optimizer module).
+
+A plan is a description: its id, the kind and key fields of the index it
+scans (PlanId), and the fields it filters on. The collection keeps the
+access order it scans (Collection.order).
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .engine import Index, IndexCatalog, Query
+from .engine import IndexCatalog, Query
 from .errors import UnknownPlanError
 
 
@@ -71,16 +75,20 @@ def plan_order_key(plan_name: str) -> tuple[int, str]:
 class ShapePlan:
     """One plan of a query shape, without the query's bounds.
 
-    The plan scans `index` in order (record_id order for COLLSCAN, whose
-    index is None) over the range of the query's predicate on `leading`
-    (every record for COLLSCAN), and keeps the positions whose values of
-    each of `filters` lie in the query's range on that field.
+    The plan scans the access order of its id's key fields
+    (Collection.order; record_id order for COLLSCAN, which has none) over
+    the range of the query's predicate on `leading` (every record for
+    COLLSCAN), and keeps the positions whose values of each of `filters`
+    lie in the query's range on that field.
     """
 
     id: PlanId
-    index: Index | None
-    leading: str | None
     filters: tuple[str, ...]
+
+    @property
+    def leading(self) -> str | None:
+        """The field whose range the plan scans; None for COLLSCAN."""
+        return self.id.key_fields[0] if self.id.key_fields else None
 
     @property
     def has_fetch(self) -> bool:
@@ -129,15 +137,15 @@ def producible_plans(query: Query, catalog: IndexCatalog) -> dict[str, ShapePlan
         if leading not in fields:
             continue
         if len(ix.key_fields) == 1:
-            plan = ShapePlan(PlanId(PlanKind.IXSCAN, ix.key_fields), ix, leading,
+            plan = ShapePlan(PlanId(PlanKind.IXSCAN, ix.key_fields),
                              tuple(f for f in fields if f != leading))
         elif _covers(query, ix.key_fields):
-            plan = ShapePlan(PlanId(PlanKind.IXSCAN_COVER, ix.key_fields), ix, leading,
+            plan = ShapePlan(PlanId(PlanKind.IXSCAN_COVER, ix.key_fields),
                              tuple(f for f in ix.key_fields[1:] if f in fields))
         else:
             continue
         producible[str(plan.id)] = plan
-    producible["COLLSCAN"] = ShapePlan(COLLSCAN_ID, None, None, tuple(fields))
+    producible["COLLSCAN"] = ShapePlan(COLLSCAN_ID, tuple(fields))
     return producible
 
 

@@ -25,8 +25,9 @@ class Scenario:
     def build_catalog(self, collection: Collection) -> IndexCatalog:
         """The scenario's indexes on the collection, in index_keys order.
 
-        Every index leading on a field holds the field's sorted values, so
-        those are sorted first, the second in a worker (Collection.sort_fields).
+        A range on an index's leading field is scanned at its positions in
+        the field's sorted values (Collection.positions), so those are
+        sorted first, the second in a worker (Collection.sort_fields).
         """
         collection.sort_fields([keys[0] for keys in self.index_keys], orders=False)
         return IndexCatalog([build_index(collection, keys) for keys in self.index_keys])

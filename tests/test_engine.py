@@ -14,6 +14,7 @@ from planrace import engine
 from planrace.engine import (
     DISTRIBUTIONS,
     Collection,
+    Index,
     IndexCatalog,
     Projection,
     Query,
@@ -41,18 +42,20 @@ def make_collection(a_values, b_values):
 
 
 def index_column(c, ix, f):
-    """Field f's column in the index's order, gathered through its rids."""
-    return array("q", [c.columns[f][rid] for rid in ix.rids])
+    """Field f's column in the index's order, gathered through the record
+    ids of the collection's order of its key fields."""
+    return array("q", [c.columns[f][rid] for rid in c.order(*ix.key_fields)])
 
 
 def index_entries(c, ix):
     """The index as (key tuple, record_id) pairs in index order."""
     keys = zip(*(index_column(c, ix, f) for f in ix.key_fields))
-    return list(zip(keys, ix.rids))
+    return list(zip(keys, c.order(*ix.key_fields)))
 
 
-def assert_index_columns_follow_rids(c, ix):
-    assert ix.key_values == index_column(c, ix, ix.key_fields[0])
+def assert_leading_column_is_sorted_values(c, ix):
+    # so the positions of a range on the leading field are its index scan's
+    assert c.sorted_values(ix.key_fields[0]) == index_column(c, ix, ix.key_fields[0])
 
 
 # --- generate_dataset ---------------------------------------------------
@@ -102,12 +105,22 @@ def test_other_distributions_produce_in_domain_values():
 
 # --- build_index ---------------------------------------------------------
 
+def test_an_index_is_its_key_fields():
+    c = make_collection([5, 1, 3], [0, 0, 0])
+    ix = build_index(c, ["A", "B"])
+    assert ix == Index(("A", "B")) and ix.name == "A_1_B_1"
+    assert vars(ix) == {"key_fields": ("A", "B")}  # no array, no collection
+    with pytest.raises(AttributeError):
+        ix.key_fields = ("B",)
+    assert c._sorted_values == c._orders == c._key_orders == {}  # nothing built
+
+
 def test_index_sorts_single_field():
     c = make_collection([5, 1, 3], [0, 0, 0])
     ix = build_index(c, ["A"])
     assert ix.name == "A_1"
     assert index_entries(c, ix) == [((1,), 1), ((3,), 2), ((5,), 0)]
-    assert_index_columns_follow_rids(c, ix)
+    assert_leading_column_is_sorted_values(c, ix)
 
 
 def test_compound_index_sorts_lexicographically():
@@ -115,7 +128,7 @@ def test_compound_index_sorts_lexicographically():
     ix = build_index(c, ["A", "B"])
     assert ix.name == "A_1_B_1"
     assert [e[0] for e in index_entries(c, ix)] == [(1, 2), (1, 9)]
-    assert_index_columns_follow_rids(c, ix)
+    assert_leading_column_is_sorted_values(c, ix)
 
 
 def test_index_entry_count_matches_documents():
@@ -125,7 +138,7 @@ def test_index_entry_count_matches_documents():
     for keys in (["A"], ["B"], ["A", "B"]):
         ix = build_index(c, keys)
         assert len(index_entries(c, ix)) == len(c)
-        assert len(ix.key_values) == len(c)
+        assert len(c.order(*keys)) == len(c)
 
 
 @pytest.mark.parametrize("dist", ["uniform-with-repeats", "zipfian"])
@@ -137,7 +150,7 @@ def test_index_order_matches_sorted_key_rid_pairs(dist):
         expected = sorted(
             (tuple(c.columns[f][rid] for f in keys), rid) for rid in range(len(c)))
         assert index_entries(c, ix) == expected
-        assert_index_columns_follow_rids(c, ix)
+        assert_leading_column_is_sorted_values(c, ix)
 
 
 DERIVATION_CASES = {
@@ -172,45 +185,40 @@ def test_collection_order_is_value_then_record_id_order(dist):
 
 @pytest.mark.parametrize("keys", [("A", "B"), ("B", "A")], ids=["AB", "BA"])
 @pytest.mark.parametrize("case", sorted(DERIVATION_CASES))
-def test_compound_index_from_leading_index_equals_full_sort(case, keys):
+def test_compound_order_from_leading_order_equals_full_sort(case, keys):
     # derived from the leading field's order: only runs of equal leading
     # keys are re-sorted
     c = DERIVATION_CASES[case]()
-    ix = build_index(c, keys)
-    assert ix.rids == key_then_rid_order(c, keys)
-    assert ix.key_values is c.sorted_values(keys[0])
-    assert_index_columns_follow_rids(c, ix)
+    assert c.order(*keys) == key_then_rid_order(c, keys)
+    assert_leading_column_is_sorted_values(c, build_index(c, keys))
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
-def test_index_rids_are_int64_arrays_in_key_then_record_id_order(dist):
+def test_index_orders_are_int64_arrays_in_key_then_record_id_order(dist):
     c = generate_dataset(3000, dist, seed=11)
     catalog = get_scenario("covering").build_catalog(c)
+    assert c._orders == c._key_orders == {}  # built when an order is first read
     for ix in catalog.indexes:
-        assert ix._rids is None  # built when the index's order is first read
-        assert isinstance(ix.rids, array) and ix.rids.typecode == "q"
-        assert ix.rids == key_then_rid_order(c, ix.key_fields)
-    a, _, ab = catalog.indexes  # A_1, B_1, A_1_B_1
-    assert a.rids is c.order("A")
+        order = c.order(*ix.key_fields)
+        assert isinstance(order, array) and order.typecode == "q"
+        assert order == key_then_rid_order(c, ix.key_fields)
+        assert c.order(*ix.key_fields) is order  # kept once built
     # without ties in A, A's order is already A_1_B_1's
-    assert (ab.rids is a.rids) == (dist == "uniform-distinct")
+    assert (c.order("A", "B") is c.order("A")) == (dist == "uniform-distinct")
 
 
-def test_compound_index_shares_leading_index_lists_without_ties():
+def test_compound_order_without_ties_is_the_leading_order():
     c = generate_dataset(500, "uniform-distinct", seed=3)
-    catalog = get_scenario("covering").build_catalog(c)
-    a, _, ab = catalog.indexes  # A_1, B_1, A_1_B_1
-    assert ab.rids is a.rids is c.order("A")
-    assert ab.key_values is a.key_values
+    assert c.order("A", "B") is c.order("A")
+    assert c._key_orders == {("A", "B"): c.order("A")}  # the shared one is kept too
 
 
-def test_compound_index_with_ties_copies_all_but_leading_column():
+def test_compound_order_with_ties_is_a_separate_kept_array():
     c = generate_dataset(500, "uniform-with-repeats", seed=3)
-    catalog = get_scenario("covering").build_catalog(c)
-    a, _, ab = catalog.indexes  # A_1, B_1, A_1_B_1
-    assert ab.rids is not a.rids and ab.rids != a.rids
-    assert ab.key_values is a.key_values
-    assert index_entries(c, ab) == index_entries(c, build_index(c, ["A", "B"]))
+    ab = c.order("A", "B")
+    assert ab is not c.order("A") and ab != c.order("A")
+    assert c.order("A", "B") is ab and c._key_orders == {("A", "B"): ab}
+    assert ab == key_then_rid_order(c, ("A", "B"))
 
 
 def test_collections_compare_by_name_and_columns_alone():
@@ -258,13 +266,13 @@ def test_index_unknown_field_error_names_field():
         build_index(c, ["Z"])
 
 
-def test_range_positions():
+def test_positions_are_an_index_scans_range():
     c = make_collection([5, 1, 3, 8], [0, 0, 0, 0])
     ix = build_index(c, ["A"])
-    lo, hi = ix.range_positions(3, 8)
+    lo, hi = c.positions(RangePredicate("A", 3, 8))
     assert [e[0][0] for e in index_entries(c, ix)[lo:hi]] == [3, 5]
-    assert ix.range_positions(0, 100) == (0, 4)
-    assert ix.range_positions(4, 4) == (2, 2)
+    assert c.positions(RangePredicate("A", 0, 100)) == (0, 4)
+    assert c.positions(RangePredicate("A", 4, 4)) == (2, 2)
 
 
 # --- selectivity ---------------------------------------------------------
@@ -617,10 +625,8 @@ def test_columns_sorted_values_and_index_orders_are_int64_arrays(tmp_path, sourc
     assert all(map(is_int64_array, c.columns.values()))
     catalog = get_scenario("covering").build_catalog(c)
     for ix in catalog.indexes:
-        lead = ix.key_fields[0]
-        # the leading values are the field's one sorted copy
-        assert ix.key_values is c.sorted_values(lead)
-        assert is_int64_array(ix.key_values) and is_int64_array(ix.rids)
+        assert is_int64_array(c.sorted_values(ix.key_fields[0]))
+        assert is_int64_array(c.order(*ix.key_fields))
 
 
 def test_storage_retains_under_64_bytes_per_document(tmp_path):

@@ -152,7 +152,7 @@ def test_totals_match_brute_force_accumulator(dataset, covering):
             assert (sim_time, works) == (acc_t, acc_w)
             assert len(rids) == acc_adv
             # and the closed-form totals used by the measurement pass agree
-            assert plan_cost_totals(plan, dataset, catalog, cost) == (sim_time, works)
+            assert plan_cost_totals(plan, dataset, cost) == (sim_time, works)
 
 
 def test_ixscan_total_is_selectivity_linear(dataset, covering):
@@ -196,7 +196,7 @@ def test_cost_scaling_preserves_argmin(dataset, covering):
             times = []
             for h in hints:
                 _, plan = plan_for(scenario, catalog, h, a0, a1, b0, b1)
-                times.append(plan_cost_totals(plan, dataset, catalog, cost)[0])
+                times.append(plan_cost_totals(plan, dataset, cost)[0])
             return times.index(min(times))
         assert argmin(COST) == argmin(CostModel(7.5, 7.5, 30.0))
 

@@ -48,6 +48,7 @@ from planrace.harness import (
 from planrace.optimizer import RaceKnobs, optimize
 from planrace.plans import (
     PLAN_ID_ORDER,
+    CandidatePlan,
     OptimizerVariant,
     enumerate_candidates,
     parse_plan_hint,
@@ -172,7 +173,7 @@ def test_measure_all_plans_one_run_keeps_ten_sample_mean(small_world, monkeypatc
     assert calls == forced  # one closed-form run per plan, not ten
     for plan_id in forced:
         plan = enumerate_candidates(Query(q.predicates, q.projection, hint=plan_id), catalog)[0]
-        t, _ = plan_cost_totals(plan, collection, catalog, cost)
+        t, _ = plan_cost_totals(plan, collection, cost)
         kept = filter_outliers([t] * 10)  # what ten identical runs used to give
         assert times[str(plan_id)] == sum(kept) / len(kept)
     # ten summed copies of 37 * 0.3 do not divide back to it
@@ -196,7 +197,7 @@ def test_measure_grid_equals_plan_cost_totals(dist, cost):
 
 
 def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
-    # the direct fill's positions, and positions from Index.range_positions
+    # the direct fill's positions, and positions from Collection.positions
     # of cells built by hand, against hint forcing through plan_cost_totals
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
     collection = generate_dataset(9, "uniform-distinct", seed=7)
@@ -207,8 +208,7 @@ def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
     by_hand = ExperimentGrid(d=2)
     for i, (la, ha, lb, hb) in enumerate([(0, 9, 3, 5), (-4, 2, 7, 40)]):
         query = scenario.make_query(RangePredicate("A", la, ha), RangePredicate("B", lb, hb))
-        a, b = catalog.indexes
-        positions = (*a.range_positions(la, ha), *b.range_positions(lb, hb))
+        positions = query_positions(query, collection)
         by_hand.cells[(i, i)] = GridCell(i=i, j=i, e_a=0.0, e_b=0.0, query=query,
                                          chosen="COLLSCAN", positions=positions)
     for g in (grid, by_hand):
@@ -291,7 +291,7 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None)
         count_a, count_b = (match_count(collection, p) for p in query.predicates)
         grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=count_a / n, e_b=count_b / n,
                                       query=query, chosen=str(result.chosen),
-                                      positions=reference_positions(query, collection, catalog))
+                                      positions=query_positions(query, collection))
 
     misses = 0
     while not grid.complete:
@@ -321,20 +321,10 @@ def reference_sweep(scenario, collection, catalog, variant, d, seed, cache=None)
     return grid
 
 
-def reference_positions(query, collection, catalog):
-    """(start, end) of each of the query's ranges, flattened: from each index
-    leading on the range's field (all of them agree), else by bisecting the
-    field's sorted values."""
-    positions = []
-    for p in query.predicates:
-        spans = {ix.range_positions(p.low, p.high)
-                 for ix in catalog.indexes if ix.key_fields[0] == p.field}
-        if not spans:
-            values = collection.sorted_values(p.field)
-            spans = {(bisect_left(values, p.low), bisect_left(values, p.high))}
-        (span,) = spans
-        positions += span
-    return tuple(positions)
+def query_positions(query, collection):
+    """(start, end) of each of the query's ranges, flattened
+    (Collection.positions)."""
+    return tuple(k for p in query.predicates for k in collection.positions(p))
 
 
 def cell_facts(grid):
@@ -403,7 +393,7 @@ def test_sweep_direct_fill_matches_reference(monkeypatch, dist, n):
 
 
 def test_a_cap_of_one_miss_fills_directly_at_the_first_miss(monkeypatch):
-    # the first miss also works out the draw space; it ends the draws all the same
+    # the cap ends the draws at the first miss
     monkeypatch.setattr(harness, "REJECTION_CAP", 1)
     collection = generate_dataset(9, "uniform-distinct", seed=7)
     grid = assert_sweep_matches_reference(get_scenario("both-indexed"), collection, 10, 7)
@@ -531,24 +521,22 @@ def drawn_cells(grid, n):
 
 
 def assert_positions_are_scan_ranges(grid, collection, catalog, scenario, variant):
-    """Each cell's positions are its ranges' positions in every index leading
-    on the range's field, fresh bisects of the fields' sorted values
-    (Collection.positions) and the scan range of every candidate and forced
-    plan that leads on it, and their lengths are the cell's selectivities."""
+    """Each cell's positions are fresh bisects of the fields' sorted values
+    (Collection.positions), the length of every candidate and forced plan's
+    scan (all N records for COLLSCAN) comes from the positions of the
+    range it leads on, and their lengths are the cell's selectivities."""
     n = len(collection)
     forced = scenario.forced_plan_ids()
     for cell in grid.cells.values():
         q = cell.query
-        assert cell.positions == reference_positions(q, collection, catalog)
-        assert list(cell.positions) == [k for p in q.predicates for k in collection.positions(p)]
+        assert cell.positions == query_positions(q, collection)
         start_a, end_a, start_b, end_b = cell.positions
         assert (cell.e_a, cell.e_b) == ((end_a - start_a) / n, (end_b - start_b) / n)
-        spans = {"A": (start_a, end_a), "B": (start_b, end_b)}
+        lengths = {"A": end_a - start_a, "B": end_b - start_b, None: n}
         for plans in (shape_candidates(q, catalog, variant), shape_forced(q, catalog, forced)):
             for plan in plans:
-                if plan.index is not None:
-                    pred = q.predicate_on(plan.leading)
-                    assert plan.index.range_positions(pred.low, pred.high) == spans[plan.leading]
+                _, works = plan_cost_totals(CandidatePlan(plan, q), collection, COST)
+                assert works == lengths[plan.leading] + 1
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
@@ -700,17 +688,18 @@ def test_second_field_is_sorted_in_a_worker(forks, dist, scenario_name, worker):
     assert forks[ORDERS] == [] or worker == ORDERS
     assert_reaped(forks[SORTS] + forks[ORDERS])
     assert_sorted_as_in_process(collection)
-    for ix in catalog.indexes:
-        lead = ix.key_fields[0]
-        assert ix.key_values is collection.sorted_values(lead)
-        if worker == ORDERS:
-            # equal values keep record_id order; a compound index without
-            # repeated leading values shares its leading field's order
+    assert {ix.key_fields[0] for ix in catalog.indexes} <= set(collection._sorted_values)
+    if worker == ORDERS:
+        for ix in catalog.indexes:
+            # equal values keep record_id order; a compound order without
+            # repeated leading values is its leading field's order
+            lead = ix.key_fields[0]
             rids = sorted(range(len(collection)), key=lambda rid: tuple(
                 collection.columns[f][rid] for f in ix.key_fields))
-            assert ix.rids.tolist() == rids
+            order = collection.order(*ix.key_fields)
+            assert order.tolist() == rids
             repeats = len(set(collection.columns[lead])) < len(collection)
-            assert (ix.rids is collection.order(lead)) == (len(ix.key_fields) == 1 or not repeats)
+            assert (order is collection.order(lead)) == (len(ix.key_fields) == 1 or not repeats)
 
 
 @pytest.mark.parametrize("worker", [SORTS, ORDERS])
@@ -835,23 +824,7 @@ def test_draws_in_a_full_row_skip_b_counts(monkeypatch):
     assert 2 * len(cells) <= bisects["B"] < bisects["A"]
 
 
-def draws_to_first_miss(collection, d, seed):
-    """The draws of the public per-draw functions up to and including the
-    first one whose cell is already filled."""
-    rng = random.Random(seed)
-    n = len(collection)
-    bounds = [value_bounds(collection, f) for f in "AB"]
-    filled = set()
-    while True:
-        cell = tuple(harness._cell_from_count(
-                         match_count(collection, rand_range_predicate(f, lo, hi, rng)), n, d)
-                     for f, (lo, hi) in zip("AB", bounds))
-        if cell in filled:
-            return len(filled) + 1
-        filled.add(cell)
-
-
-def test_dense_fields_are_positioned_without_bisects_after_the_first_miss(monkeypatch):
+def test_dense_fields_are_never_bisected(monkeypatch):
     # A holds 0..8 and B 100..108: both dense, and with N < D row 0 and
     # column 0 are unreachable, so the last REJECTION_CAP draws, with every
     # reachable cell filled, find no open cell in any A row
@@ -871,13 +844,10 @@ def test_dense_fields_are_positioned_without_bisects_after_the_first_miss(monkey
 
     monkeypatch.setattr(harness, "bisect_left", bisected)
     *cells, (draws, rejections, filled_directly) = harness.draw_cells(collection, 10, 7)
-    assert len(cells) == 100 and filled_directly == 19
-    # up to the first miss each draw bisects A twice, and B twice as well,
-    # since no row is full while column 0 is still open in it; after it,
-    # neither field is bisected
-    first_miss = draws_to_first_miss(collection, 10, 7)
-    assert 1 < first_miss <= 100 - filled_directly + 1 < draws - 2000
-    assert bisects == {"A": 2 * first_miss, "B": 2 * first_miss}
+    assert len(cells) == 100 and filled_directly == 19 and draws > 2000
+    # each field's draw space is worked out before the first draw, so a
+    # dense field's positions always come from its drawn offset and width
+    assert bisects == {"A": 0, "B": 0}
 
 
 def brute_force_counts(values):
@@ -1020,8 +990,8 @@ def test_dense_is_one_run_of_consecutive_distinct_values():
 @pytest.mark.parametrize("dist", ["uniform-distinct", "uniform-with-repeats", "zipfian"])
 def test_match_count_bisects_the_sorted_values(dist):
     collection = generate_dataset(400, dist, seed=23)
-    catalog = get_scenario("single-index").build_catalog(collection)  # indexes B only
-    assert catalog.indexes[0].key_values is collection.sorted_values("B")
+    get_scenario("single-index").build_catalog(collection)  # indexes B only
+    assert set(collection._sorted_values) == {"B"}
     rng = random.Random(4)
     for _ in range(200):
         field_name = rng.choice("AB")
@@ -1241,9 +1211,7 @@ def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
     run_experiment(get_scenario("covering"), collection, OptimizerVariant.VANILLA,
                    d=5, seed=3, primed=parse_plan_hint(primed))
     (catalog,) = built_catalogs
-    for ix in catalog.indexes:
-        assert ix._rids is None
-    assert collection._orders == {}
+    assert collection._orders == collection._key_orders == {}
     assert catalog.shape_plans == {}  # no race, so no race layout
 
 
@@ -1260,18 +1228,22 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
     (catalog,) = built_catalogs
     n = len(collection)
     expected = set()
+    # the race built every index's order
+    assert set(collection._orders) == {"A", "B"}
+    assert set(collection._key_orders) == {ix.key_fields for ix in catalog.indexes
+                                           if len(ix.key_fields) > 1}
     for ix in catalog.indexes:
         # every plan races; each index plan filters on its non-leading field
         # through that field's bucket column in the index's order; a
         # compound index in its leading field's order is masked as that one
-        assert ix._rids is not None
         lead = ix.key_fields[0]
         other = "B" if lead == "A" else "A"
-        expected.add((id(ix.rids), (other,)))
+        order = collection.order(*ix.key_fields)
+        expected.add((id(order), (other,)))
         columns = [collection.columns[f] for f in ix.key_fields]
-        assert ix.rids == array("q", sorted(
+        assert order == array("q", sorted(
             range(n), key=lambda rid: (*(column[rid] for column in columns), rid)))
-        assert ix.key_values == array("q", sorted(collection.columns[lead]))
+        assert collection.sorted_values(lead) == array("q", sorted(collection.columns[lead]))
     # one race layout, with no index-order scan beyond those the plans filter through
     (layout,) = catalog.shape_plans.values()
     assert {(id(rids), tuple(f for f, _, _ in filters))
@@ -1298,7 +1270,7 @@ def test_first_race_sorts_the_orders_its_plans_lead_or_filter_on(scenario_name, 
         assert collection._orders == {}  # a hint the catalog cannot produce builds nothing
         return
     (layout,) = catalog.shape_plans.values()
-    read = {plan.leading for plan in layout.plans if plan.index is not None}
+    read = {plan.leading for plan in layout.plans if plan.leading is not None}
     read |= {f for plan in layout.plans for f in plan.filters}
     assert set(collection._orders) == read <= {"A", "B"}
 

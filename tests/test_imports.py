@@ -1,6 +1,6 @@
 """The runtime is standard-library only, no module imports a name it never reads,
-only the collection forks a worker, and the executor stays the optimizer's
-stepped reference."""
+only the collection forks a worker and bisects sorted values, and the
+executor stays the optimizer's stepped reference."""
 
 from __future__ import annotations
 
@@ -78,3 +78,36 @@ def test_the_optimizer_steps_the_executor_only_in_its_reference_race():
     # executor is the stepped reference, and knows nothing of the race
     assert imported_names("optimizer", "executor") == {"PlanExecution", "WorkState"}
     assert imported_names("executor", "optimizer") == set()
+
+
+def bisect_left_callers(module: str) -> set[str]:
+    """The functions of planrace/<module>.py, as Class.method or function,
+    that call bisect_left."""
+    path = Path(planrace.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    callers = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.Call) and getattr(child.func, "id", None) == "bisect_left":
+                callers.add(prefix.rstrip("."))
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return callers
+
+
+def test_only_collection_positions_bisects_outside_the_draw_loop():
+    # an index is its key fields: its range is the positions of the query's
+    # range in the leading field's sorted values, bisected in one place; the
+    # sweep inlines its own pair in the draw loop
+    importers = [path.name for path in SOURCES
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.ImportFrom) and node.module == "bisect"
+                 and any(alias.name == "bisect_left" for alias in node.names)]
+    assert sorted(importers) == ["engine.py", "harness.py"]
+    assert bisect_left_callers("engine") == {"Collection.positions"}
+    assert bisect_left_callers("harness") == {"draw_cells"}

@@ -196,7 +196,7 @@ def test_layout_columns_are_bucket_numbers_in_each_scan_order(dist, scenario_nam
     for slot, (leading, rids, filters) in enumerate(layout.scans):
         plan = layout.plans[layout.slots.index(slot)]
         assert leading == plan.leading
-        assert rids is (None if plan.index is None else plan.index.rids)
+        assert rids is (None if plan.leading is None else collection.order(*plan.id.key_fields))
         assert tuple(f for f, _, _ in filters) == plan.filters
         for f, column, values in filters:
             assert values is collection.columns[f]
@@ -330,7 +330,7 @@ def check_byte_masks(collection, rng):
             filters.append((f, min(low, high), max(low, high)))
         start = rng.randrange(n + 1)
         end = rng.randrange(start, n + 1)
-        rids = None if index is None else index.rids
+        rids = None if index is None else collection.order(*index.key_fields)
         # each field's column in the access order, gathered through its rids
         columns = collection.columns if index is None else {
             f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}
@@ -438,7 +438,7 @@ def test_score_zero_works_rejected():
 # --- pick_best ------------------------------------------------------------
 
 def fake_plan(name):
-    return CandidatePlan(ShapePlan(parse_plan_hint(name), None, None, ()), None)
+    return CandidatePlan(ShapePlan(parse_plan_hint(name), ()), None)
 
 
 def make_score(total):

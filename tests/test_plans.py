@@ -7,13 +7,13 @@ import random
 import pytest
 
 from planrace.engine import (
+    Index,
     IndexCatalog,
     Projection,
     Query,
     RangePredicate,
     build_index,
     generate_dataset,
-    index_name_for,
 )
 from planrace.errors import UnknownPlanError
 from planrace.executor import CostModel, PlanExecution, run_to_completion
@@ -148,8 +148,8 @@ def test_candidate_order_is_deterministic(dataset):
 def test_parse_plan_hint_round_trip():
     assert str(parse_plan_hint("COLLSCAN")) == "COLLSCAN"
     assert str(parse_plan_hint("IXSCAN_A")) == "IXSCAN_A"
-    assert index_name_for(parse_plan_hint("IXSCAN_A").key_fields) == "A_1"
-    assert index_name_for(parse_plan_hint("IXSCAN_AB").key_fields) == "A_1_B_1"
+    assert Index(parse_plan_hint("IXSCAN_A").key_fields).name == "A_1"
+    assert Index(parse_plan_hint("IXSCAN_AB").key_fields).name == "A_1_B_1"
     assert parse_plan_hint("IXSCAN_AB").kind is PlanKind.IXSCAN_COVER
 
 

@@ -189,14 +189,15 @@ def cmd_explain(parser, args) -> int:
     knobs = RaceKnobs(args.works, args.coll_fraction, args.max_results)
     scenario = get_scenario(args.scenario)
     variant = VARIANTS[args.variant]
-    collection = _load(args.data)
-    catalog = scenario.build_catalog(collection)
     hint = None
     if args.hint is not None:
+        # checked before the dataset is read, which can take seconds
         try:
             hint = parse_plan_hint(args.hint)
         except PlanraceError as exc:
             parser.error(str(exc))
+    collection = _load(args.data)
+    catalog = scenario.build_catalog(collection)
     query = scenario.make_query(
         engine.RangePredicate("A", args.lowA, args.highA),
         engine.RangePredicate("B", args.lowB, args.highB),

@@ -4,14 +4,15 @@ The harness drives the optimizer over a D x D grid of (e_A, e_B)
 selectivities. Random range queries are drawn until every cell has been
 visited once, or until REJECTION_CAP draws in a row miss, when the cells
 left are built from the fields' sorted values; the sweep races each cell
-as draw_cells gives it and records the optimizer's choice. Every plan in
-the scenario's forced set (collection scan included, whether or not the
-optimizer would consider it) is then timed (measure_grid). The simulated
-clock makes every repeated run of a plan identical, so forced measurement
-takes one closed-form time per plan and a run drops no outliers;
-filter_outliers (the 1.5 IQR rule) stays only as the reference acceptance
-criterion 11 checks. Each cell's chosen plan is then compared against the
-true argmin to yield an accuracy fraction and a mean slowdown.
+as draw_cells gives it and records the optimizer's choice. Every plan the
+query's shape can run (plans.producible_plans; collection scan included,
+whether or not the optimizer would consider it) is then timed
+(measure_grid). The simulated clock makes every repeated run of a plan
+identical, so forced measurement takes one closed-form time per plan and a
+run drops no outliers; filter_outliers (the 1.5 IQR rule) stays only as the
+reference acceptance criterion 11 checks. Each cell's chosen plan is then
+compared against the true argmin to yield an accuracy fraction and a mean
+slowdown.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from operator import ne
 
 from .engine import (
     Collection,
+    Index,
     IndexCatalog,
     Query,
     RangePredicate,
@@ -39,10 +41,8 @@ from .plans import (
     CandidatePlan,
     OptimizerVariant,
     PlanId,
-    hinted_plan,
     plan_order_key,
     producible_plans,
-    shape_forced,
 )
 from .scenarios import Scenario
 
@@ -54,7 +54,7 @@ REJECTION_CAP = 1_000_000
 @dataclass
 class GridCell:
     """One visited cell: its query, the optimizer's choice and, once
-    measured and finalized, every forced plan's time and the verdict.
+    measured and finalized, every producible plan's time and the verdict.
 
     positions are (start_a, end_a, start_b, end_b): where the query's A and
     B ranges start and end in the fields' sorted values
@@ -62,8 +62,7 @@ class GridCell:
     Every access order leading on a field follows those sorted values, so
     they are also the scan range of every plan on that field. The sweep
     gets them from its draws; a cell built otherwise can take them from
-    Collection.positions, and one without them (None) cannot be measured
-    (measure_grid).
+    Collection.positions.
     """
 
     i: int
@@ -72,7 +71,7 @@ class GridCell:
     e_b: float
     query: Query
     chosen: str
-    positions: tuple[int, int, int, int] | None = None
+    positions: tuple[int, int, int, int]
     per_plan_times: dict[str, float] = field(default_factory=dict)
     optimal: str | None = None
     ratio: float | None = None
@@ -146,21 +145,18 @@ def filter_outliers(samples: list[float]) -> list[float]:
 
 
 def measure_all_plans(query: Query, collection: Collection, catalog: IndexCatalog,
-                      forced_plans: list[PlanId], cost: CostModel,
-                      reps: int = 10) -> dict[str, float]:
-    """Mean post-filter run time of every forced plan, via hint forcing.
+                      cost: CostModel, reps: int = 10) -> dict[str, float]:
+    """Mean post-filter run time of every plan the query's shape can run
+    (producible_plans), each run in full (plan_cost_totals).
 
     The simulated executor makes all reps identical, so one run stands for
     all of them.
     """
     if reps < 1:
         raise ValueError("need at least one sample")
-    # the plans hint forcing selects from, enumerated once for all forced plans
-    producible = producible_plans(query, catalog)
-    return {str(plan_id): _mean_of_reps(plan_cost_totals(
-                CandidatePlan(hinted_plan(producible, plan_id), query),
-                collection, cost)[0], reps)
-            for plan_id in forced_plans}
+    return {name: _mean_of_reps(plan_cost_totals(
+                CandidatePlan(plan, query), collection, cost)[0], reps)
+            for name, plan in producible_plans(query, catalog).items()}
 
 
 def _mean_of_reps(t: float, reps: int) -> float:
@@ -397,32 +393,30 @@ def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
 
 
 def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCatalog,
-                 scenario: Scenario, cost: CostModel, reps: int = 10) -> None:
+                 cost: CostModel, reps: int = 10) -> None:
     """Fill per_plan_times for every cell, as measure_all_plans would.
 
-    A forced plan's time is its scan length times its step time, which is
+    A plan's time is its scan length times its step time, which is
     plan_cost_totals' time. An index plan scans the cell's range of its
     leading field, end - start of the cell's positions (GridCell.positions);
-    COLLSCAN scans all N records. Each query shape's forced plans are
-    checked once (shape_forced): one the shape cannot produce raises an
-    UnknownPlanError.
+    COLLSCAN scans all N records. Each query shape's plans are listed once
+    (producible_plans).
     """
     if reps < 1:
         raise ValueError("need at least one sample")
     n = len(collection)
-    forced = scenario.forced_plan_ids()
-    # each forced plan's name, step time, and the offset of its range's
-    # start in a cell's positions, None for COLLSCAN
     offsets = {"A": 0, "B": 2}
-    plans = [(str(plan_id), step_time(plan_id.kind, cost),
-              offsets[plan_id.key_fields[0]] if plan_id.key_fields else None)
-             for plan_id in forced]
-    checked = set()
+    # per query shape: each plan's name, step time, and the offset of its
+    # range's start in a cell's positions, None for COLLSCAN
+    shapes = {}
     for cell in grid.sorted_cells():
         key = query_shape(cell.query)
-        if key not in checked:
-            shape_forced(cell.query, catalog, forced)
-            checked.add(key)
+        plans = shapes.get(key)
+        if plans is None:
+            plans = shapes[key] = [
+                (name, step_time(plan.id.kind, cost),
+                 None if plan.leading is None else offsets[plan.leading])
+                for name, plan in producible_plans(cell.query, catalog).items()]
         p = cell.positions
         cell.per_plan_times = {
             name: _mean_of_reps((n if k is None else p[k + 1] - p[k]) * step, reps)
@@ -474,14 +468,17 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
 
 
 def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
-    """Plan cache pre-seeded with `primed` for the scenario's query shape."""
-    if str(primed) not in {str(p) for p in scenario.forced_plan_ids()}:
+    """Plan cache pre-seeded with `primed` for the scenario's query shape.
+
+    `primed` must be a plan that shape can run (producible_plans). An index
+    is its key fields, so the check reads no collection.
+    """
+    query = scenario.make_query(RangePredicate("A", 0, 1), RangePredicate("B", 0, 1))
+    catalog = IndexCatalog([Index(keys) for keys in scenario.index_keys])
+    if str(primed) not in producible_plans(query, catalog):
         raise UnknownPlanError(
             f"plan {primed} is not executable in scenario {scenario.name!r}")
-    lo_a = RangePredicate("A", 0, 1)
-    lo_b = RangePredicate("B", 0, 1)
-    shape = query_shape(scenario.make_query(lo_a, lo_b))
-    return PlanCache({shape: primed})
+    return PlanCache({query_shape(query): primed})
 
 
 def run_experiment(scenario: Scenario, collection: Collection, variant: OptimizerVariant,
@@ -496,7 +493,7 @@ def run_experiment(scenario: Scenario, collection: Collection, variant: Optimize
     catalog = scenario.build_catalog(collection)
     cache = None if primed is None else primed_cache_for(scenario, primed)
     grid = sweep(scenario, collection, catalog, variant, d, seed, knobs, cache=cache)
-    measure_grid(grid, collection, catalog, scenario, cost, reps=reps)
+    measure_grid(grid, collection, catalog, cost, reps=reps)
     grid, metrics = finalize(grid)
     grid.provenance = {
         "scenario": scenario.name,

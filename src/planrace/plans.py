@@ -123,12 +123,14 @@ def _covers(query: Query, key_fields: tuple[str, ...]) -> bool:
 
 
 def producible_plans(query: Query, catalog: IndexCatalog) -> dict[str, ShapePlan]:
-    """Every plan a hint can force on this query, by its stable string form:
-    one per usable index, in catalog order, then COLLSCAN.
+    """Every plan this query's shape can run, by its stable string form: one
+    per usable index, in catalog order, then COLLSCAN. These are the plans a
+    hint can force, a run times (harness.measure_grid) and a primed plan
+    cache may hold (harness.primed_cache_for).
 
     The filter fields come in sorted order, so the plans depend only on the
     query's shape (query_shape), not on its hint or the order of its
-    predicates; one call serves every plan forced on that shape.
+    predicates; one call serves every query of that shape.
     """
     fields = sorted([p.field for p in query.predicates])
     producible = {}
@@ -149,15 +151,6 @@ def producible_plans(query: Query, catalog: IndexCatalog) -> dict[str, ShapePlan
     return producible
 
 
-def hinted_plan(producible: dict[str, ShapePlan], hint: PlanId) -> ShapePlan:
-    """The plan `hint` names among `producible`, or an UnknownPlanError."""
-    chosen = producible.get(str(hint))
-    if chosen is None:
-        raise UnknownPlanError(
-            f"hint {hint} names no producible plan; available: {sorted(producible)}")
-    return chosen
-
-
 def shape_candidates(query: Query, catalog: IndexCatalog,
                      variant: OptimizerVariant = OptimizerVariant.VANILLA
                      ) -> tuple[ShapePlan, ...]:
@@ -171,23 +164,16 @@ def shape_candidates(query: Query, catalog: IndexCatalog,
     """
     producible = producible_plans(query, catalog)
     if query.hint is not None:
-        return (hinted_plan(producible, query.hint),)
+        chosen = producible.get(str(query.hint))
+        if chosen is None:
+            raise UnknownPlanError(f"hint {query.hint} names no producible plan; "
+                                   f"available: {sorted(producible)}")
+        return (chosen,)
     collscan = producible.pop("COLLSCAN")
     candidates = list(producible.values())
     if variant in (OptimizerVariant.WITH_COLLSCAN, OptimizerVariant.MOD) or not candidates:
         candidates.append(collscan)
     return tuple(candidates)
-
-
-def shape_forced(query: Query, catalog: IndexCatalog,
-                 forced: list[PlanId]) -> tuple[ShapePlan, ...]:
-    """The plan hint forcing selects for each of `forced`, without the bounds.
-
-    As hinted_plan on producible_plans(query, catalog): an UnknownPlanError
-    for a plan the query's shape cannot produce.
-    """
-    producible = producible_plans(query, catalog)
-    return tuple(hinted_plan(producible, plan_id) for plan_id in forced)
 
 
 def bind_plans(plans: tuple[ShapePlan, ...], query: Query) -> list[CandidatePlan]:

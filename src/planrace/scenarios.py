@@ -1,4 +1,9 @@
-"""Physical-design presets: which indexes exist and how queries are shaped."""
+"""Physical-design presets: which indexes exist and how queries are shaped.
+
+A scenario lists no plans: the plans a run times and a primed plan cache may
+hold are those its query shape can run over its indexes
+(plans.producible_plans).
+"""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .engine import (
     RangePredicate,
     build_index,
 )
-from .plans import COLLSCAN_ID, PlanId, PlanKind
+from .plans import PlanId
 
 
 @dataclass(frozen=True)
@@ -35,15 +40,6 @@ class Scenario:
     def make_query(self, pred_a: RangePredicate, pred_b: RangePredicate,
                    hint: PlanId | None = None) -> Query:
         return Query((pred_a, pred_b), projection=self.projection, hint=hint)
-
-    def forced_plan_ids(self) -> list[PlanId]:
-        """Every plan measured per query: one per index, plus COLLSCAN always."""
-        ids = []
-        for keys in self.index_keys:
-            kind = PlanKind.IXSCAN if len(keys) == 1 else PlanKind.IXSCAN_COVER
-            ids.append(PlanId(kind, keys))
-        ids.append(COLLSCAN_ID)
-        return ids
 
 
 SCENARIOS = {

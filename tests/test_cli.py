@@ -143,6 +143,19 @@ def test_run_checks_primed_plan_before_reading_the_dataset(tmp_path, capsys, pla
     assert message in err_text and "cannot read dataset" not in err_text
 
 
+@pytest.mark.parametrize("hint", ["BOGUS", "ixscan_a", "IXSCAN_BA"])
+def test_explain_parses_hint_before_reading_the_dataset(tmp_path, capsys, hint):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["explain", "--scenario", "both-indexed", "--variant", "vanilla",
+              "--data", str(missing), "--hint", hint,
+              "--lowA", "0", "--highA", "10", "--lowB", "0", "--highB", "10"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"unknown plan {hint!r}" in err_text and "valid forms: COLLSCAN" in err_text
+    assert "cannot read dataset" not in err_text
+
+
 def test_run_rejects_bad_cost_string(tmp_path, data_file):
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "both-indexed", "--variant", "vanilla",

@@ -52,8 +52,8 @@ from planrace.plans import (
     OptimizerVariant,
     enumerate_candidates,
     parse_plan_hint,
+    producible_plans,
     shape_candidates,
-    shape_forced,
 )
 from planrace.scenarios import SCENARIOS, Scenario, get_scenario
 
@@ -150,7 +150,7 @@ def small_world():
 def test_measure_all_plans_sim_mode_is_exact(small_world):
     collection, scenario, catalog = small_world
     q = scenario.make_query(RangePredicate("A", 0, 100), RangePredicate("B", 0, 500))
-    times = measure_all_plans(q, collection, catalog, scenario.forced_plan_ids(), COST)
+    times = measure_all_plans(q, collection, catalog, COST)
     assert times["COLLSCAN"] == 1000 * COST.c_seq
     assert times["IXSCAN_A"] == 100 * (COST.c_idx + COST.c_fetch)
     assert times["IXSCAN_B"] == 500 * (COST.c_idx + COST.c_fetch)
@@ -161,7 +161,7 @@ def test_measure_all_plans_one_run_keeps_ten_sample_mean(small_world, monkeypatc
     collection, scenario, catalog = small_world
     cost = CostModel(0.1, 0.3, 0.7)
     q = scenario.make_query(RangePredicate("A", 0, 37), RangePredicate("B", 0, 500))
-    forced = scenario.forced_plan_ids()
+    producible = producible_plans(q, catalog)
     calls = []
 
     def counted(*args):
@@ -169,13 +169,16 @@ def test_measure_all_plans_one_run_keeps_ten_sample_mean(small_world, monkeypatc
         return plan_cost_totals(*args)
 
     monkeypatch.setattr(harness, "plan_cost_totals", counted)
-    times = measure_all_plans(q, collection, catalog, forced, cost, reps=10)
-    assert calls == forced  # one closed-form run per plan, not ten
-    for plan_id in forced:
-        plan = enumerate_candidates(Query(q.predicates, q.projection, hint=plan_id), catalog)[0]
+    times = measure_all_plans(q, collection, catalog, cost, reps=10)
+    # one closed-form run per plan, not ten
+    assert calls == [plan.id for plan in producible.values()]
+    assert list(times) == list(producible)
+    for name, shape_plan in producible.items():
+        hinted = Query(q.predicates, q.projection, hint=shape_plan.id)
+        plan = enumerate_candidates(hinted, catalog)[0]
         t, _ = plan_cost_totals(plan, collection, cost)
         kept = filter_outliers([t] * 10)  # what ten identical runs used to give
-        assert times[str(plan_id)] == sum(kept) / len(kept)
+        assert times[name] == sum(kept) / len(kept)
     # ten summed copies of 37 * 0.3 do not divide back to it
     assert times["IXSCAN_AB"] != 37 * 0.3
 
@@ -184,16 +187,15 @@ def test_measure_all_plans_one_run_keeps_ten_sample_mean(small_world, monkeypatc
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 def test_measure_grid_equals_plan_cost_totals(dist, cost):
     # measure_grid's closed form against hint forcing through plan_cost_totals,
-    # for every forced plan of every cell of every scenario
+    # for every producible plan of every cell of every scenario
     collection = generate_dataset(600, dist, seed=9)
     for name, scenario in SCENARIOS.items():
         catalog = scenario.build_catalog(collection)
         grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, d=6, seed=4)
-        measure_grid(grid, collection, catalog, scenario, cost, reps=7)
+        measure_grid(grid, collection, catalog, cost, reps=7)
         for cell in grid.sorted_cells():
             assert list(cell.per_plan_times.items()) == list(measure_all_plans(
-                cell.query, collection, catalog, scenario.forced_plan_ids(), cost,
-                reps=7).items()), (name, cell.i, cell.j)
+                cell.query, collection, catalog, cost, reps=7).items()), (name, cell.i, cell.j)
 
 
 def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
@@ -212,22 +214,23 @@ def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
         by_hand.cells[(i, i)] = GridCell(i=i, j=i, e_a=0.0, e_b=0.0, query=query,
                                          chosen="COLLSCAN", positions=positions)
     for g in (grid, by_hand):
-        measure_grid(g, collection, catalog, scenario, COST, reps=3)
+        measure_grid(g, collection, catalog, COST, reps=3)
         for cell in g.sorted_cells():
             assert cell.per_plan_times == measure_all_plans(
-                cell.query, collection, catalog, scenario.forced_plan_ids(), COST, reps=3)
+                cell.query, collection, catalog, COST, reps=3)
 
 
-def test_measure_grid_rejects_unproducible_forced_plan(small_world):
-    collection, _, _ = small_world
-    scenario = get_scenario("covering")
-    catalog = scenario.build_catalog(collection)
+def test_measure_grid_times_only_the_plans_a_shape_can_run(small_world):
+    collection, scenario, catalog = small_world
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, d=2, seed=1)
-    # a projection the compound index does not cover: IXSCAN_AB is not producible
+    # no projection: the compound index does not cover the query, so no
+    # IXSCAN_AB is producible, and none is timed
     for cell in grid.sorted_cells():
         cell.query = Query(cell.query.predicates)
-    with pytest.raises(UnknownPlanError):
-        measure_grid(grid, collection, catalog, scenario, COST)
+    measure_grid(grid, collection, catalog, COST)
+    for cell in grid.sorted_cells():
+        assert list(cell.per_plan_times) == ["IXSCAN_A", "IXSCAN_B", "COLLSCAN"]
+        assert cell.per_plan_times == measure_all_plans(cell.query, collection, catalog, COST)
 
 
 def test_measure_all_plans_includes_collscan_even_when_never_chosen(small_world):
@@ -235,7 +238,7 @@ def test_measure_all_plans_includes_collscan_even_when_never_chosen(small_world)
     scenario = get_scenario("both-indexed")
     catalog = scenario.build_catalog(collection)
     q = scenario.make_query(RangePredicate("A", 0, 10), RangePredicate("B", 0, 10))
-    times = measure_all_plans(q, collection, catalog, scenario.forced_plan_ids(), COST)
+    times = measure_all_plans(q, collection, catalog, COST)
     assert set(times) == {"IXSCAN_A", "IXSCAN_B", "COLLSCAN"}
 
 
@@ -520,20 +523,20 @@ def drawn_cells(grid, n):
     return [*cells, (grid.draws, grid.rejections, grid.filled_directly)]
 
 
-def assert_positions_are_scan_ranges(grid, collection, catalog, scenario, variant):
+def assert_positions_are_scan_ranges(grid, collection, catalog, variant):
     """Each cell's positions are fresh bisects of the fields' sorted values
-    (Collection.positions), the length of every candidate and forced plan's
+    (Collection.positions), the length of every candidate and producible plan's
     scan (all N records for COLLSCAN) comes from the positions of the
     range it leads on, and their lengths are the cell's selectivities."""
     n = len(collection)
-    forced = scenario.forced_plan_ids()
     for cell in grid.cells.values():
         q = cell.query
         assert cell.positions == query_positions(q, collection)
         start_a, end_a, start_b, end_b = cell.positions
         assert (cell.e_a, cell.e_b) == ((end_a - start_a) / n, (end_b - start_b) / n)
         lengths = {"A": end_a - start_a, "B": end_b - start_b, None: n}
-        for plans in (shape_candidates(q, catalog, variant), shape_forced(q, catalog, forced)):
+        for plans in (shape_candidates(q, catalog, variant),
+                      producible_plans(q, catalog).values()):
             for plan in plans:
                 _, works = plan_cost_totals(CandidatePlan(plan, q), collection, COST)
                 assert works == lengths[plan.leading] + 1
@@ -563,8 +566,7 @@ def test_sweep_records_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sma
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 8, 3, cache=cache)
     assert drawn_cells(grid, len(collection)) == list(
         harness.draw_cells(collection, 8, 3))
-    assert_positions_are_scan_ranges(grid, collection, catalog, scenario,
-                                     OptimizerVariant.VANILLA)
+    assert_positions_are_scan_ranges(grid, collection, catalog, OptimizerVariant.VANILLA)
     assert forks[ORDERS] == []  # a primed sweep races nothing, so it builds no layout
     monkeypatch.setattr(harness, "REJECTION_CAP", 2000)
     tiny = generate_dataset(9, "uniform-distinct", seed=7)
@@ -573,7 +575,7 @@ def test_sweep_records_the_direct_fill_and_primed_sweeps(monkeypatch, forks, sma
     grid = sweep(both, tiny, tiny_catalog, OptimizerVariant.VANILLA, 10, 7)
     assert grid.filled_directly == 19
     assert drawn_cells(grid, 9) == list(harness.draw_cells(tiny, 10, 7))
-    assert_positions_are_scan_ranges(grid, tiny, tiny_catalog, both, OptimizerVariant.VANILLA)
+    assert_positions_are_scan_ranges(grid, tiny, tiny_catalog, OptimizerVariant.VANILLA)
 
 
 @pytest.mark.parametrize("scenario_name", sorted(SCENARIOS))
@@ -584,7 +586,7 @@ def test_positions_are_every_plans_scan_range(monkeypatch, dist, scenario_name):
     scenario = get_scenario(scenario_name)
     catalog = scenario.build_catalog(collection)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.MOD, 7, seed=6)
-    assert_positions_are_scan_ranges(grid, collection, catalog, scenario, OptimizerVariant.MOD)
+    assert_positions_are_scan_ranges(grid, collection, catalog, OptimizerVariant.MOD)
 
 
 class Unreadable:
@@ -1013,7 +1015,7 @@ def synthetic_grid(cell_rows, d=2):
     for (i, j, chosen, times) in cell_rows:
         grid.cells[(i, j)] = GridCell(i=i, j=j, e_a=0.0, e_b=0.0,
                                       query=Query(dummy_pred), chosen=chosen,
-                                      per_plan_times=times)
+                                      positions=(0, 0, 0, 0), per_plan_times=times)
     return grid
 
 
@@ -1105,10 +1107,10 @@ def test_finalize_invariant_under_time_rescale(small_world):
     scenario = get_scenario("both-indexed")
     catalog = scenario.build_catalog(collection)
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 4, seed=19)
-    measure_grid(grid, collection, catalog, scenario, COST)
+    measure_grid(grid, collection, catalog, COST)
     _, base = finalize(grid)
     grid2 = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 4, seed=19)
-    measure_grid(grid2, collection, catalog, scenario, CostModel(3.0, 3.0, 12.0))
+    measure_grid(grid2, collection, catalog, CostModel(3.0, 3.0, 12.0))
     _, scaled = finalize(grid2)
     assert scaled.accuracy == base.accuracy
     assert scaled.impact_pct == pytest.approx(base.impact_pct)
@@ -1119,7 +1121,7 @@ def test_finalize_invariant_under_time_rescale(small_world):
 def test_ratios_never_below_one(small_world):
     collection, scenario, catalog = small_world
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, 4, seed=2)
-    measure_grid(grid, collection, catalog, scenario, COST)
+    measure_grid(grid, collection, catalog, COST)
     _, _ = finalize(grid)
     assert all(cell.ratio >= 1.0 for cell in grid.cells.values())
 

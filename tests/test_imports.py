@@ -1,6 +1,7 @@
 """The runtime is standard-library only, no module imports a name it never reads,
-only the collection forks a worker and bisects sorted values, and the
-executor stays the optimizer's stepped reference."""
+only the collection forks a worker and bisects sorted values, the
+executor stays the optimizer's stepped reference, and only the plans module
+makes a plan id."""
 
 from __future__ import annotations
 
@@ -111,3 +112,15 @@ def test_only_collection_positions_bisects_outside_the_draw_loop():
     assert sorted(importers) == ["engine.py", "harness.py"]
     assert bisect_left_callers("engine") == {"Collection.positions"}
     assert bisect_left_callers("harness") == {"draw_cells"}
+
+
+def test_only_the_plans_module_constructs_a_plan_id():
+    # a shape's plans are listed once (plans.producible_plans); a second list
+    # of plan ids elsewhere would have to be kept in step with it
+    builders = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "PlanId" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                builders.add(path.name)
+    assert builders == {"plans.py"}

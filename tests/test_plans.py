@@ -25,11 +25,9 @@ from planrace.plans import (
     PlanKind,
     bind_plans,
     enumerate_candidates,
-    hinted_plan,
     parse_plan_hint,
     producible_plans,
     shape_candidates,
-    shape_forced,
 )
 from planrace.scenarios import SCENARIOS, get_scenario
 
@@ -114,27 +112,26 @@ def test_hint_returns_exactly_that_plan(dataset):
 
 def test_hint_for_missing_index_errors(dataset):
     q = query_for("single-index", hint=parse_plan_hint("IXSCAN_A"))
-    with pytest.raises(UnknownPlanError):
+    with pytest.raises(UnknownPlanError, match="IXSCAN_A"):
         enumerate_candidates(q, catalog_for("single-index", dataset), OptimizerVariant.VANILLA)
+
+
+PRODUCIBLE = {
+    "both-indexed": ["IXSCAN_A", "IXSCAN_B", "COLLSCAN"],
+    "single-index": ["IXSCAN_B", "COLLSCAN"],
+    "covering": ["IXSCAN_A", "IXSCAN_B", "IXSCAN_AB", "COLLSCAN"],
+}
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_producible_plans_are_the_hinted_candidates(dataset, name):
-    # forced measurement looks every forced plan up in one producible_plans call
+    # a run times these plans in this order, and a hint forces each of them
     catalog = catalog_for(name, dataset)
-    forced = get_scenario(name).forced_plan_ids()
     producible = producible_plans(query_for(name), catalog)
-    assert sorted(producible) == sorted(str(p) for p in forced)
-    for plan_id in forced:
-        q = query_for(name, hint=plan_id)
-        assert [CandidatePlan(hinted_plan(producible, plan_id), q)] == enumerate_candidates(
-            q, catalog)
-
-
-def test_hinted_plan_rejects_unproducible_plan(dataset):
-    producible = producible_plans(query_for("single-index"), catalog_for("single-index", dataset))
-    with pytest.raises(UnknownPlanError, match="IXSCAN_A"):
-        hinted_plan(producible, parse_plan_hint("IXSCAN_A"))
+    assert list(producible) == PRODUCIBLE[name]
+    for plan in producible.values():
+        q = query_for(name, hint=plan.id)
+        assert [CandidatePlan(plan, q)] == enumerate_candidates(q, catalog)
 
 
 def test_candidate_order_is_deterministic(dataset):
@@ -242,23 +239,6 @@ def test_shape_candidates_bound_equal_enumerate_candidates(dataset, name):
                         assert filters == want
     # hints the catalog cannot produce
     assert errors > 0
-
-
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_shape_forced_bound_equal_hinted_producible_plans(dataset, name):
-    rng = random.Random(name)
-    catalog = catalog_for(name, dataset)
-    forced = get_scenario(name).forced_plan_ids()
-    every = [parse_plan_hint(p) for p in PLAN_ID_ORDER]
-    for _ in range(20):
-        a0, b0 = rng.randrange(400), rng.randrange(400)
-        q = query_for(name, a0, rng.randrange(a0, 401), b0, rng.randrange(b0, 401))
-        producible = producible_plans(q, catalog)
-        plans = shape_forced(q, catalog, forced)
-        assert plans == tuple(hinted_plan(producible, p) for p in forced)
-        # every known plan: UnknownPlanError where the scenario lacks an index
-        assert outcome(shape_forced, q, catalog, every) == outcome(
-            lambda: tuple(hinted_plan(producible, p) for p in every))
 
 
 def test_a_catalog_rebuilt_with_a_compound_index_serves_its_cover_plan(dataset):

@@ -33,7 +33,8 @@ from planrace.viz import (
 def cell(i, j, chosen, optimal=None, ratio=None):
     q = Query((RangePredicate("A", 0, 1), RangePredicate("B", 0, 1)))
     return GridCell(i=i, j=j, e_a=0.0, e_b=0.0, query=q, chosen=chosen,
-                    per_plan_times={chosen: 1.0}, optimal=optimal or chosen,
+                    positions=(0, 0, 0, 0), per_plan_times={chosen: 1.0},
+                    optimal=optimal or chosen,
                     ratio=1.0 if ratio is None else ratio)
 
 

@@ -9,12 +9,10 @@ renders the results as plan diagrams and impact heatmaps.
 
 from .engine import (
     Collection,
-    Index,
     IndexCatalog,
     Projection,
     Query,
     RangePredicate,
-    build_index,
     generate_dataset,
     load_dataset,
     query_shape,

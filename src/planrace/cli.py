@@ -194,6 +194,7 @@ def cmd_explain(parser, args) -> int:
         # checked before the dataset is read, which can take seconds
         try:
             hint = parse_plan_hint(args.hint)
+            harness.primed_cache_for(scenario, hint)  # a plan the scenario can run
         except PlanraceError as exc:
             parser.error(str(exc))
     collection = _load(args.data)

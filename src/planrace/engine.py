@@ -1,15 +1,18 @@
-"""Columnar storage: collections, secondary indexes, dataset generation and I/O.
+"""Columnar storage: collections, index catalogs, dataset generation and I/O.
 
 A collection is an immutable, in-memory set of documents with dense record
 ids (0..N-1), stored as one int64 array per field in record_id order; that
-order models on-disk sequential scan order. The collection also keeps, per
-field and built on first use, the field's values in sorted order
-(sorted_values), which a range's positions bisect (positions), and every
-access order: the record ids in (key tuple, record_id) order (order). An
-index is its key fields; the collection keeps its order, so a range scan
-is the contiguous slice of that order at the range's positions, and each
-entry's field values are read from the collection's columns through its
-record id. A run that only counts ranges never builds an order.
+order models on-disk sequential scan order. The collection is the one owner
+of what is built from its columns, each part on first use: per field, its
+values in sorted order (sorted_values), which a range's positions bisect
+(positions); every access order, the record ids in (key tuple, record_id)
+order (order); and the race layout of each query shape raced over it
+(optimizer.race_layout). An index is its key fields, and a catalog is the
+tuple of its indexes' key fields: plain data that fits any collection with
+those fields. A range scan is the contiguous slice of the collection's
+order of the index's key fields at the range's positions, and each entry's
+field values are read from the collection's columns through its record
+id. A run that only counts ranges never builds an order.
 Collection.sort_fields builds the sorted values or orders of two fields at
 once, the second in a forked worker where that pays (workers.forked).
 Every column, sorted copy and record id order is an array('q'): 8 bytes
@@ -75,18 +78,19 @@ class Collection:
     """One int64 column per field, each in record_id order; dict order is field order.
 
     Columns given as other sequences of ints are converted to array('q').
-    What is derived from the columns (sorted values, orders) is built on
-    first use and kept: collections are immutable, and two with equal
-    columns and name compare equal whatever each has built.
+    What is derived from the columns (sorted values by field, orders by key
+    fields, race layouts) is built on first use and kept: collections are
+    immutable, and two with equal columns and name compare equal whatever
+    each has built.
     """
 
     name: str
     columns: dict[str, array]
     _sorted_values: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
-    _orders: dict[str, array] = field(default_factory=dict, repr=False, compare=False)
-    # the orders of two or more key fields
-    _key_orders: dict[tuple[str, ...], array] = field(default_factory=dict, repr=False,
-                                                      compare=False)
+    _orders: dict[tuple[str, ...], array] = field(default_factory=dict, repr=False,
+                                                  compare=False)
+    # optimizer.race_layout's, by query shape, hint, variant and catalog indexes
+    race_layouts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.columns = {f: _int64_column(f, values) for f, values in self.columns.items()}
@@ -123,7 +127,8 @@ class Collection:
         sort, built, worker = (
             (self.order, self._orders, "the race layout's order worker") if orders else
             (self.sorted_values, self._sorted_values, "the catalog's sort worker"))
-        todo = [f for f in dict.fromkeys(fields) if f in self.columns and f not in built]
+        key = (lambda f: (f,)) if orders else (lambda f: f)
+        todo = [f for f in dict.fromkeys(fields) if f in self.columns and key(f) not in built]
         second = (len(todo) > 1 and len(self) >= SORT_WORKER_MIN and workers.can_overlap()
                   and workers.forked(_sorted_bytes, (sort, todo[1]), worker))
         if second:
@@ -133,7 +138,7 @@ class Collection:
             if len(kept) != len(self):
                 raise PlanraceError(f"{worker} sent {len(kept)} values for field "
                                     f"{todo[1]!r} of {len(self)} documents")
-            built[todo[1]] = kept
+            built[key(todo[1])] = kept
         for f in todo:
             sort(f)
 
@@ -147,17 +152,15 @@ class Collection:
         other keys, last key first, by stable sorts; without such a run it
         is the leading field's order itself.
         """
-        if len(key_fields) > 1:
-            cached = self._key_orders.get(key_fields)
-            if cached is None:
-                cached = self._key_orders[key_fields] = self._resort_runs(key_fields)
-            return cached
-        (field_name,) = key_fields
-        cached = self._orders.get(field_name)
+        cached = self._orders.get(key_fields)
         if cached is None:
-            rids = list(range(len(self)))
-            rids.sort(key=self.column(field_name).__getitem__)
-            cached = self._orders[field_name] = array("q", rids)
+            if len(key_fields) > 1:
+                cached = self._resort_runs(key_fields)
+            else:
+                rids = list(range(len(self)))
+                rids.sort(key=self.column(*key_fields).__getitem__)
+                cached = array("q", rids)
+            self._orders[key_fields] = cached
         return cached
 
     def _resort_runs(self, key_fields: tuple[str, ...]) -> array:
@@ -187,42 +190,22 @@ class Collection:
 
 
 @dataclass(frozen=True)
-class Index:
-    """Sorted secondary index on key_fields, named like "A_1_B_1".
-
-    Its entries are the records in the collection's order of its key fields
-    (Collection.order), and a range on the leading key is the entries at
-    the range's positions (Collection.positions). The collection builds that
-    order the first time a plan scans it, so a run that reuses a primed plan
-    never builds one.
-    """
-
-    key_fields: tuple[str, ...]
-
-    @property
-    def name(self) -> str:
-        return "_".join(f"{f}_1" for f in self.key_fields)
-
-
-@dataclass(frozen=True)
 class IndexCatalog:
-    """Indexes in creation order, fixed when the catalog is built; order is
-    the downstream tie-break.
+    """Each index's key fields, in creation order, fixed when the catalog is
+    built; order is the downstream tie-break.
 
-    shape_plans holds the race layout of each query shape raced in this
-    catalog (optimizer.race_layout). The indexes are a tuple, so those
-    layouts never go stale.
+    A catalog reads no collection: the collection keeps each index's order
+    (Collection.order) and each race layout (optimizer.race_layout).
     """
 
-    indexes: tuple[Index, ...] = ()
-    shape_plans: dict = field(default_factory=dict, repr=False, compare=False)
+    indexes: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "indexes", tuple(self.indexes))
-        names = [ix.name for ix in self.indexes]
-        for k, name in enumerate(names):
-            if name in names[:k]:
-                raise ValueError(f"duplicate index name {name!r}")
+        indexes = tuple(map(tuple, self.indexes))
+        object.__setattr__(self, "indexes", indexes)
+        for k, keys in enumerate(indexes):
+            if keys in indexes[:k]:
+                raise ValueError(f"duplicate index on {keys}")
 
 
 @dataclass(frozen=True)
@@ -303,15 +286,6 @@ def generate_dataset(n: int, distribution: str = "uniform-distinct", seed: int =
             values = rng.choices(range(n), weights=weights, k=n)
         columns[field_name] = values
     return Collection(name=f"gen_{distribution}_{n}_{seed}", columns=columns)
-
-
-def build_index(collection: Collection, key_fields) -> Index:
-    """The index on key_fields, each a field of the collection (see Index)."""
-    key_fields = tuple(key_fields)
-    for f in key_fields:
-        if f not in collection.columns:
-            raise UnknownFieldError(f"cannot index unknown field {f!r}")
-    return Index(key_fields)
 
 
 def selectivity(collection: Collection, predicate: RangePredicate) -> float:

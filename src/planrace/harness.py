@@ -27,7 +27,6 @@ from operator import ne
 
 from .engine import (
     Collection,
-    Index,
     IndexCatalog,
     Query,
     RangePredicate,
@@ -278,7 +277,9 @@ def draw_cells(collection: Collection, d: int, seed: int):
     fills a cell. Only cells in a reachable row and a reachable column count
     as open, so a draw whose A count falls in a row with no open cell, full
     or unreachable, is rejected without B's count; B's range is drawn all
-    the same.
+    the same. The loop counts draws alone: every draw that fills no cell is
+    a rejection, and sampling stops at the REJECTION_CAP-th draw after the
+    last fill.
     """
     rng = random.Random(seed)
     n = len(collection)
@@ -302,7 +303,8 @@ def draw_cells(collection: Collection, d: int, seed: int):
     cap = REJECTION_CAP
     last = d - 1
     left = d * d
-    draws = rejections = misses = 0
+    draws = 0
+    stop_at = cap  # the REJECTION_CAP-th draw after the last fill
     while left:
         # width - 1 below the domain size, then the low bound's offset from
         # the field's smallest value below the domain size - width + 1, for
@@ -343,7 +345,7 @@ def draw_cells(collection: Collection, d: int, seed: int):
                 j = last
             k = i * d + j
             if not filled[k]:
-                misses = 0
+                stop_at = draws + cap
                 filled[k] = 1
                 open_in_row[i] -= 1
                 left -= 1
@@ -357,14 +359,12 @@ def draw_cells(collection: Collection, d: int, seed: int):
                 yield (i, j, low_a, low_a + r_a + 1, low_b, low_b + r_b + 1,
                        start_a, end_a, start_b, end_b)
                 continue
-        rejections += 1
-        misses += 1
-        if misses >= cap:
+        if draws >= stop_at:
             missing = [divmod(k, d) for k in range(d * d) if not filled[k]]
             yield from _direct_fill_cells(collection, missing, d)
-            yield draws, rejections, len(missing)
+            yield draws, draws - (d * d - left), left
             return
-    yield draws, rejections, 0
+    yield draws, draws - d * d, 0
 
 
 def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
@@ -470,12 +470,11 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
 def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
     """Plan cache pre-seeded with `primed` for the scenario's query shape.
 
-    `primed` must be a plan that shape can run (producible_plans). An index
-    is its key fields, so the check reads no collection.
+    `primed` must be a plan that shape can run (producible_plans). A
+    catalog is its indexes' key fields, so the check reads no collection.
     """
     query = scenario.make_query(RangePredicate("A", 0, 1), RangePredicate("B", 0, 1))
-    catalog = IndexCatalog([Index(keys) for keys in scenario.index_keys])
-    if str(primed) not in producible_plans(query, catalog):
+    if str(primed) not in producible_plans(query, IndexCatalog(scenario.index_keys)):
         raise UnknownPlanError(
             f"plan {primed} is not executable in scenario {scenario.name!r}")
     return PlanCache({query_shape(query): primed})

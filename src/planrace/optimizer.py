@@ -9,9 +9,9 @@ race with the same number of work units.
 race() steps that protocol through PlanExecution.work() and is the
 reference. optimize() computes the same outcome in closed form
 (_race_scans) over the distinct scans of the query's shape (RaceLayout,
-kept per shape in the catalog) bound to the positions of its ranges in
-their fields' sorted orders (bind_layout), which it masks through columns
-of rank buckets (RankBuckets, match_mask): the race runs
+kept in the collection per shape and catalog) bound to the positions of
+its ranges in their fields' sorted orders (bind_layout), which it masks
+through columns of rank buckets (RankBuckets, match_mask): the race runs
     R = min(ceil(max_rounds), min_p(s_p + 1), min_p(q_p))
 rounds, where s_p is plan p's scan length and q_p the scan position of its
 max_results-th match; every plan then has R works, reached EOF iff
@@ -229,17 +229,19 @@ def _take(data: bytes, positions: array) -> bytes:
 
 @dataclass(frozen=True)
 class RaceLayout:
-    """What the races of one query shape read, built at its first race.
+    """What the races of one query shape over one collection and catalog
+    read, built at its first race and kept in the collection.
 
-    plans are the shape's candidates (plans.shape_candidates). Plans that
-    scan the same access order (the same record id array, or record_id
-    order) from the same leading field under the same filter fields scan
-    the same positions for every query, so they share one of `scans`:
-    IXSCAN_A and IXSCAN_AB over an A without repeated values. A scan is
-    (its leading field, None for COLLSCAN; rids, None for record_id order;
-    filters), each filter (field, the field's bucket numbers in the access
-    order, record_id-order column); slots[p] is the scan of plans[p].
-    `buckets` splits the ranks of every field alike.
+    plans are the shape's candidates in the catalog
+    (plans.shape_candidates). Plans that scan the same access order (the
+    same record id array, or record_id order) from the same leading field
+    under the same filter fields scan the same positions for every query,
+    so they share one of `scans`: IXSCAN_A and IXSCAN_AB over an A without
+    repeated values. A scan is (its leading field, None for COLLSCAN; rids,
+    None for record_id order; filters), each filter (field, the field's
+    bucket numbers in the access order, record_id-order column); slots[p]
+    is the scan of plans[p]. `buckets` splits the ranks of every field
+    alike.
 
     A filtered field's bucket numbers in record_id order are scattered from
     its order (RankBuckets.numbers_from_order), and a scan's columns are
@@ -279,17 +281,19 @@ def _build_layout(plans: tuple[ShapePlan, ...], collection: Collection) -> RaceL
 
 def race_layout(query: Query, collection: Collection, catalog: IndexCatalog,
                 variant: OptimizerVariant) -> RaceLayout:
-    """The race layout of the query's shape, hint and variant, built at its
-    first race and kept in catalog.shape_plans.
+    """The race layout of the query's shape, hint and variant over the
+    catalog's indexes, built at its first race over the collection and kept
+    in collection.race_layouts: the collection owns the orders and columns a
+    layout reads, and a catalog is plain data that may serve any collection.
 
     A failed enumeration (plans.shape_candidates) keeps nothing, so it fails
     again, with the same error, for every query of its shape.
     """
-    key = (query_shape(query), query.hint, variant)
-    layout = catalog.shape_plans.get(key)
+    key = (query_shape(query), query.hint, variant, catalog.indexes)
+    layout = collection.race_layouts.get(key)
     if layout is None:
         plans = shape_candidates(query, catalog, variant)
-        layout = catalog.shape_plans[key] = _build_layout(plans, collection)
+        layout = collection.race_layouts[key] = _build_layout(plans, collection)
     return layout
 
 

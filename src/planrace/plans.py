@@ -134,16 +134,16 @@ def producible_plans(query: Query, catalog: IndexCatalog) -> dict[str, ShapePlan
     """
     fields = sorted([p.field for p in query.predicates])
     producible = {}
-    for ix in catalog.indexes:
-        leading = ix.key_fields[0]
+    for keys in catalog.indexes:
+        leading = keys[0]
         if leading not in fields:
             continue
-        if len(ix.key_fields) == 1:
-            plan = ShapePlan(PlanId(PlanKind.IXSCAN, ix.key_fields),
+        if len(keys) == 1:
+            plan = ShapePlan(PlanId(PlanKind.IXSCAN, keys),
                              tuple(f for f in fields if f != leading))
-        elif _covers(query, ix.key_fields):
-            plan = ShapePlan(PlanId(PlanKind.IXSCAN_COVER, ix.key_fields),
-                             tuple(f for f in ix.key_fields[1:] if f in fields))
+        elif _covers(query, keys):
+            plan = ShapePlan(PlanId(PlanKind.IXSCAN_COVER, keys),
+                             tuple(f for f in keys[1:] if f in fields))
         else:
             continue
         producible[str(plan.id)] = plan

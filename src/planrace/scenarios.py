@@ -9,14 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import (
-    Collection,
-    IndexCatalog,
-    Projection,
-    Query,
-    RangePredicate,
-    build_index,
-)
+from .engine import Collection, IndexCatalog, Projection, Query, RangePredicate
+from .errors import UnknownFieldError
 from .plans import PlanId
 
 
@@ -28,14 +22,18 @@ class Scenario:
     projection: Projection | None = None
 
     def build_catalog(self, collection: Collection) -> IndexCatalog:
-        """The scenario's indexes on the collection, in index_keys order.
+        """The scenario's indexes, in index_keys order, each on fields of the
+        collection.
 
         A range on an index's leading field is scanned at its positions in
         the field's sorted values (Collection.positions), so those are
         sorted first, the second in a worker (Collection.sort_fields).
         """
+        unknown = [f for keys in self.index_keys for f in keys if f not in collection.columns]
+        if unknown:
+            raise UnknownFieldError(f"cannot index unknown field {unknown[0]!r}")
         collection.sort_fields([keys[0] for keys in self.index_keys], orders=False)
-        return IndexCatalog([build_index(collection, keys) for keys in self.index_keys])
+        return IndexCatalog(self.index_keys)
 
     def make_query(self, pred_a: RangePredicate, pred_b: RangePredicate,
                    hint: PlanId | None = None) -> Query:

@@ -156,6 +156,21 @@ def test_explain_parses_hint_before_reading_the_dataset(tmp_path, capsys, hint):
     assert "cannot read dataset" not in err_text
 
 
+@pytest.mark.parametrize("scenario,hint", [("both-indexed", "IXSCAN_AB"),
+                                           ("single-index", "IXSCAN_A")])
+def test_explain_rejects_an_unproducible_hint_before_reading_the_dataset(tmp_path, capsys,
+                                                                         scenario, hint):
+    missing = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["explain", "--scenario", scenario, "--variant", "vanilla",
+              "--data", str(missing), "--hint", hint,
+              "--lowA", "0", "--highA", "10", "--lowB", "0", "--highB", "10"])
+    assert err.value.code == 2
+    err_text = capsys.readouterr().err
+    assert f"plan {hint} is not executable in scenario {scenario!r}" in err_text
+    assert "cannot read dataset" not in err_text
+
+
 def test_run_rejects_bad_cost_string(tmp_path, data_file):
     with pytest.raises(SystemExit) as err:
         main(["run", "--scenario", "both-indexed", "--variant", "vanilla",

@@ -14,12 +14,10 @@ from planrace import engine
 from planrace.engine import (
     DISTRIBUTIONS,
     Collection,
-    Index,
     IndexCatalog,
     Projection,
     Query,
     RangePredicate,
-    build_index,
     generate_dataset,
     load_dataset,
     query_shape,
@@ -41,21 +39,21 @@ def make_collection(a_values, b_values):
     return Collection("test", {"A": list(a_values), "B": list(b_values)})
 
 
-def index_column(c, ix, f):
-    """Field f's column in the index's order, gathered through the record
-    ids of the collection's order of its key fields."""
-    return array("q", [c.columns[f][rid] for rid in c.order(*ix.key_fields)])
+def index_column(c, keys, f):
+    """Field f's column in the order of the index on `keys`, gathered
+    through the record ids of the collection's order of those fields."""
+    return array("q", [c.columns[f][rid] for rid in c.order(*keys)])
 
 
-def index_entries(c, ix):
-    """The index as (key tuple, record_id) pairs in index order."""
-    keys = zip(*(index_column(c, ix, f) for f in ix.key_fields))
-    return list(zip(keys, c.order(*ix.key_fields)))
+def index_entries(c, keys):
+    """The index on `keys` as (key tuple, record_id) pairs in index order."""
+    columns = zip(*(index_column(c, keys, f) for f in keys))
+    return list(zip(columns, c.order(*keys)))
 
 
-def assert_leading_column_is_sorted_values(c, ix):
+def assert_leading_column_is_sorted_values(c, keys):
     # so the positions of a range on the leading field are its index scan's
-    assert c.sorted_values(ix.key_fields[0]) == index_column(c, ix, ix.key_fields[0])
+    assert c.sorted_values(keys[0]) == index_column(c, keys, keys[0])
 
 
 # --- generate_dataset ---------------------------------------------------
@@ -75,8 +73,7 @@ def test_single_document_dataset():
 def test_large_uniform_distinct_spans_domain():
     c = generate_dataset(100_000, "uniform-distinct", seed=7)
     assert len(c) == 100_000
-    ix = build_index(c, ["A"])
-    entries = index_entries(c, ix)
+    entries = index_entries(c, ("A",))
     assert entries[0][0] == (0,)
     assert entries[-1][0] == (99_999,)
 
@@ -103,41 +100,35 @@ def test_other_distributions_produce_in_domain_values():
             assert 0 <= b < 200
 
 
-# --- build_index ---------------------------------------------------------
+# --- indexes ---------------------------------------------------------------
 
-def test_an_index_is_its_key_fields():
+def test_a_catalog_is_its_indexes_key_fields():
     c = make_collection([5, 1, 3], [0, 0, 0])
-    ix = build_index(c, ["A", "B"])
-    assert ix == Index(("A", "B")) and ix.name == "A_1_B_1"
-    assert vars(ix) == {"key_fields": ("A", "B")}  # no array, no collection
-    with pytest.raises(AttributeError):
-        ix.key_fields = ("B",)
-    assert c._sorted_values == c._orders == c._key_orders == {}  # nothing built
+    catalog = get_scenario("covering").build_catalog(c)
+    assert catalog == IndexCatalog([["A"], ("B",), ("A", "B")])
+    assert catalog.indexes == (("A",), ("B",), ("A", "B"))
+    assert vars(catalog) == {"indexes": catalog.indexes}  # no collection, array or layout
+    assert c._orders == c.race_layouts == {}  # the build sorts values, no order
 
 
 def test_index_sorts_single_field():
     c = make_collection([5, 1, 3], [0, 0, 0])
-    ix = build_index(c, ["A"])
-    assert ix.name == "A_1"
-    assert index_entries(c, ix) == [((1,), 1), ((3,), 2), ((5,), 0)]
-    assert_leading_column_is_sorted_values(c, ix)
+    assert index_entries(c, ("A",)) == [((1,), 1), ((3,), 2), ((5,), 0)]
+    assert_leading_column_is_sorted_values(c, ("A",))
 
 
 def test_compound_index_sorts_lexicographically():
     c = make_collection([1, 1], [9, 2])
-    ix = build_index(c, ["A", "B"])
-    assert ix.name == "A_1_B_1"
-    assert [e[0] for e in index_entries(c, ix)] == [(1, 2), (1, 9)]
-    assert_leading_column_is_sorted_values(c, ix)
+    assert [e[0] for e in index_entries(c, ("A", "B"))] == [(1, 2), (1, 9)]
+    assert_leading_column_is_sorted_values(c, ("A", "B"))
 
 
 def test_index_entry_count_matches_documents():
     rng = random.Random(3)
     c = make_collection([rng.randrange(50) for _ in range(120)],
                         [rng.randrange(50) for _ in range(120)])
-    for keys in (["A"], ["B"], ["A", "B"]):
-        ix = build_index(c, keys)
-        assert len(index_entries(c, ix)) == len(c)
+    for keys in (("A",), ("B",), ("A", "B")):
+        assert len(index_entries(c, keys)) == len(c)
         assert len(c.order(*keys)) == len(c)
 
 
@@ -145,12 +136,11 @@ def test_index_entry_count_matches_documents():
 def test_index_order_matches_sorted_key_rid_pairs(dist):
     # repeated keys: ties within a key fall back to the next key, then rid
     c = generate_dataset(3000, dist, seed=17)
-    for keys in (["A"], ["B"], ["A", "B"], ["B", "A"]):
-        ix = build_index(c, keys)
+    for keys in (("A",), ("B",), ("A", "B"), ("B", "A")):
         expected = sorted(
             (tuple(c.columns[f][rid] for f in keys), rid) for rid in range(len(c)))
-        assert index_entries(c, ix) == expected
-        assert_leading_column_is_sorted_values(c, ix)
+        assert index_entries(c, keys) == expected
+        assert_leading_column_is_sorted_values(c, keys)
 
 
 DERIVATION_CASES = {
@@ -190,19 +180,20 @@ def test_compound_order_from_leading_order_equals_full_sort(case, keys):
     # keys are re-sorted
     c = DERIVATION_CASES[case]()
     assert c.order(*keys) == key_then_rid_order(c, keys)
-    assert_leading_column_is_sorted_values(c, build_index(c, keys))
+    assert_leading_column_is_sorted_values(c, keys)
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 def test_index_orders_are_int64_arrays_in_key_then_record_id_order(dist):
     c = generate_dataset(3000, dist, seed=11)
     catalog = get_scenario("covering").build_catalog(c)
-    assert c._orders == c._key_orders == {}  # built when an order is first read
-    for ix in catalog.indexes:
-        order = c.order(*ix.key_fields)
+    assert c._orders == {}  # built when an order is first read
+    for keys in catalog.indexes:
+        order = c.order(*keys)
         assert isinstance(order, array) and order.typecode == "q"
-        assert order == key_then_rid_order(c, ix.key_fields)
-        assert c.order(*ix.key_fields) is order  # kept once built
+        assert order == key_then_rid_order(c, keys)
+        assert c.order(*keys) is order  # kept once built
+    assert set(c._orders) == set(catalog.indexes)  # one cache, by key fields
     # without ties in A, A's order is already A_1_B_1's
     assert (c.order("A", "B") is c.order("A")) == (dist == "uniform-distinct")
 
@@ -210,14 +201,15 @@ def test_index_orders_are_int64_arrays_in_key_then_record_id_order(dist):
 def test_compound_order_without_ties_is_the_leading_order():
     c = generate_dataset(500, "uniform-distinct", seed=3)
     assert c.order("A", "B") is c.order("A")
-    assert c._key_orders == {("A", "B"): c.order("A")}  # the shared one is kept too
+    # the shared one is kept under both key tuples
+    assert c._orders == {("A", "B"): c.order("A"), ("A",): c.order("A")}
 
 
 def test_compound_order_with_ties_is_a_separate_kept_array():
     c = generate_dataset(500, "uniform-with-repeats", seed=3)
     ab = c.order("A", "B")
     assert ab is not c.order("A") and ab != c.order("A")
-    assert c.order("A", "B") is ab and c._key_orders == {("A", "B"): ab}
+    assert c.order("A", "B") is ab and c._orders == {("A",): c.order("A"), ("A", "B"): ab}
     assert ab == key_then_rid_order(c, ("A", "B"))
 
 
@@ -231,17 +223,16 @@ def test_collections_compare_by_name_and_columns_alone():
 
 
 def test_catalog_indexes_are_fixed_when_it_is_built():
-    c = generate_dataset(50, "uniform-distinct", seed=3)
-    a, b = build_index(c, ["A"]), build_index(c, ["B"])
-    catalog = IndexCatalog([a, b])
+    a, b = ("A",), ("B",)
+    catalog = IndexCatalog([a, ["B"]])
     assert catalog.indexes == (a, b)
     with pytest.raises(AttributeError):
-        catalog.indexes.append(build_index(c, ["A", "B"]))
+        catalog.indexes.append(("A", "B"))
     with pytest.raises(AttributeError):
         catalog.indexes = (a,)
     assert catalog.indexes == (a, b)
-    with pytest.raises(ValueError, match="duplicate index name 'A_1'"):
-        IndexCatalog([a, b, build_index(c, ["A"])])
+    with pytest.raises(ValueError, match=r"duplicate index on \('A',\)"):
+        IndexCatalog([a, b, ["A"]])
 
 
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
@@ -260,17 +251,18 @@ def test_positions_count_the_values_below_each_bound(dist):
         c.positions(RangePredicate("Z", 0, 1))
 
 
-def test_index_unknown_field_error_names_field():
-    c = make_collection([1], [2])
-    with pytest.raises(UnknownFieldError, match="Z"):
-        build_index(c, ["Z"])
+@pytest.mark.parametrize("scenario_name", ["both-indexed", "single-index", "covering"])
+def test_catalog_on_an_unknown_field_names_it_and_sorts_nothing(scenario_name):
+    c = Collection("only-A", {"A": [3, 1, 2]})
+    with pytest.raises(UnknownFieldError, match="^cannot index unknown field 'B'$"):
+        get_scenario(scenario_name).build_catalog(c)
+    assert c._sorted_values == {}
 
 
 def test_positions_are_an_index_scans_range():
     c = make_collection([5, 1, 3, 8], [0, 0, 0, 0])
-    ix = build_index(c, ["A"])
     lo, hi = c.positions(RangePredicate("A", 3, 8))
-    assert [e[0][0] for e in index_entries(c, ix)[lo:hi]] == [3, 5]
+    assert [e[0][0] for e in index_entries(c, ("A",))[lo:hi]] == [3, 5]
     assert c.positions(RangePredicate("A", 0, 100)) == (0, 4)
     assert c.positions(RangePredicate("A", 4, 4)) == (2, 2)
 
@@ -624,9 +616,9 @@ def test_columns_sorted_values_and_index_orders_are_int64_arrays(tmp_path, sourc
     c = COLLECTIONS[source](tmp_path)
     assert all(map(is_int64_array, c.columns.values()))
     catalog = get_scenario("covering").build_catalog(c)
-    for ix in catalog.indexes:
-        assert is_int64_array(c.sorted_values(ix.key_fields[0]))
-        assert is_int64_array(c.order(*ix.key_fields))
+    for keys in catalog.indexes:
+        assert is_int64_array(c.sorted_values(keys[0]))
+        assert is_int64_array(c.order(*keys))
 
 
 def test_storage_retains_under_64_bytes_per_document(tmp_path):

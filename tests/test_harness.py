@@ -640,7 +640,7 @@ def test_a_run_below_the_worker_minimum_forks_no_process(monkeypatch):
     assert len(collection) < engine.SORT_WORKER_MIN
     grid, _ = run_experiment(get_scenario("both-indexed"), collection,
                              OptimizerVariant.VANILLA, d=10, seed=7)
-    assert grid.complete and set(collection._orders) == {"A", "B"}
+    assert grid.complete and set(collection._orders) == {("A",), ("B",)}
     assert pids == []
 
 
@@ -673,8 +673,8 @@ def assert_sorted_as_in_process(collection):
     fresh = Collection("fresh", dict(collection.columns))
     for field_name, values in collection._sorted_values.items():
         assert values.tobytes() == fresh.sorted_values(field_name).tobytes()
-    for field_name, order in collection._orders.items():
-        assert order.tobytes() == fresh.order(field_name).tobytes()
+    for key_fields, order in collection._orders.items():
+        assert order.tobytes() == fresh.order(*key_fields).tobytes()
 
 
 @pytest.mark.parametrize("worker", [SORTS, ORDERS])
@@ -690,18 +690,18 @@ def test_second_field_is_sorted_in_a_worker(forks, dist, scenario_name, worker):
     assert forks[ORDERS] == [] or worker == ORDERS
     assert_reaped(forks[SORTS] + forks[ORDERS])
     assert_sorted_as_in_process(collection)
-    assert {ix.key_fields[0] for ix in catalog.indexes} <= set(collection._sorted_values)
+    assert {keys[0] for keys in catalog.indexes} <= set(collection._sorted_values)
     if worker == ORDERS:
-        for ix in catalog.indexes:
+        for keys in catalog.indexes:
             # equal values keep record_id order; a compound order without
             # repeated leading values is its leading field's order
-            lead = ix.key_fields[0]
+            lead = keys[0]
             rids = sorted(range(len(collection)), key=lambda rid: tuple(
-                collection.columns[f][rid] for f in ix.key_fields))
-            order = collection.order(*ix.key_fields)
+                collection.columns[f][rid] for f in keys))
+            order = collection.order(*keys)
             assert order.tolist() == rids
             repeats = len(set(collection.columns[lead])) < len(collection)
-            assert (order is collection.order(lead)) == (len(ix.key_fields) == 1 or not repeats)
+            assert (order is collection.order(lead)) == (len(keys) == 1 or not repeats)
 
 
 @pytest.mark.parametrize("worker", [SORTS, ORDERS])
@@ -713,7 +713,8 @@ def test_without_a_worker_both_fields_sort_here(monkeypatch, forks, unavailable,
     monkeypatch.setattr(os, unavailable, fail)
     collection = generate_dataset(2000, "zipfian", seed=3)
     sort_both(get_scenario("covering"), collection, worker)
-    assert set(collection._orders) == ({"A", "B"} if worker == ORDERS else set())
+    assert set(collection._orders) == ({("A",), ("B",), ("A", "B")} if worker == ORDERS
+                                       else set())
     assert_sorted_as_in_process(collection)
     assert forks == {SORTS: [], ORDERS: []}
 
@@ -761,7 +762,8 @@ def test_worker_failure_is_one_error_and_the_worker_is_reaped(monkeypatch, forks
     assert len(forks[worker]) == 1
     assert_reaped(forks[SORTS] + forks[ORDERS])
     # the worker's field is left unbuilt
-    assert "B" not in (collection._orders if worker == ORDERS else collection._sorted_values)
+    assert ("B",) not in collection._orders if worker == ORDERS else (
+        "B" not in collection._sorted_values)
 
 
 def test_a_sort_that_fails_here_kills_and_reaps_the_worker(monkeypatch, forks):
@@ -1213,8 +1215,9 @@ def test_primed_run_builds_only_leading_columns(built_catalogs, primed):
     run_experiment(get_scenario("covering"), collection, OptimizerVariant.VANILLA,
                    d=5, seed=3, primed=parse_plan_hint(primed))
     (catalog,) = built_catalogs
-    assert collection._orders == collection._key_orders == {}
-    assert catalog.shape_plans == {}  # no race, so no race layout
+    assert collection._orders == {}
+    assert collection.race_layouts == {}  # no race, so no race layout
+    assert catalog.indexes == (("A",), ("B",), ("A", "B"))
 
 
 COVERING_BA = Scenario("covering-BA", (("B",), ("A",), ("B", "A")),
@@ -1231,23 +1234,21 @@ def test_raced_run_builds_indexes_equal_to_full_builds(built_catalogs, dist, sce
     n = len(collection)
     expected = set()
     # the race built every index's order
-    assert set(collection._orders) == {"A", "B"}
-    assert set(collection._key_orders) == {ix.key_fields for ix in catalog.indexes
-                                           if len(ix.key_fields) > 1}
-    for ix in catalog.indexes:
+    assert set(collection._orders) == set(catalog.indexes)
+    for keys in catalog.indexes:
         # every plan races; each index plan filters on its non-leading field
         # through that field's bucket column in the index's order; a
         # compound index in its leading field's order is masked as that one
-        lead = ix.key_fields[0]
+        lead = keys[0]
         other = "B" if lead == "A" else "A"
-        order = collection.order(*ix.key_fields)
+        order = collection.order(*keys)
         expected.add((id(order), (other,)))
-        columns = [collection.columns[f] for f in ix.key_fields]
+        columns = [collection.columns[f] for f in keys]
         assert order == array("q", sorted(
             range(n), key=lambda rid: (*(column[rid] for column in columns), rid)))
         assert collection.sorted_values(lead) == array("q", sorted(collection.columns[lead]))
     # one race layout, with no index-order scan beyond those the plans filter through
-    (layout,) = catalog.shape_plans.values()
+    (layout,) = collection.race_layouts.values()
     assert {(id(rids), tuple(f for f, _, _ in filters))
             for _, rids, filters in layout.scans if rids is not None} == expected
 
@@ -1271,10 +1272,11 @@ def test_first_race_sorts_the_orders_its_plans_lead_or_filter_on(scenario_name, 
     except UnknownPlanError:
         assert collection._orders == {}  # a hint the catalog cannot produce builds nothing
         return
-    (layout,) = catalog.shape_plans.values()
+    (layout,) = collection.race_layouts.values()
     read = {plan.leading for plan in layout.plans if plan.leading is not None}
     read |= {f for plan in layout.plans for f in plan.filters}
-    assert set(collection._orders) == read <= {"A", "B"}
+    scanned = {plan.id.key_fields for plan in layout.plans if plan.leading is not None}
+    assert set(collection._orders) == {(f,) for f in read} | scanned and read <= {"A", "B"}
 
 
 def test_a_raced_single_index_run_sorts_its_second_order_in_a_worker(monkeypatch):
@@ -1299,5 +1301,5 @@ def test_a_raced_single_index_run_sorts_its_second_order_in_a_worker(monkeypatch
     ((name, pid),) = forked
     assert name == ORDERS and pid is not None
     assert_reaped([pid])
-    assert set(collection._orders) == {"A", "B"}
+    assert set(collection._orders) == {("A",), ("B",)}
     assert_sorted_as_in_process(collection)

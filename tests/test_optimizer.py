@@ -3,13 +3,21 @@ winner choice, and the plan cache."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 from bisect import bisect_left
 
 import pytest
 
-from planrace.engine import DISTRIBUTIONS, Collection, Query, RangePredicate, generate_dataset
+from planrace.engine import (
+    DISTRIBUTIONS,
+    Collection,
+    IndexCatalog,
+    Query,
+    RangePredicate,
+    generate_dataset,
+)
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
@@ -64,7 +72,6 @@ def test_single_collscan_race_runs_to_eof():
     c = generate_dataset(50, "uniform-distinct", seed=3)
     scenario = get_scenario("both-indexed")
     q = scenario.make_query(RangePredicate("A", 0, 50), RangePredicate("B", 0, 50))
-    from planrace.engine import IndexCatalog
     catalog = IndexCatalog()  # no indexes: COLLSCAN is required
     plans = enumerate_candidates(q, catalog, OptimizerVariant.VANILLA)
     stats_out = race([PlanExecution(plans[0], c, catalog, COST)], 50, KNOBS)
@@ -220,6 +227,38 @@ def test_layout_scatters_every_filtered_field_from_its_order(monkeypatch, scenar
     assert all(any(rids is collection.order(f) for rids in scattered) for f in filtered)
 
 
+# (N, data seed) -> R and each covering plan's results (IXSCAN_A, IXSCAN_B,
+# IXSCAN_AB, COLLSCAN) of the mod race of A[100, 900) B[0, 400)
+OWN_RACES = {
+    (3000, 1): (401, [40, 96, 40, 16]),
+    (3000, 2): (348, [42, 101, 42, 19]),
+    (500, 42): (121, [101, 97, 101, 78]),
+}
+
+
+def test_one_catalog_races_each_collection_over_its_own_layout():
+    # a catalog is plain data; the layout it races is kept by the collection,
+    # so a catalog built on one collection and raced over others reads their
+    # orders and bucket columns, not the first one's
+    assert [f.name for f in dataclasses.fields(IndexCatalog)] == ["indexes"]
+    scenario = get_scenario("covering")
+    variant = OptimizerVariant.MOD
+    q = scenario.make_query(RangePredicate("A", 100, 900), RangePredicate("B", 0, 400))
+    collections = [generate_dataset(n, "uniform-distinct", seed) for n, seed in OWN_RACES]
+    catalog = scenario.build_catalog(collections[0])
+    for collection, (rounds, results) in zip(collections, OWN_RACES.values()):
+        raced = optimize(q, collection, catalog, variant)
+        assert (raced.rounds, raced.results) == (rounds, results)
+        plans = enumerate_candidates(q, catalog, variant)
+        stepped = race([PlanExecution(p, collection, catalog, COST) for p in plans],
+                       len(collection), KNOBS)
+        assert raced.stats == stepped
+        assert raced.chosen == pick_best([score_plan(st, variant) for st in stepped], plans)
+        fresh = Collection(collection.name, dict(collection.columns))
+        assert raced == optimize(q, fresh, scenario.build_catalog(fresh), variant)
+    assert [len(c.race_layouts) for c in collections] == [1, 1, 1]
+
+
 @pytest.mark.parametrize("dist", DISTRIBUTIONS)
 def test_layout_shares_one_scan_between_a_and_ab_without_repeated_a_values(dist):
     collection = generate_dataset(2000, dist, seed=5)
@@ -321,7 +360,7 @@ def check_byte_masks(collection, rng):
     for _ in range(150):
         index = rng.choice(orders)
         fields = (("A", "B") if index is None
-                  else tuple(f for f in ("A", "B") if f != index.key_fields[0]))
+                  else tuple(f for f in ("A", "B") if f != index[0]))
         # up to two filters, some with empty ranges
         filters = []
         for f in fields[:rng.choice([0, 1, len(fields)])]:
@@ -330,7 +369,7 @@ def check_byte_masks(collection, rng):
             filters.append((f, min(low, high), max(low, high)))
         start = rng.randrange(n + 1)
         end = rng.randrange(start, n + 1)
-        rids = None if index is None else collection.order(*index.key_fields)
+        rids = None if index is None else collection.order(*index)
         # each field's column in the access order, gathered through its rids
         columns = collection.columns if index is None else {
             f: [collection.columns[f][rid] for rid in rids] for f in collection.columns}

@@ -23,7 +23,6 @@ from .errors import PlanraceError
 from .executor import CostModel, PlanExecution, WorkState, run_to_completion
 from .optimizer import (
     OptimizeResult,
-    PlanCache,
     RaceKnobs,
     Score,
     TrialStats,

@@ -10,7 +10,7 @@ from . import engine, harness, viz
 from .errors import PlanraceError
 from .executor import CostModel, plan_cost_totals
 from .optimizer import RaceKnobs, optimize
-from .plans import OptimizerVariant, parse_plan_hint
+from .plans import OptimizerVariant, PlanId, parse_plan_hint
 from .scenarios import SCENARIOS, get_scenario
 
 VARIANTS = {v.value: v for v in OptimizerVariant}
@@ -142,6 +142,19 @@ def _cannot_write(path: str, exc: OSError) -> PlanraceError:
     return PlanraceError(f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _scenario_plan(parser, scenario, text: str | None) -> PlanId | None:
+    """The plan `text` names, None for None; a usage error unless the scenario
+    can run it (harness.primed_cache_for). Checked before the dataset is read."""
+    if text is None:
+        return None
+    try:
+        plan = parse_plan_hint(text)
+        harness.primed_cache_for(scenario, plan)
+    except PlanraceError as exc:
+        parser.error(str(exc))
+    return plan
+
+
 def cmd_gen(args) -> int:
     collection = engine.generate_dataset(args.n, args.dist, args.seed)
     try:
@@ -157,14 +170,7 @@ def cmd_run(parser, args) -> int:
     knobs = RaceKnobs(args.works, args.coll_fraction, args.max_results)
     scenario = get_scenario(args.scenario)
     variant = VARIANTS[args.variant]
-    primed = None
-    if args.cache_primed is not None:
-        # checked before the dataset is read, which can take seconds
-        try:
-            primed = parse_plan_hint(args.cache_primed)
-            harness.primed_cache_for(scenario, primed)  # validate executability
-        except PlanraceError as exc:
-            parser.error(str(exc))
+    primed = _scenario_plan(parser, scenario, args.cache_primed)
     collection = _load(args.data)
     grid, metrics = harness.run_experiment(
         scenario, collection, variant, d=args.dim, seed=args.seed, knobs=knobs,
@@ -189,14 +195,7 @@ def cmd_explain(parser, args) -> int:
     knobs = RaceKnobs(args.works, args.coll_fraction, args.max_results)
     scenario = get_scenario(args.scenario)
     variant = VARIANTS[args.variant]
-    hint = None
-    if args.hint is not None:
-        # checked before the dataset is read, which can take seconds
-        try:
-            hint = parse_plan_hint(args.hint)
-            harness.primed_cache_for(scenario, hint)  # a plan the scenario can run
-        except PlanraceError as exc:
-            parser.error(str(exc))
+    hint = _scenario_plan(parser, scenario, args.hint)
     collection = _load(args.data)
     catalog = scenario.build_catalog(collection)
     query = scenario.make_query(

@@ -35,7 +35,7 @@ from .engine import (
 )
 from .errors import PlanraceError, UnknownPlanError
 from .executor import CostModel, plan_cost_totals, step_time
-from .optimizer import PlanCache, RaceKnobs, optimize
+from .optimizer import RaceKnobs, optimize
 from .plans import (
     CandidatePlan,
     OptimizerVariant,
@@ -55,13 +55,13 @@ class GridCell:
     """One visited cell: its query, the optimizer's choice and, once
     measured and finalized, every producible plan's time and the verdict.
 
-    positions are (start_a, end_a, start_b, end_b): where the query's A and
-    B ranges start and end in the fields' sorted values
-    (Collection.sorted_values), so end - start is a range's match count.
-    Every access order leading on a field follows those sorted values, so
-    they are also the scan range of every plan on that field. The sweep
-    gets them from its draws; a cell built otherwise can take them from
-    Collection.positions.
+    positions are the (start, end) of each of the query's predicates, in
+    predicate order: where its range starts and ends in its field's sorted
+    values (Collection.positions), so end - start is the range's match
+    count. Every access order leading on a field follows those sorted
+    values, so they are also the scan range of every plan on that field.
+    The sweep gets them from its draws, for a query that lists A first; a
+    cell built otherwise can take them from Collection.positions.
     """
 
     i: int
@@ -70,7 +70,7 @@ class GridCell:
     e_b: float
     query: Query
     chosen: str
-    positions: tuple[int, int, int, int]
+    positions: tuple[int, ...]
     per_plan_times: dict[str, float] = field(default_factory=dict)
     optimal: str | None = None
     ratio: float | None = None
@@ -369,7 +369,8 @@ def draw_cells(collection: Collection, d: int, seed: int):
 
 def sweep(scenario: Scenario, collection: Collection, catalog: IndexCatalog,
           variant: OptimizerVariant, d: int, seed: int,
-          knobs: RaceKnobs = RaceKnobs(), cache: PlanCache | None = None) -> ExperimentGrid:
+          knobs: RaceKnobs = RaceKnobs(),
+          cache: dict[tuple, PlanId] | None = None) -> ExperimentGrid:
     """Fill every grid cell with a random query and the optimizer's choice:
     race each cell that draw_cells gives (optimize) and record it, in fill
     order. The race and the cell take the ranges' positions that the draws
@@ -398,24 +399,25 @@ def measure_grid(grid: ExperimentGrid, collection: Collection, catalog: IndexCat
 
     A plan's time is its scan length times its step time, which is
     plan_cost_totals' time. An index plan scans the cell's range of its
-    leading field, end - start of the cell's positions (GridCell.positions);
-    COLLSCAN scans all N records. Each query shape's plans are listed once
-    (producible_plans).
+    leading field, end - start of that predicate's positions, which come in
+    the query's predicate order (GridCell.positions); COLLSCAN scans all N
+    records. The plans of each query shape in each predicate order are
+    listed once (producible_plans).
     """
     if reps < 1:
         raise ValueError("need at least one sample")
     n = len(collection)
-    offsets = {"A": 0, "B": 2}
-    # per query shape: each plan's name, step time, and the offset of its
-    # range's start in a cell's positions, None for COLLSCAN
+    # per query shape and predicate order: each plan's name, step time, and the
+    # offset of its range's start in a cell's positions, None for COLLSCAN
     shapes = {}
     for cell in grid.sorted_cells():
-        key = query_shape(cell.query)
+        fields = tuple([p.field for p in cell.query.predicates])
+        key = (fields, cell.query.projection)
         plans = shapes.get(key)
         if plans is None:
             plans = shapes[key] = [
                 (name, step_time(plan.id.kind, cost),
-                 None if plan.leading is None else offsets[plan.leading])
+                 None if plan.leading is None else 2 * fields.index(plan.leading))
                 for name, plan in producible_plans(cell.query, catalog).items()]
         p = cell.positions
         cell.per_plan_times = {
@@ -467,8 +469,9 @@ def finalize(grid: ExperimentGrid) -> tuple[ExperimentGrid, SummaryMetrics]:
     return grid, metrics
 
 
-def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
-    """Plan cache pre-seeded with `primed` for the scenario's query shape.
+def primed_cache_for(scenario: Scenario, primed: PlanId) -> dict[tuple, PlanId]:
+    """The plan cache (optimize) pre-seeded with `primed`: the plain dict
+    {query_shape: primed} of the scenario's query shape.
 
     `primed` must be a plan that shape can run (producible_plans). A
     catalog is its indexes' key fields, so the check reads no collection.
@@ -477,7 +480,7 @@ def primed_cache_for(scenario: Scenario, primed: PlanId) -> PlanCache:
     if str(primed) not in producible_plans(query, IndexCatalog(scenario.index_keys)):
         raise UnknownPlanError(
             f"plan {primed} is not executable in scenario {scenario.name!r}")
-    return PlanCache({query_shape(query): primed})
+    return {query_shape(query): primed}
 
 
 def run_experiment(scenario: Scenario, collection: Collection, variant: OptimizerVariant,

@@ -62,12 +62,16 @@ FIRST_CHUNK_RESULTS = 4
 
 @dataclass(frozen=True)
 class RaceKnobs:
+    """The race's round budget, max(evaluation_works, coll_fraction * N), and
+    its result cap, max_results; each must be above 0, which NaN is not (a NaN
+    term drops out of the budget or makes race() and the closed form differ)."""
+
     evaluation_works: int = 10_000
     coll_fraction: float = 0.3
     max_results: int = 101
 
     def __post_init__(self):
-        if self.evaluation_works <= 0 or self.coll_fraction <= 0 or self.max_results <= 0:
+        if not (self.evaluation_works > 0 and self.coll_fraction > 0 and self.max_results > 0):
             raise ValueError("race knobs must all be positive")
 
     def max_rounds(self, n_records: int) -> float:
@@ -410,14 +414,6 @@ def pick_best(scores: list[Score], candidates: list[CandidatePlan]) -> PlanId:
     return candidates[best].id
 
 
-# ---------------------------------------------------------------------------
-# Plan cache keyed by query shape.
-
-class PlanCache(dict):
-    """A query shape (engine.query_shape) to the PlanId that every query of
-    that shape reuses."""
-
-
 @dataclass
 class OptimizeResult:
     """The chosen plan and the race that chose it.
@@ -456,22 +452,23 @@ class OptimizeResult:
 def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
              variant: OptimizerVariant = OptimizerVariant.VANILLA,
              knobs: RaceKnobs = RaceKnobs(),
-             cache: PlanCache | None = None,
+             cache: dict[tuple, PlanId] | None = None,
              positions: tuple[int, ...] | None = None) -> OptimizeResult:
     """Choose a plan: race the shape's candidates, score, pick; or reuse a
     cached plan.
 
-    With a cache, a shape hit skips the race and reuses the cached plan
-    unconditionally; a miss races and caches the winner.
+    The plan cache maps a query shape (engine.query_shape) to the PlanId
+    that every unhinted query of that shape reuses: a hit skips the race
+    unconditionally, a miss races and caches the winner. A hinted query
+    races its forced plan and neither reads nor writes the cache.
     `positions`, when the caller has them, are the (start, end) of each of
     the query's predicates in its field's sorted values, in predicate order
     (Collection.positions); without them the race bisects for them once.
     """
-    if cache is not None:
-        shape = query_shape(query)
-        cached = cache.get(shape)
-        if cached is not None:
-            return OptimizeResult(cached, from_cache=True)
+    shape = None if cache is None or query.hint is not None else query_shape(query)
+    cached = None if shape is None else cache.get(shape)
+    if cached is not None:
+        return OptimizeResult(cached, from_cache=True)
 
     layout = race_layout(query, collection, catalog, variant)
     if positions is None:
@@ -482,6 +479,6 @@ def optimize(query: Query, collection: Collection, catalog: IndexCatalog,
     lengths = [scans[k][1] - scans[k][0] for k in layout.slots]
     plans = layout.plans
     chosen = plans[race_winner(plans, rounds, results, lengths, variant)].id
-    if cache is not None:
+    if shape is not None:
         cache[shape] = chosen
     return OptimizeResult(chosen, False, query, plans, variant, rounds, results, lengths)

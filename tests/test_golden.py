@@ -94,3 +94,17 @@ def test_small_report_bytes_match_golden_digest(tmp_path, dist):
     grid, metrics = run_experiment(get_scenario("covering"), collection,
                                    OptimizerVariant.MOD, d=SMALL_D, seed=RUN_SEED)
     assert report_digest(write_report(grid, metrics, tmp_path)) == SMALL_GOLDEN[dist]
+
+
+# The sparse sweep: both-indexed, vanilla, D=10 over 9 distinct values, whose
+# row 0 and column 0 no draw reaches, so REJECTION_CAP draws end sampling and
+# 19 cells are filled directly; recorded before any change to the direct fill
+SPARSE_GOLDEN = "c8da282a926e5bf3242f60ed37c74041b0d6aebb88b2c7004b0688da3eb6a975"
+
+
+def test_sparse_sweep_report_bytes_match_golden_digest(tmp_path):
+    collection = generate_dataset(9, "uniform-distinct", seed=7)
+    grid, metrics = run_experiment(get_scenario("both-indexed"), collection,
+                                   OptimizerVariant.VANILLA, d=10, seed=7)
+    assert (grid.draws, grid.rejections, grid.filled_directly) == (1000283, 1000202, 19)
+    assert report_digest(write_report(grid, metrics, tmp_path)) == SPARSE_GOLDEN

@@ -220,6 +220,26 @@ def test_measure_grid_of_direct_fill_and_hand_built_cells(monkeypatch):
                 cell.query, collection, catalog, COST, reps=3)
 
 
+def test_a_cell_whose_query_lists_b_first_reads_its_positions_in_that_order():
+    # positions come in the query's predicate order, B's range first here
+    collection = generate_dataset(1000, "uniform-distinct", seed=41)
+    scenario = get_scenario("covering")
+    catalog = scenario.build_catalog(collection)
+    query = Query((RangePredicate("B", 0, 500), RangePredicate("A", 0, 100)),
+                  scenario.projection)
+    positions = query_positions(query, collection)
+    assert positions == (0, 500, 0, 100)
+    assert optimize(query, collection, catalog, positions=positions) == optimize(
+        query, collection, catalog)
+    grid = ExperimentGrid(d=1)
+    grid.cells[(0, 0)] = GridCell(i=0, j=0, e_a=0.1, e_b=0.5, query=query,
+                                  chosen="IXSCAN_AB", positions=positions)
+    measure_grid(grid, collection, catalog, COST)
+    times = {"IXSCAN_A": 500.0, "IXSCAN_B": 2500.0, "IXSCAN_AB": 100.0, "COLLSCAN": 1000.0}
+    assert grid.cells[(0, 0)].per_plan_times == times
+    assert measure_all_plans(query, collection, catalog, COST) == times
+
+
 def test_measure_grid_times_only_the_plans_a_shape_can_run(small_world):
     collection, scenario, catalog = small_world
     grid = sweep(scenario, collection, catalog, OptimizerVariant.VANILLA, d=2, seed=1)
@@ -1156,6 +1176,14 @@ def test_cache_experiment_covering_primed_cover_wins(small_world):
                               d=4, seed=29, primed=parse_plan_hint(primed))
         accs[primed] = m.accuracy
     assert accs["IXSCAN_AB"] == max(accs.values())
+
+
+def test_primed_cache_is_a_plain_dict_of_the_query_shape():
+    scenario = get_scenario("covering")
+    plan = parse_plan_hint("IXSCAN_AB")
+    cache = primed_cache_for(scenario, plan)
+    query = scenario.make_query(RangePredicate("A", 3, 9), RangePredicate("B", 0, 2))
+    assert type(cache) is dict and cache == {engine.query_shape(query): plan}
 
 
 def test_cache_experiment_rejects_unexecutable_plan(small_world):

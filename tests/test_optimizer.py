@@ -17,12 +17,12 @@ from planrace.engine import (
     Query,
     RangePredicate,
     generate_dataset,
+    query_shape,
 )
 from planrace.errors import NoCandidatesError, UndefinedProductivityError
 from planrace.executor import CostModel, PlanExecution
 from planrace.optimizer import (
     BUCKETS,
-    PlanCache,
     RaceKnobs,
     RankBuckets,
     Score,
@@ -125,6 +125,14 @@ def test_race_retains_cursor_state_for_continuation():
     rids, _, works = run_to_completion(winner)
     assert works == 501  # continued, not restarted
     assert len(rids) == 500
+
+
+@pytest.mark.parametrize("knob", ["evaluation_works", "coll_fraction", "max_results"])
+@pytest.mark.parametrize("value", [0, -1, float("nan")])
+def test_race_knobs_reject_values_not_above_zero(knob, value):
+    # nan <= 0 is false, but a NaN budget or cap is no number of rounds
+    with pytest.raises(ValueError, match="race knobs must all be positive"):
+        RaceKnobs(**{knob: value})
 
 
 def test_race_rejects_empty_and_stale():
@@ -562,7 +570,7 @@ def test_optimize_result_derives_its_fields_on_each_read(collection):
 def test_optimize_cache_hit_skips_race(collection):
     scenario = get_scenario("both-indexed")
     catalog = scenario.build_catalog(collection)
-    cache = PlanCache()
+    cache = {}
     q1 = make_query("both-indexed", 0.1, 0.5, collection)
     r1 = optimize(q1, collection, catalog, cache=cache)
     assert not r1.from_cache
@@ -571,6 +579,27 @@ def test_optimize_cache_hit_skips_race(collection):
     assert r2.from_cache
     assert r2.chosen == r1.chosen  # primed plan reused even though B would now win
     assert r2.stats == [] and r2.candidates == [] and r2.scores == []
+
+
+def test_hinted_query_neither_reads_nor_writes_the_cache():
+    # a fresh race of this query picks IXSCAN_B; a hint forces IXSCAN_A
+    # past the cache, and the next unhinted query races as if it had not run
+    c = generate_dataset(3000, "uniform-distinct", seed=1)
+    scenario = get_scenario("both-indexed")
+    catalog = scenario.build_catalog(c)
+    pred_a, pred_b = RangePredicate("A", 0, 2900), RangePredicate("B", 0, 10)
+    unhinted = scenario.make_query(pred_a, pred_b)
+    hinted = scenario.make_query(pred_a, pred_b, hint=parse_plan_hint("IXSCAN_A"))
+    assert str(optimize(unhinted, c, catalog).chosen) == "IXSCAN_B"
+    shape = query_shape(unhinted)
+    for held in ({}, {shape: parse_plan_hint("IXSCAN_B")}):
+        cache = dict(held)
+        r = optimize(hinted, c, catalog, cache=cache)
+        assert (str(r.chosen), r.from_cache) == ("IXSCAN_A", False)
+        assert cache == held
+        again = optimize(unhinted, c, catalog, cache=cache)
+        assert (str(again.chosen), again.from_cache) == ("IXSCAN_B", bool(held))
+        assert cache == {shape: parse_plan_hint("IXSCAN_B")}
 
 
 def test_optimize_hinted_query_races_single_candidate(collection):
